@@ -65,10 +65,6 @@ class Tape:
     def _push(self, vjp) -> None:
         self._records.append(vjp)
 
-    @staticmethod
-    def constant(value) -> Node:
-        return Node(value)
-
     def backward(self, loss: Node, seed: float = 1.0) -> None:
         if not self._records:
             raise ValueError("backward called before any forward op was recorded")
@@ -100,15 +96,6 @@ class Tape:
 
         def vjp():
             x.grad += (1.0 - out.value * out.value) * out.grad
-
-        self._push(vjp)
-        return out
-
-    def sigmoid(self, x: Node) -> Node:
-        out = Node(_sigmoid(x.value))
-
-        def vjp():
-            x.grad += out.value * (1.0 - out.value) * out.grad
 
         self._push(vjp)
         return out
@@ -255,7 +242,7 @@ class Tape:
         return h_new, c_new
 
     def vqc(self, angles: Param, n_qubits: int, depth: int, x: Node) -> Node:
-        """Variational-circuit encoder; backward runs the parameter-shift rule."""
+        """Variational-circuit encoder; backward runs the adjoint method."""
         from . import qsim  # local import keeps diffnet importable standalone
 
         params = qsim.VqcParams(n_qubits, depth, angles.value)

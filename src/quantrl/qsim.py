@@ -7,13 +7,26 @@ the basis-state index, so for two qubits the amplitude order is
 The circuit family is fixed: an angle-encoding layer RY(pi * x_i) on every
 qubit, followed by `depth` variational layers of per-qubit RY and RZ
 rotations and a CNOT ring CNOT(i, (i+1) mod n). Measurement is the vector
-of per-qubit Pauli-Z expectations. Gradients use the parameter-shift rule,
-which is exact for rotation gates; all shifted circuits are evaluated in
-one batched pass.
+of per-qubit Pauli-Z expectations.
 
-Everything here is stateless: functions take statevectors or parameter
-bundles in and hand new ones back, so concurrent use on distinct instances
-is safe.
+A forward pass builds the encoded state directly: RY on |0...0> gives a
+real product state. Up to ``BLOCK_MAX_QUBITS`` qubits, the variational
+layers are one 2**n x 2**n matrix that depends only on the angles. It is
+built once per distinct angle vector and then reused, so a forward is a
+Kronecker product and one matrix product. Larger circuits apply the gates
+to the batch directly.
+
+Gradients use the adjoint method (Jones & Gacon 2020): one reverse sweep
+gives every parameter and input gradient, exact and in O(B * P * 2**n).
+The parameter-shift rule (Schuld et al. 2019), which is what quantum
+hardware can run, is kept as the reference implementation and test oracle.
+
+Apart from one cache, everything here is stateless. The block matrices
+live in an ``lru_cache`` of ``BLOCK_CACHE_SIZE`` entries keyed on the
+angle bytes. So an angle array overwritten in place gets a new key, not a
+stale matrix. The cached matrices are read-only, and ``lru_cache`` is
+thread-safe, so A3C worker threads share entries safely; two threads that
+miss together at worst build the same matrix twice.
 """
 
 from __future__ import annotations
@@ -27,6 +40,12 @@ from .errors import ConfigError
 
 MAX_QUBITS = 16
 ENCODING_SCALE = np.pi  # post-tanh latents in (-1, 1) map to angles in (-pi, pi)
+# A block matrix costs 16 * 4**n bytes (256 KiB at n=7) and a rebuild after
+# every parameter update. With A3C's 20-step updates at depth 2, training
+# ran faster with the matrix up to n=7 and slower from n=8 on, so larger
+# circuits apply the gates to each batch instead.
+BLOCK_MAX_QUBITS = 7
+BLOCK_CACHE_SIZE = 8    # angle vectors: the policy and value circuits of a few nets
 
 
 @dataclass
@@ -95,11 +114,16 @@ def _check_qubit(n_qubits: int, qubit: int, what: str = "qubit") -> None:
 
 
 @lru_cache(maxsize=None)
+def _basis_bits(n_qubits: int) -> np.ndarray:
+    """bits[q, i] = bit q of basis index i."""
+    idx = np.arange(1 << n_qubits)
+    return (idx[None, :] >> np.arange(n_qubits)[:, None]) & 1
+
+
+@lru_cache(maxsize=None)
 def _z_signs(n_qubits: int) -> np.ndarray:
     """signs[q, i] = +1 if bit q of basis index i is 0, else -1."""
-    idx = np.arange(1 << n_qubits)
-    bits = (idx[None, :] >> np.arange(n_qubits)[:, None]) & 1
-    return (1.0 - 2.0 * bits).astype(np.float64)
+    return (1.0 - 2.0 * _basis_bits(n_qubits)).astype(np.float64)
 
 
 @lru_cache(maxsize=None)
@@ -171,37 +195,94 @@ def apply_cnot(state: QuantumState, control: int, target: int) -> QuantumState:
     return QuantumState(state.n_qubits, amps[0])
 
 
-def _run_circuit(amps: np.ndarray, params: VqcParams, encoding_angles) -> None:
-    """Run the fixed ansatz in place over a batch of |0..0> states.
+def _apply_layers(amps: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
+    """Rows of amps (real or complex) after the variational layers.
 
-    encoding_angles: callable qubit -> scalar or per-row vector; keeps one
-    code path for plain forwards and parameter-shifted batches.
+    The first RY sublayer runs in place on amps, so pass an array the
+    caller no longer needs. Each RZ sublayer is applied as one diagonal and
+    each CNOT ring as one permutation, equal to the gate-by-gate products.
     """
-    n = params.n_qubits
-    for q in range(n):
-        _ry_inplace(amps, n, q, encoding_angles(q))
-    for layer in range(params.depth):
+    signs = _z_signs(n)
+    for layer in angles:
         for q in range(n):
-            _ry_inplace(amps, n, q, params.angles[layer, q, 0])
-        for q in range(n):
-            _rz_inplace(amps, n, q, params.angles[layer, q, 1])
+            _ry_inplace(amps, n, q, layer[q, 0])
+        amps = amps * np.exp(-0.5j * (layer[:, 1] @ signs))
         if n > 1:  # a one-qubit ring would be a self-CNOT
-            for q in range(n):
-                _cnot_inplace(amps, n, q, (q + 1) % n)
+            amps = amps[:, _ring_perm(n)]
+    return amps
 
 
-def run_vqc_batch(inputs: np.ndarray, params: VqcParams) -> np.ndarray:
-    """Per-qubit Z expectations for a batch of input rows, shape [B, n]."""
+@lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _block_matrix(n: int, depth: int, angle_bytes: bytes) -> np.ndarray:
+    """Variational block as a read-only [2**n, 2**n] matrix.
+
+    Row i is the image of basis state i, so a batch of row states maps to
+    ``states @ block``. Keyed on the angle bytes, not on an array, because
+    parameters are overwritten in place between updates.
+    """
+    angles = np.frombuffer(angle_bytes).reshape(depth, n, 2)
+    block = _apply_layers(np.eye(1 << n), n, angles)
+    block.flags.writeable = False
+    return block
+
+
+@lru_cache(maxsize=None)
+def _ring_perm(n_qubits: int) -> np.ndarray:
+    """Column permutation of the whole CNOT ring: ``amps[:, perm]``."""
+    perm = np.arange(1 << n_qubits)
+    for q in range(n_qubits):
+        perm = perm[_cnot_perm(n_qubits, q, (q + 1) % n_qubits)]
+    return perm
+
+
+@lru_cache(maxsize=None)
+def _ring_inverse(n_qubits: int) -> np.ndarray:
+    return np.argsort(_ring_perm(n_qubits))
+
+
+@lru_cache(maxsize=None)
+def _bit_flips(n_qubits: int) -> np.ndarray:
+    """flips[q, i] = i with bit q flipped."""
+    idx = np.arange(1 << n_qubits)
+    return idx[None, :] ^ (1 << np.arange(n_qubits))[:, None]
+
+
+def _check_batch(inputs: np.ndarray, params: VqcParams) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.n_qubits:
         raise ValueError(
             f"inputs must have shape [batch, {params.n_qubits}], got {x.shape}"
         )
-    batch = x.shape[0]
-    amps = np.zeros((batch, 1 << params.n_qubits), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    _run_circuit(amps, params, lambda q: ENCODING_SCALE * x[:, q])
-    probs = np.abs(amps) ** 2
+    return x
+
+
+def _check_gradient_args(
+    inputs: np.ndarray, params: VqcParams, upstream: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    x = _check_batch(inputs, params)
+    up = np.asarray(upstream, dtype=np.float64)
+    if up.shape != x.shape:
+        raise ValueError(f"upstream must match inputs shape {x.shape}, got {up.shape}")
+    return x, up
+
+
+def _final_states(x: np.ndarray, params: VqcParams) -> np.ndarray:
+    """Statevectors after the whole circuit, shape [B, 2**n]."""
+    n = params.n_qubits
+    # RY(pi x_q) on |0> is the real pair (cos, sin)(pi x_q / 2); the encoded
+    # state is their Kronecker product, qubit 0 least significant.
+    half = 0.5 * ENCODING_SCALE * x
+    pairs = np.stack((np.cos(half), np.sin(half)), axis=-1)      # [B, n, 2]
+    encoded = pairs[:, np.arange(n)[:, None], _basis_bits(n)].prod(axis=1)
+    if n > BLOCK_MAX_QUBITS:
+        return _apply_layers(encoded, n, params.angles)
+    return encoded @ _block_matrix(n, params.depth, params.angles.tobytes())
+
+
+def run_vqc_batch(inputs: np.ndarray, params: VqcParams) -> np.ndarray:
+    """Per-qubit Z expectations for a batch of input rows, shape [B, n]."""
+    amps = _final_states(_check_batch(inputs, params), params)
+    probs = amps.real ** 2 + amps.imag ** 2
     return probs @ _z_signs(params.n_qubits).T
 
 
@@ -215,27 +296,70 @@ def run_vqc(inputs: np.ndarray, params: VqcParams) -> np.ndarray:
     return run_vqc_batch(x[None, :], params)[0]
 
 
+def _y_overlaps(psi: np.ndarray, lam: np.ndarray, n: int) -> np.ndarray:
+    """Im<lam|Y_q|psi> per row and qubit, shape [B, n].
+
+    (Y_q psi)_i = -i z_q(i) psi_{i ^ 2**q}, so the imaginary part is
+    -sum_i z_q(i) Re(conj(lam_i) psi_{i ^ 2**q}).
+    """
+    flipped = psi[:, _bit_flips(n)]                               # [B, n, 2**n]
+    return -np.einsum("bqi,qi->bq", (lam.conj()[:, None, :] * flipped).real,
+                      _z_signs(n))
+
+
 def vqc_gradients_batch(
+    inputs: np.ndarray,
+    params: VqcParams,
+    upstream: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint-method gradients of sum_b upstream[b] . <Z>(inputs[b]).
+
+    Returns (param_grads with the shape of ``params.angles`` summed over the
+    batch, input_grads of shape [B, n]). One reverse sweep (Jones & Gacon
+    2020) carries psi and lam = O psi, with O = sum_q upstream_q Z_q, back
+    through the circuit. Every gate is exp(-i theta P / 2), so
+    dL/dtheta = 2 Re<lam|dG|psi> = Im<lam|P|psi>, read where the sweep
+    passes the gate. The gates of one rotation sublayer act on distinct
+    qubits and commute with each other's generators, so all of a
+    sublayer's derivatives are read at once. Costs O(B * P * 2**n).
+    """
+    x, up = _check_gradient_args(inputs, params, upstream)
+    n = params.n_qubits
+    batch = x.shape[0]
+    signs = _z_signs(n)
+    psi = _final_states(x, params)
+    both = np.concatenate((psi, (up @ signs) * psi))    # rows: psi, then lam
+    param_grads = np.empty_like(params.angles)
+    for layer in reversed(range(params.depth)):
+        if n > 1:
+            both = both[:, _ring_inverse(n)]
+        psi, lam = both[:batch], both[batch:]
+        param_grads[layer, :, 1] = signs @ (lam.conj() * psi).imag.sum(axis=0)
+        both *= np.exp(0.5j * (params.angles[layer, :, 1] @ signs))  # undo RZs
+        # psi and lam are views of both, so the RY derivatives below are read
+        # after the RZ undo, as they must be
+        param_grads[layer, :, 0] = _y_overlaps(psi, lam, n).sum(axis=0)
+        for q in range(n):
+            _ry_inplace(both, n, q, -params.angles[layer, q, 0])
+    psi, lam = both[:batch], both[batch:]
+    input_grads = ENCODING_SCALE * _y_overlaps(psi, lam, n)
+    return param_grads, input_grads
+
+
+def parameter_shift_gradients_batch(
     inputs: np.ndarray,
     params: VqcParams,
     upstream: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parameter-shift gradients of sum_b upstream[b] . <Z>(inputs[b]).
 
-    Returns (param_grads with the shape of ``params.angles`` summed over the
-    batch, input_grads of shape [B, n]). Every shifted circuit for every
-    batch row is evaluated in a single vectorized pass: row layout is
-    (batch, parameter, +/-) with parameters ordered encoding-first.
+    The hardware-faithful reference for :func:`vqc_gradients_batch`, with the
+    same arguments and return values. Every shifted circuit for every batch
+    row is evaluated in a single vectorized pass: row layout is
+    (batch, parameter, +/-) with parameters ordered encoding-first. Costs
+    O(B * P**2 * 2**n) for P rotation angles.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    up = np.asarray(upstream, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.n_qubits:
-        raise ValueError(
-            f"inputs must have shape [batch, {params.n_qubits}], got {x.shape}"
-        )
-    if up.shape != x.shape:
-        raise ValueError(f"upstream must match inputs shape {x.shape}, got {up.shape}")
-
+    x, up = _check_gradient_args(inputs, params, upstream)
     n = params.n_qubits
     depth = params.depth
     batch = x.shape[0]

@@ -134,7 +134,7 @@ def test_c01_quantum_gradients_match_finite_differences():
     elapsed = time.monotonic() - start
     assert worst < 1e-6
     assert elapsed < 10.0
-    _pass(1, f"parameter-shift vs finite differences: max abs err "
+    _pass(1, f"adjoint gradients vs finite differences: max abs err "
              f"{worst:.2e} (< 1e-6) over 100 instances in {elapsed:.1f}s (< 10s)")
 
 

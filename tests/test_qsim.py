@@ -1,9 +1,15 @@
 """Statevector simulator tests, checked against dense-matrix and
 finite-difference oracles that share no code with the implementation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from quantrl import qsim
+from quantrl.a3c import ActorCriticNet
+from quantrl.diffnet import Node, Tape
 from quantrl.errors import ConfigError
 from quantrl.qsim import (
     QuantumState,
@@ -12,6 +18,7 @@ from quantrl.qsim import (
     apply_ry,
     apply_rz,
     init_zero_state,
+    parameter_shift_gradients_batch,
     run_vqc,
     run_vqc_batch,
     vqc_gradients,
@@ -211,7 +218,8 @@ def test_vqc_input_length_validation():
 
 def test_vqc_matches_dense_unitary_oracle():
     rng = np.random.default_rng(11)
-    for n in (1, 2, 3, 4):
+    # the last two n are the largest circuit with a block matrix and the smallest without
+    for n in (1, 2, 3, 4, qsim.BLOCK_MAX_QUBITS, qsim.BLOCK_MAX_QUBITS + 1):
         for _ in range(5):
             x, params = random_instance(rng, n=n, depth=2)
             got = run_vqc(x, params)
@@ -240,6 +248,74 @@ def test_vqc_deterministic_bit_identical():
     rng = np.random.default_rng(9)
     x, params = random_instance(rng)
     assert np.array_equal(run_vqc(x, params), run_vqc(x, params))
+
+
+# ---------------------------------------------------------------------------
+# block-matrix cache
+# ---------------------------------------------------------------------------
+
+def test_forward_follows_angles_mutated_in_place():
+    rng = np.random.default_rng(29)
+    x, params = random_instance(rng, n=3, depth=2)
+    run_vqc(x, params)  # fills the cache for the current angles
+    for _ in range(3):
+        params.angles[...] = rng.uniform(-np.pi, np.pi, params.angles.shape)
+        got = run_vqc(x, params)
+        assert np.max(np.abs(got - dense_oracle_expectations(x, params))) < 1e-12
+
+
+def test_forward_follows_set_flat():
+    rng = np.random.default_rng(31)
+    net = ActorCriticNet(obs_dim=5, head_kind="quantum", latent_dim=3,
+                         vqc_depth=2, seed=2)
+    x = rng.uniform(-1, 1, 3)
+
+    def encoder_readout():
+        return Tape().vqc(net.policy_encoder, 3, 2, Node(x)).value
+
+    encoder_readout()  # fills the cache for the current angles
+    for _ in range(3):
+        net.set_flat(rng.uniform(-np.pi, np.pi, net.get_flat().size))
+        want = dense_oracle_expectations(x, VqcParams(3, 2, net.policy_encoder.value))
+        assert np.max(np.abs(encoder_readout() - want)) < 1e-12
+
+
+def test_block_cache_shared_by_threads():
+    # A3C workers share the cache: threads cycling through more angle
+    # vectors than it holds must each read their own circuit.
+    rng = np.random.default_rng(41)
+    x = rng.uniform(-1, 1, 3)
+    params = [VqcParams(3, 2, rng.uniform(-np.pi, np.pi, (2, 3, 2)))
+              for _ in range(2 * qsim.BLOCK_CACHE_SIZE)]
+    want = [dense_oracle_expectations(x, p) for p in params]
+    errors = []
+
+    def worker(offset):
+        for i in range(200):
+            k = (offset + i) % len(params)
+            errors.append(np.max(np.abs(run_vqc(x, params[k]) - want[k])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(3 * t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(errors) == 800 and max(errors) < 1e-12
+
+
+def test_cached_block_matrix_is_read_only():
+    params = VqcParams(2, 1, np.array([[[0.3, -0.2], [0.1, 0.5]]]))
+    run_vqc(np.zeros(2), params)
+    block = qsim._block_matrix(2, 1, params.angles.tobytes())
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +372,25 @@ def test_parameter_shift_matches_finite_differences():
     for _ in range(10):
         x, params = random_instance(rng)
         upstream = rng.uniform(-1, 1, 4)
-        pg, ig = vqc_gradients(x, params, upstream)
+        pg, ig = parameter_shift_gradients_batch(x[None, :], params, upstream[None, :])
         fpg, fig = fd_gradients(x, params, upstream)
         assert np.max(np.abs(pg - fpg)) < 1e-6
-        assert np.max(np.abs(ig - fig)) < 1e-6
+        assert np.max(np.abs(ig[0] - fig)) < 1e-6
+
+
+# the last two n are the largest circuit with a block matrix and the smallest without
+@pytest.mark.parametrize("batch", [1, 20])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, qsim.BLOCK_MAX_QUBITS, qsim.BLOCK_MAX_QUBITS + 1])
+def test_adjoint_matches_parameter_shift(n, depth, batch):
+    rng = np.random.default_rng(1000 * n + 10 * depth + batch)
+    params = VqcParams(n, depth, rng.uniform(-np.pi, np.pi, (depth, n, 2)))
+    xs = rng.uniform(-1, 1, (batch, n))
+    ups = rng.uniform(-1, 1, (batch, n))
+    pg, ig = vqc_gradients_batch(xs, params, ups)
+    ref_pg, ref_ig = parameter_shift_gradients_batch(xs, params, ups)
+    assert np.max(np.abs(pg - ref_pg)) < 1e-12
+    assert np.max(np.abs(ig - ref_ig)) < 1e-12
 
 
 def test_batch_gradients_sum_over_rows():
