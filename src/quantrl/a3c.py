@@ -21,9 +21,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
-import os
-import struct
 import threading
 from dataclasses import dataclass
 
@@ -44,7 +41,7 @@ class TrainConfig:
     gamma: float = 0.9
     update_every: int = 10          # steps between global pushes
     max_episodes: int = 3000
-    n_workers: int | None = None    # default: machine core count, min 2
+    n_workers: int = 1              # >1 runs worker threads, not reproducible
     learning_rate: float = 1e-3
     seed: int = 0
     head_kind: str = "classical"    # or "quantum"
@@ -61,18 +58,12 @@ class TrainConfig:
             raise ConfigError("update_every must be >= 1")
         if self.max_episodes < 1:
             raise ConfigError("max_episodes must be >= 1")
-        if self.n_workers is not None and self.n_workers < 1:
+        if self.n_workers < 1:
             raise ConfigError("n_workers must be >= 1")
         if self.head_kind not in ("classical", "quantum"):
             raise ConfigError(f"unknown head_kind {self.head_kind!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-
-    @property
-    def resolved_workers(self) -> int:
-        if self.n_workers is not None:
-            return self.n_workers
-        return max(2, os.cpu_count() or 1)
 
 
 class ActorCriticNet:
@@ -148,11 +139,6 @@ class ActorCriticNet:
 
     def zero_grads(self) -> None:
         diffnet.zero_grads(self.parameters())
-
-
-def forward_policy(net: ActorCriticNet, obs: np.ndarray) -> np.ndarray:
-    """Action distribution over {hold, buy, sell} for one observation."""
-    return net.policy_probs(obs)
 
 
 def n_step_returns(rewards, bootstrap: float, gamma: float) -> np.ndarray:
@@ -366,7 +352,6 @@ def train(config: TrainConfig, env_factory, net_factory=None) -> TrainingHistory
         template.get_flat(), optimizer, config.max_episodes
     )
 
-    n_workers = config.resolved_workers
     errors: list[BaseException] = []
     stop = threading.Event()
 
@@ -380,12 +365,12 @@ def train(config: TrainConfig, env_factory, net_factory=None) -> TrainingHistory
             errors.append(exc)
             stop.set()
 
-    if n_workers == 1:
+    if config.n_workers == 1:
         run(0)  # keep single-worker runs on the calling thread: reproducible
     else:
         threads = [
             threading.Thread(target=run, args=(i,), name=f"a3c-worker-{i}")
-            for i in range(n_workers)
+            for i in range(config.n_workers)
         ]
         for t in threads:
             t.start()
@@ -535,39 +520,14 @@ def random_reward_history(env: TradingEnv, episodes: int, seed: int = 0) -> list
 # -- checkpoints --------------------------------------------------------------
 
 _CKPT_MAGIC = b"QNET"
+_CKPT_FIELDS = {"obs_dim": int, "head_kind": str, "latent_dim": int, "vqc_depth": int}
 
 
 def save_checkpoint(net: ActorCriticNet, path) -> None:
-    """JSON architecture header + the DNP1 flat-parameter blob."""
-    meta = json.dumps(
-        {
-            "obs_dim": net.obs_dim,
-            "head_kind": net.head_kind,
-            "latent_dim": net.latent_dim,
-            "vqc_depth": net.vqc_depth,
-        },
-        sort_keys=True,
-    ).encode()
-    blob = diffnet.pack_arrays([p.value for p in net.parameters()])
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC + struct.pack("<I", len(meta)) + meta + blob)
+    """Architecture header + parameters in the diffnet model-file format."""
+    header = {key: getattr(net, key) for key in _CKPT_FIELDS}
+    diffnet.save_model(path, _CKPT_MAGIC, header, net.parameters())
 
 
 def load_checkpoint(path) -> ActorCriticNet:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _CKPT_MAGIC:
-        raise ValueError(f"{path} is not a QNET checkpoint")
-    (meta_len,) = struct.unpack_from("<I", raw, 4)
-    meta = json.loads(raw[8:8 + meta_len].decode())
-    net = ActorCriticNet(
-        meta["obs_dim"], head_kind=meta["head_kind"],
-        latent_dim=meta["latent_dim"], vqc_depth=meta["vqc_depth"],
-    )
-    arrays = diffnet.unpack_arrays(raw[8 + meta_len:])
-    params = net.parameters()
-    if len(arrays) != len(params):
-        raise ValueError("checkpoint parameter count mismatch")
-    for p, a in zip(params, arrays):
-        p.value[...] = a
-    return net
+    return diffnet.load_model(path, _CKPT_MAGIC, _CKPT_FIELDS, ActorCriticNet)

@@ -47,7 +47,7 @@ def _add_train_flags(parser):
     parser.add_argument("--use-forecast", action="store_true", default=None,
                         help="augment the state with the LSTM forecast signal")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker count (default: cores, min 2)")
+                        help="worker threads (default: 1, the reproducible run)")
     parser.add_argument("--episodes", type=int, default=None)
     parser.add_argument("--data", default=None, help="market CSV path")
     parser.add_argument("--synthetic-kind", default=None,
@@ -156,7 +156,7 @@ def cmd_forecast(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     series = tradeenv.load_market_csv(args.data)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
         series = tradeenv.zscore(series, 0.8)
     config = ForecastConfig(lookback=args.lookback, hidden=args.hidden,
                             epochs=args.epochs, learning_rate=args.lr,
@@ -202,7 +202,7 @@ def cmd_evaluate(args) -> int:
     net = a3c.load_checkpoint(args.checkpoint)
     series = tradeenv.load_market_csv(args.data)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
         series = tradeenv.zscore(series, args.train_fraction)
     env = tradeenv.TradingEnv(series, EnvConfig())
     if env.observation_dim != net.obs_dim:

@@ -1,26 +1,38 @@
 """Minimal reverse-mode building blocks shared by the agent heads and the
 forecaster: dense layers, activations, categorical sampling, an LSTM cell,
-a Wengert-list gradient tape, optimizers and flat parameter serialization.
+a Wengert-list gradient tape, optimizers and the model-file container.
 
 Ops accept either a feature vector or a [batch, features] matrix; the
 batched form is what keeps trajectory updates and full-batch BPTT fast.
 All math is float64.
 
-Checkpoint byte layout (``pack_arrays``/``save_arrays``):
+Model files (``save_model``/``load_model``) are the one container of the
+agent checkpoint (magic b"QNET") and the forecaster (magic b"QLSTM"): the
+magic, a uint32 little-endian header length, a JSON header with sorted
+keys, then the parameters in parameters() order as a DNP1 blob:
 
     magic   b"DNP1"
-    count   uint32 little-endian, number of arrays
+    count   uint32 LE, number of arrays
     per array:
         ndim    uint32 LE
         dims    ndim x uint64 LE
         data    float64 LE, C order
+
+The reader loads a file whole or raises ModelFileError, a ValueError
+naming the file: unreadable file, wrong magic, a length past the end, a
+header without exactly the expected typed keys, trailing bytes, an array
+count or shape unlike the rebuilt model's, or a non-finite value.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import struct
 
 import numpy as np
+
+from .errors import ModelFileError, QuantrlError
 
 
 class Param:
@@ -420,29 +432,80 @@ def pack_arrays(arrays: list[np.ndarray]) -> bytes:
 
 
 def unpack_arrays(blob: bytes) -> list[np.ndarray]:
+    """Decode a whole DNP1 blob; ValueError unless every length fits, no
+    byte is left over and every value is finite."""
     if blob[:4] != _MAGIC:
         raise ValueError("not a DNP1 parameter blob")
     offset = 4
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+
+    def take(n: int) -> int:
+        nonlocal offset
+        if n > len(blob) - offset:
+            raise ValueError(f"truncated: needs {n} more bytes at offset {offset}")
+        offset += n
+        return offset - n
+
+    (count,) = struct.unpack_from("<I", blob, take(4))
     arrays = []
     for _ in range(count):
-        (ndim,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}Q", blob, offset)
-        offset += 8 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-        offset += 8 * size
+        (ndim,) = struct.unpack_from("<I", blob, take(4))
+        shape = struct.unpack_from(f"<{ndim}Q", blob, take(8 * ndim))
+        size = math.prod(shape)
+        data = np.frombuffer(blob, dtype="<f8", count=size, offset=take(8 * size))
         arrays.append(data.reshape(shape).astype(np.float64))
+    if offset != len(blob):
+        raise ValueError(f"{len(blob) - offset} trailing bytes after the arrays")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("non-finite parameter values")
     return arrays
 
 
-def save_arrays(path, arrays: list[np.ndarray]) -> None:
+def save_model(path, magic: bytes, header: dict, params: list[Param]) -> None:
+    """Write a model file: magic, header length, JSON header, DNP1 blob."""
+    meta = json.dumps(header, sort_keys=True).encode()
+    blob = pack_arrays([p.value for p in params])
     with open(path, "wb") as fh:
-        fh.write(pack_arrays(arrays))
+        fh.write(magic + struct.pack("<I", len(meta)) + meta + blob)
 
 
-def load_arrays(path) -> list[np.ndarray]:
-    with open(path, "rb") as fh:
-        return unpack_arrays(fh.read())
+def load_model(path, magic: bytes, fields: dict, build):
+    """Read a model file written by ``save_model`` with the same magic.
+
+    ``fields`` maps each header key to its type, int (a size, at least 1)
+    or str; the header must hold exactly these keys. ``build(**header)``
+    returns a fresh model whose ``parameters()`` then take the stored
+    arrays.
+    """
+    try:
+        with open(path, "rb") as fh:
+            model, arrays = _decode_model(fh.read(), magic, fields, build)
+    except (OSError, ValueError, QuantrlError) as exc:  # build() may raise ConfigError
+        raise ModelFileError(f"{path}: {exc}") from exc
+    for p, a in zip(model.parameters(), arrays):
+        p.value[...] = a
+    return model
+
+
+def _decode_model(raw: bytes, magic: bytes, fields: dict, build):
+    start = len(magic) + 4
+    if raw[:len(magic)] != magic:
+        raise ValueError(f"not a {magic.decode()} model file")
+    if len(raw) < start:
+        raise ValueError("truncated before the header length")
+    (meta_len,) = struct.unpack_from("<I", raw, len(magic))
+    header = json.loads(raw[start:start + meta_len])
+    if not isinstance(header, dict) or header.keys() != fields.keys():
+        raise ValueError(f"header {header!r} does not hold the fields {sorted(fields)}")
+    for key, kind in fields.items():
+        value = header[key]
+        if type(value) is not kind or (kind is int and value < 1):
+            raise ValueError(f"header field {key} = {value!r} is not a valid "
+                             f"{kind.__name__}")
+    arrays = unpack_arrays(raw[start + meta_len:])
+    model = build(**header)
+    shapes = [p.value.shape for p in model.parameters()]
+    if [a.shape for a in arrays] != shapes:
+        raise ValueError(
+            f"array shapes {[a.shape for a in arrays]} differ from the model's {shapes}"
+        )
+    return model, arrays

@@ -25,6 +25,10 @@ class EvaluationError(QuantrlError):
     """A forecast/metric evaluation is undefined for the given inputs."""
 
 
+class ModelFileError(QuantrlError, ValueError):
+    """A model file is missing, truncated or corrupt (CLI exit code 2)."""
+
+
 class GradientRejected(QuantrlError):
     """A pushed gradient was non-finite; the worker must resync."""
 

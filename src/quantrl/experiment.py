@@ -18,6 +18,7 @@ import configparser
 import dataclasses
 import hashlib
 import logging
+import typing
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -122,24 +123,22 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def _coerce(dc_type, section) -> dict:
-    """Parse an INI section's strings into a dataclass's field types."""
+    """Parse an INI section into a dataclass's typed fields; an empty value
+    means None for ``X | None`` fields only."""
+    getters = {int: section.getint, float: section.getfloat,
+               bool: section.getboolean, str: section.get}
     kwargs = {}
-    for f in dataclasses.fields(dc_type):
-        if f.name not in section:
+    for name, kind in typing.get_type_hints(dc_type).items():
+        base = next(t for t in typing.get_args(kind) or (kind,) if t is not type(None))
+        if name not in section or base not in getters:
+            continue  # absent, or a nested config read from its own section
+        if section[name] == "" and type(None) in typing.get_args(kind):
+            kwargs[name] = None
             continue
-        raw = section[f.name].strip()
-        if raw == "":
-            kwargs[f.name] = None
-            continue
-        kind = f.type
-        if kind in ("int", "int | None", "count"):
-            kwargs[f.name] = int(raw)
-        elif kind in ("float", "float | None"):
-            kwargs[f.name] = float(raw)
-        elif kind == "bool":
-            kwargs[f.name] = raw.lower() in ("1", "true", "yes", "on")
-        else:
-            kwargs[f.name] = raw
+        try:
+            kwargs[name] = getters[base](name)
+        except ValueError as exc:
+            raise ConfigError(f"{section.name}.{name}: {exc}") from exc
     return kwargs
 
 
@@ -149,16 +148,8 @@ def load_config_ini(path, **overrides) -> ExperimentConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    exp: dict = {}
-    if parser.has_section("experiment"):
-        section = parser["experiment"]
-        exp["strategy"] = section.get("strategy", "classical")
-        exp["use_forecast"] = section.getboolean("use_forecast", fallback=False)
-        exp["seed"] = section.getint("seed", fallback=0)
-        exp["train_fraction"] = section.getfloat("train_fraction", fallback=0.8)
-        exp["out_dir"] = section.get("out_dir", "run")
-        data = section.get("data", "").strip()
-        exp["data"] = data or None
+    exp = (_coerce(ExperimentConfig, parser["experiment"])
+           if parser.has_section("experiment") else {})
     if parser.has_section("synthetic"):
         exp["synthetic"] = SyntheticSpec(**_coerce(SyntheticSpec, parser["synthetic"]))
     if parser.has_section("train"):
@@ -203,7 +194,7 @@ def _prepare_series(config: ExperimentConfig, out: Path, written: list[Path]):
         data_path = Path(config.data)
     series = tradeenv.load_market_csv(data_path)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # constant macro columns are expected
+        warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)  # expected
         return tradeenv.zscore(series, config.train_fraction)
 
 
@@ -216,7 +207,7 @@ def _attach_forecasts(config: ExperimentConfig, series):
         model, series, direction_only=config.forecast.direction_only
     )
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
         return model, tradeenv.attach_forecast(series, vector)
 
 

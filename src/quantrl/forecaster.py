@@ -118,17 +118,6 @@ class ForecastModel:
         return self._forward(Tape(), windows).value[:, 0]
 
 
-def predict(model: ForecastModel, window: np.ndarray) -> float:
-    """Forecast next week's percent return from one lookback window."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (model.lookback, model.n_features):
-        raise ValueError(
-            f"window must have shape {(model.lookback, model.n_features)}, "
-            f"got {window.shape}"
-        )
-    return float(model.predict_batch(window[None])[0])
-
-
 def train_forecaster(dataset: ForecastDataset, config: ForecastConfig) -> ForecastModel:
     """Fit the forecaster on the training split by full-batch BPTT."""
     inputs, targets = dataset.train
@@ -188,41 +177,20 @@ _CKPT_MAGIC = b"QLSTM"
 
 
 def save_forecaster(model: ForecastModel, path) -> None:
-    """JSON shape header + the flat-array blob (diffnet layout)."""
-    import json
-    import struct
-
-    meta = json.dumps(
-        {
-            "n_features": model.n_features,
-            "hidden": model.cell.hidden_size,
-            "lookback": model.lookback,
-        },
-        sort_keys=True,
-    ).encode()
-    blob = diffnet.pack_arrays([p.value for p in model.parameters()])
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC + struct.pack("<I", len(meta)) + meta + blob)
+    """Shape header + parameters in the diffnet model-file format."""
+    header = {
+        "n_features": model.n_features,
+        "hidden": model.cell.hidden_size,
+        "lookback": model.lookback,
+    }
+    diffnet.save_model(path, _CKPT_MAGIC, header, model.parameters())
 
 
 def load_forecaster(path) -> ForecastModel:
-    import json
-    import struct
-
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:5] != _CKPT_MAGIC:
-        raise ValueError(f"{path} is not a forecaster checkpoint")
-    (meta_len,) = struct.unpack_from("<I", raw, 5)
-    meta = json.loads(raw[9:9 + meta_len].decode())
-    model = ForecastModel(meta["n_features"], meta["hidden"], meta["lookback"])
-    arrays = diffnet.unpack_arrays(raw[9 + meta_len:])
-    params = model.parameters()
-    if len(arrays) != len(params):
-        raise ValueError("forecaster checkpoint parameter count mismatch")
-    for p, a in zip(params, arrays):
-        p.value[...] = a
-    return model
+    return diffnet.load_model(
+        path, _CKPT_MAGIC, {"n_features": int, "hidden": int, "lookback": int},
+        ForecastModel,
+    )
 
 
 def evaluate_forecasts(predictions, actuals) -> ForecastEvaluation:

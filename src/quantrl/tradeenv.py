@@ -164,6 +164,10 @@ def load_market_csv(path, column_map: dict | None = None) -> MarketSeries:
     return MarketSeries(dates=dates, features=features, forecast=forecast)
 
 
+class ConstantColumnWarning(UserWarning):
+    """A column is constant over the training prefix and z-scores to zeros."""
+
+
 def _zscore_columns(values: np.ndarray, n_train: int, what: str):
     mean = values[:n_train].mean(axis=0)
     std = values[:n_train].std(axis=0)  # population std
@@ -173,7 +177,8 @@ def _zscore_columns(values: np.ndarray, n_train: int, what: str):
         if std[j] <= 1e-12 * max(1.0, abs(mean[j])):
             warnings.warn(
                 f"{what} column {j} is constant over the training prefix; "
-                "normalizing to zeros"
+                "normalizing to zeros",
+                ConstantColumnWarning,
             )
         else:
             out[:, j] = (values[:, j] - mean[j]) / std[j]

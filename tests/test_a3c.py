@@ -19,7 +19,6 @@ from quantrl.a3c import (
     compute_loss_and_grads,
     evaluate_policy,
     evaluate_random,
-    forward_policy,
     greedy_action,
     load_checkpoint,
     moving_average,
@@ -336,6 +335,9 @@ def test_worker_failure_aborts_with_diagnostic():
 
 
 def test_train_config_validation():
+    assert TrainConfig().n_workers == 1
+    with pytest.raises(ConfigError):
+        TrainConfig(n_workers=0)
     with pytest.raises(ConfigError):
         TrainConfig(gamma=1.0)
     with pytest.raises(ConfigError):

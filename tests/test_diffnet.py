@@ -18,9 +18,7 @@ from quantrl.diffnet import (
     clip_global_norm,
     flatten_grads,
     flatten_params,
-    load_arrays,
     pack_arrays,
-    save_arrays,
     set_flat_params,
     softmax,
     unpack_arrays,
@@ -396,7 +394,7 @@ def test_flat_roundtrip():
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_pack_unpack_roundtrip(tmp_path):
+def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(6)
     arrays = [rng.normal(size=(3, 4)), rng.normal(size=7), np.array(2.5)]
     blob = pack_arrays(arrays)
@@ -404,12 +402,6 @@ def test_pack_unpack_roundtrip(tmp_path):
     assert len(back) == 3
     for a, b in zip(arrays, back):
         assert a.shape == b.shape
-        assert np.array_equal(np.asarray(a, dtype=np.float64), b)
-
-    path = tmp_path / "params.bin"
-    save_arrays(path, arrays)
-    again = load_arrays(path)
-    for a, b in zip(arrays, again):
         assert np.array_equal(np.asarray(a, dtype=np.float64), b)
 
 

@@ -4,12 +4,15 @@ Training runs in here are deliberately tiny (tens of episodes); the
 full-scale learning runs live in test_acceptance.py."""
 
 import csv
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from quantrl import tradeenv
+from quantrl.a3c import ActorCriticNet, save_checkpoint
 from quantrl.cli import main
 from quantrl.errors import ConfigError, StageError
 from quantrl.experiment import (
@@ -64,6 +67,27 @@ def test_config_ini_roundtrip(tmp_path):
     assert back.train.max_episodes == 8
     assert back.train.latent_dim == 4
     assert config_hash(back.resolved()) == config_hash(config.resolved())
+
+
+@pytest.mark.parametrize("section, line", [
+    ("train", "gamma ="),
+    ("train", "max_episodes = 1e3"),
+    ("env", "include_position_in_state = ture"),
+])
+def test_config_ini_bad_value_names_the_key(tmp_path, section, line):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[synthetic]\nkind = sawtooth\nlength = 20\n[{section}]\n{line}\n")
+    key = line.partition("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config_ini(path)
+
+
+def test_config_ini_empty_value_is_none_for_optional_fields(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[experiment]\ndata =\n[synthetic]\nkind = sawtooth\n"
+                    "length = 20\n[train]\nclip_norm =\n")
+    config = load_config_ini(path)
+    assert config.data is None and config.train.clip_norm is None
 
 
 def test_config_hash_ignores_out_dir(tmp_path):
@@ -143,6 +167,19 @@ def test_stage_failure_names_stage_and_cleans_up(tmp_path):
         run_experiment(config)
     leftovers = list(out.iterdir()) if out.exists() else []
     assert leftovers == []  # no orphan artifacts, data.csv included
+
+
+def test_forecast_stage_passes_other_warnings_through(tmp_path, monkeypatch):
+    attach = tradeenv.attach_forecast
+
+    def warning_attach(series, vector):
+        warnings.warn("forecast drift", RuntimeWarning)
+        return attach(series, vector)
+
+    monkeypatch.setattr(tradeenv, "attach_forecast", warning_attach)
+    config = tiny_config(tmp_path / "run", length=40, use_forecast=True)
+    with pytest.warns(RuntimeWarning, match="forecast drift"):
+        run_experiment(config)
 
 
 def test_missing_data_file_is_ingest_stage_failure(tmp_path):
@@ -266,6 +303,19 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_stage_failure_exit_code(tmp_path):
     assert main(["train", "--data", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "r")]) == 2
+
+
+def test_cli_evaluate_truncated_checkpoint_exit_code(tmp_path, capsys):
+    data = tmp_path / "m.csv"
+    main(["generate", "--kind", "sawtooth", "--length", "16", "--out", str(data)])
+    checkpoint = tmp_path / "net.qnet"
+    save_checkpoint(ActorCriticNet(obs_dim=8, seed=0), checkpoint)
+    checkpoint.write_bytes(checkpoint.read_bytes()[:100])
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data),
+                 "--out", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(checkpoint) in err[0]
 
 
 def test_cli_generate_rejects_bad_spec(tmp_path):

@@ -15,7 +15,6 @@ from quantrl.forecaster import (
     build_windows,
     evaluate_forecasts,
     forecast_series,
-    predict,
     train_forecaster,
 )
 from quantrl.tradeenv import MarketSeries, zscore
@@ -151,19 +150,20 @@ def test_zero_model_predicts_zero():
     model = ForecastModel(n_features=6, hidden=4, lookback=3)
     for p in model.parameters():
         p.value[...] = 0.0
-    assert predict(model, np.random.default_rng(0).normal(size=(3, 6))) == 0.0
+    windows = np.random.default_rng(0).normal(size=(2, 3, 6))
+    assert np.array_equal(model.predict_batch(windows), np.zeros(2))
 
 
 def test_prediction_deterministic():
     model = ForecastModel(n_features=6, hidden=4, lookback=3, seed=5)
-    window = np.random.default_rng(1).normal(size=(3, 6))
-    assert predict(model, window) == predict(model, window)
+    windows = np.random.default_rng(1).normal(size=(2, 3, 6))
+    assert np.array_equal(model.predict_batch(windows), model.predict_batch(windows))
 
 
 def test_prediction_window_shape_validated():
     model = ForecastModel(n_features=6, hidden=4, lookback=3)
     with pytest.raises(ValueError):
-        predict(model, np.zeros((4, 6)))
+        model.predict_batch(np.zeros((1, 4, 6)))
 
 
 def test_trend_sign_agreement():
@@ -190,7 +190,7 @@ def test_forecast_series_alignment():
     assert vec.shape == (40,)
     assert np.all(vec[:7] == 0.0)  # before the first complete window
     # entry at t = lookback-1 is the prediction from the first window
-    assert vec[7] == pytest.approx(predict(model, series.normalized[0:8]))
+    assert vec[7] == pytest.approx(model.predict_batch(series.normalized[None, 0:8])[0])
     signed = forecast_series(model, series, direction_only=True)
     assert set(np.unique(signed[7:])) <= {-1.0, 0.0, 1.0}
 
