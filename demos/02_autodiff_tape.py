@@ -1,9 +1,9 @@
 """The gradient tape underneath both agents and the forecaster.
 
 A forward pass records vector-Jacobian closures on a tape; backward
-replays them last-to-first, accumulating into parameter gradients. The
-same ops run on single vectors or on [batch, features] matrices, which
-is what keeps trajectory updates cheap.
+replays them last-to-first, accumulating into parameter gradients. Every
+op takes [batch, features] matrices, which is what keeps trajectory
+updates cheap; a single input is a batch of one row.
 """
 
 import numpy as np
@@ -46,14 +46,14 @@ for step in range(200):
 
 # --- one LSTM step, and a finite-difference spot check ----------------------
 cell = LstmCell(input_size=2, hidden_size=3, rng=rng)
-xs = rng.normal(size=(4, 2))
+xs = rng.normal(size=(4, 1, 2))  # four steps of a one-row batch
 
 
 def run_sequence(tape):
-    h, c = cell.initial_state()
-    for row in xs:
-        h, c = tape.lstm(cell, Node(row), (h, c))
-    return tape.pick(h, 0)  # scalar: first hidden unit after the sequence
+    h, c = cell.initial_state(1)
+    for step in xs:
+        h, c = tape.lstm(cell, Node(step), (h, c))
+    return tape.sum(tape.pick(h, [0]))  # scalar: first hidden unit after the sequence
 
 
 zero_grads(cell.parameters())

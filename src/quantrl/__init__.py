@@ -44,7 +44,12 @@ from .forecaster import (  # noqa: F401
     train_forecaster,
 )
 from .metrics import EquityCurve, MetricsReport, Trade, summary_metrics  # noqa: F401
-from .qsim import QuantumState, VqcParams, run_vqc, vqc_gradients  # noqa: F401
+from .qsim import (  # noqa: F401
+    QuantumState,
+    VqcParams,
+    run_vqc_batch,
+    vqc_gradients_batch,
+)
 from .synthetic import SyntheticSpec, generate_synthetic  # noqa: F401
 from .tradeenv import (  # noqa: F401
     EnvConfig,

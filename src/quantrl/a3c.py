@@ -96,6 +96,16 @@ class ActorCriticNet:
         self.value_encoder = encoder()
         self.value_out = Dense(latent_dim, 1, rng)
 
+    @staticmethod
+    def parameter_shapes(obs_dim: int, head_kind: str, latent_dim: int,
+                         vqc_depth: int) -> list[tuple]:
+        """Shapes of parameters() for this architecture, without building."""
+        encoder = ([(vqc_depth, latent_dim, 2)] if head_kind == "quantum"
+                   else Dense.parameter_shapes(latent_dim, latent_dim))
+        head_in = Dense.parameter_shapes(obs_dim, latent_dim)
+        return (head_in + encoder + Dense.parameter_shapes(latent_dim, N_ACTIONS)
+                + head_in + encoder + Dense.parameter_shapes(latent_dim, 1))
+
     def parameters(self) -> list[Param]:
         params = []
         for part in (self.policy_in, self.policy_encoder, self.policy_out,
@@ -109,7 +119,7 @@ class ActorCriticNet:
         return tape.dense(encoder, z)
 
     def forward_policy(self, tape: Tape, s: Node) -> tuple[Node, Node]:
-        """(action distribution, logits) for one observation or a batch."""
+        """(action distributions, logits) for a [batch, obs_dim] batch."""
         z = tape.tanh(tape.dense(self.policy_in, s))
         q = self._encode(tape, self.policy_encoder, z)
         logits = tape.dense(self.policy_out, tape.tanh(q))
@@ -118,14 +128,15 @@ class ActorCriticNet:
     def forward_value(self, tape: Tape, s: Node) -> Node:
         z = tape.tanh(tape.dense(self.value_in, s))
         q = self._encode(tape, self.value_encoder, z)
-        return tape.dense(self.value_out, tape.tanh(q))  # [..., 1]
+        return tape.dense(self.value_out, tape.tanh(q))  # [batch, 1]
 
     def policy_probs(self, obs: np.ndarray) -> np.ndarray:
-        probs, _ = self.forward_policy(Tape(), Node(obs))
-        return probs.value
+        """Action distribution for one observation, run as a batch of one."""
+        probs, _ = self.forward_policy(Tape(), Node(obs[None, :]))
+        return probs.value[0]
 
     def value(self, obs: np.ndarray) -> float:
-        return float(self.forward_value(Tape(), Node(obs)).value[-1])
+        return float(self.forward_value(Tape(), Node(obs[None, :])).value[0, 0])
 
     # flat parameter plumbing
     def get_flat(self) -> np.ndarray:
@@ -191,8 +202,6 @@ def compute_loss_and_grads(
     bonus -entropy_coeff * H(pi) is added when configured.
     """
     states = np.asarray(states, dtype=np.float64)
-    if states.ndim == 1:
-        states = states[None, :]
     actions = np.asarray(actions, dtype=np.intp)
     returns = np.asarray(returns, dtype=np.float64)
     if not (states.shape[0] == actions.size == returns.size):

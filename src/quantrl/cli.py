@@ -13,18 +13,16 @@ import dataclasses
 import logging
 import os
 import sys
-import warnings
 from pathlib import Path
-
-import numpy as np
 
 from . import a3c, forecaster, metrics, svgplot, tradeenv
 from .errors import ConfigError, QuantrlError, StageError
 from .experiment import (
     DEFAULT_MATRIX,
     ExperimentConfig,
-    config_hash,
+    evaluation_report,
     load_config_ini,
+    load_series,
     run_experiment,
     run_matrix,
 )
@@ -154,10 +152,7 @@ def cmd_generate(args) -> int:
 def cmd_forecast(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    series = tradeenv.load_market_csv(args.data)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
-        series = tradeenv.zscore(series, 0.8)
+    series = load_series(args.data, 0.8)
     config = ForecastConfig(lookback=args.lookback, hidden=args.hidden,
                             epochs=args.epochs, learning_rate=args.lr,
                             seed=args.seed)
@@ -200,10 +195,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     net = a3c.load_checkpoint(args.checkpoint)
-    series = tradeenv.load_market_csv(args.data)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
-        series = tradeenv.zscore(series, args.train_fraction)
+    series = load_series(args.data, args.train_fraction)
     env = tradeenv.TradingEnv(series, EnvConfig())
     if env.observation_dim != net.obs_dim:
         raise ConfigError(
@@ -229,9 +221,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    run = a3c.EvaluationRun.from_csv(args.evaluation)
-    curve = metrics.EquityCurve(tuple(run.dates), np.asarray(run.asset_values))
-    report = metrics.summary_metrics(curve, run.trades, run.position_flags)
+    report = evaluation_report(a3c.EvaluationRun.from_csv(args.evaluation))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.txt").write_text(metrics.report_table({"run": report}))

@@ -2,8 +2,9 @@
 forecaster: dense layers, activations, categorical sampling, an LSTM cell,
 a Wengert-list gradient tape, optimizers and the model-file container.
 
-Ops accept either a feature vector or a [batch, features] matrix; the
-batched form is what keeps trajectory updates and full-batch BPTT fast.
+Every op that consumes features takes a [batch, features] matrix and
+raises ValueError on any other shape: a trajectory update or a BPTT epoch
+is a batch of many rows, and a single decision is a batch of one row.
 All math is float64.
 
 Model files (``save_model``/``load_model``) are the one container of the
@@ -21,7 +22,9 @@ keys, then the parameters in parameters() order as a DNP1 blob:
 The reader loads a file whole or raises ModelFileError, a ValueError
 naming the file: unreadable file, wrong magic, a length past the end, a
 header without exactly the expected typed keys, trailing bytes, an array
-count or shape unlike the rebuilt model's, or a non-finite value.
+count or shape unlike the one the header implies, or a non-finite value.
+The shapes are compared before the model is built, so no header can make
+the reader allocate more than the file holds.
 """
 
 from __future__ import annotations
@@ -35,32 +38,27 @@ import numpy as np
 from .errors import ModelFileError, QuantrlError
 
 
-class Param:
-    """Trainable array with a gradient buffer that ops accumulate into."""
-
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
-
-
 class Node:
-    """One traced value on a tape."""
+    """A value and the gradient buffer that ops accumulate into: a traced
+    tape value, or a trainable parameter (``Param``)."""
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        # np.zeros takes about a third of np.zeros_like's time on arrays this
+        # small, and a one-row decision creates a node per op
+        self.grad = np.zeros(self.value.shape)
 
 
-def _accumulate_param(param: Param, g: np.ndarray, x: np.ndarray) -> None:
-    """Weight/bias gradient for an affine op, batched or not."""
-    if x.ndim == 2:
-        param.grad += g.T @ x
-    else:
-        param.grad += np.outer(g, x)
+Param = Node  # the name for a trainable leaf
+
+
+def _check_batch(op: str, x: Node, width: int) -> None:
+    if x.value.ndim != 2 or x.value.shape[1] != width:
+        raise ValueError(
+            f"{op} expects a [batch, {width}] input, got shape {x.value.shape}"
+        )
 
 
 class Tape:
@@ -68,7 +66,7 @@ class Tape:
 
     Every op returns a Node. Calling :meth:`backward` seeds the loss node
     and sweeps the recorded vector-Jacobian products last-to-first,
-    accumulating into Node.grad and Param.grad.
+    accumulating into the grad of every node and parameter they touch.
     """
 
     def __init__(self):
@@ -77,27 +75,23 @@ class Tape:
     def _push(self, vjp) -> None:
         self._records.append(vjp)
 
-    def backward(self, loss: Node, seed: float = 1.0) -> None:
+    def backward(self, loss: Node) -> None:
         if not self._records:
             raise ValueError("backward called before any forward op was recorded")
-        loss.grad = loss.grad + np.asarray(seed, dtype=np.float64)
+        loss.grad = loss.grad + 1.0
         for vjp in reversed(self._records):
             vjp()
 
     # -- ops ---------------------------------------------------------------
 
     def dense(self, layer: "Dense", x: Node) -> Node:
-        if x.value.shape[-1] != layer.w.value.shape[1]:
-            raise ValueError(
-                f"dense expects input width {layer.w.value.shape[1]}, "
-                f"got {x.value.shape[-1]}"
-            )
+        _check_batch("dense", x, layer.w.value.shape[1])
         out = Node(x.value @ layer.w.value.T + layer.b.value)
 
         def vjp():
             g = out.grad
-            _accumulate_param(layer.w, g, x.value)
-            layer.b.grad += g.sum(axis=0) if g.ndim == 2 else g
+            layer.w.grad += g.T @ x.value
+            layer.b.grad += g.sum(axis=0)
             x.grad += g @ layer.w.value
 
         self._push(vjp)
@@ -133,21 +127,15 @@ class Tape:
         return out
 
     def pick(self, x: Node, index) -> Node:
-        """Gather x[i, index[i]] per batch row (or x[index] for vectors)."""
-        if x.value.ndim == 2:
-            idx = np.asarray(index, dtype=np.intp)
-            rows = np.arange(x.value.shape[0])
-            out = Node(x.value[rows, idx])
+        """Gather x[i, index[i]] for every batch row i."""
+        if x.value.ndim != 2:
+            raise ValueError(f"pick expects a [batch, n] input, got shape {x.value.shape}")
+        idx = np.asarray(index, dtype=np.intp)
+        rows = np.arange(x.value.shape[0])
+        out = Node(x.value[rows, idx])
 
-            def vjp():
-                np.add.at(x.grad, (rows, idx), out.grad)
-
-        else:
-            idx = int(index)
-            out = Node(x.value[idx])
-
-            def vjp():
-                x.grad[idx] += out.grad
+        def vjp():
+            np.add.at(x.grad, (rows, idx), out.grad)
 
         self._push(vjp)
         return out
@@ -209,12 +197,9 @@ class Tape:
         return out
 
     def lstm(self, cell: "LstmCell", x: Node, state) -> tuple[Node, Node]:
-        """One LSTM step; returns (hidden, cell_state) nodes."""
+        """One LSTM step over a batch; returns (hidden, cell_state) nodes."""
         h, c = state
-        if x.value.shape[-1] != cell.input_size:
-            raise ValueError(
-                f"lstm expects input width {cell.input_size}, got {x.value.shape[-1]}"
-            )
+        _check_batch("lstm", x, cell.input_size)
         z = np.concatenate([x.value, h.value], axis=-1)
         gi = _sigmoid(z @ cell.w_i.value.T + cell.b_i.value)
         gf = _sigmoid(z @ cell.w_f.value.T + cell.b_f.value)
@@ -244,32 +229,29 @@ class Tape:
                 (cell.w_o, cell.b_o, dgo),
                 (cell.w_g, cell.b_g, dgg),
             ):
-                _accumulate_param(param_w, dg, z)
-                param_b.grad += dg.sum(axis=0) if dg.ndim == 2 else dg
+                param_w.grad += dg.T @ z
+                param_b.grad += dg.sum(axis=0)
             d = cell.input_size
-            x.grad += dz[..., :d]
-            h.grad += dz[..., d:]
+            x.grad += dz[:, :d]
+            h.grad += dz[:, d:]
 
         self._push(vjp)
         return h_new, c_new
 
     def vqc(self, angles: Param, n_qubits: int, depth: int, x: Node) -> Node:
-        """Variational-circuit encoder; backward runs the adjoint method."""
+        """Variational-circuit encoder over a batch; backward runs the
+        adjoint method."""
         from . import qsim  # local import keeps diffnet importable standalone
 
         params = qsim.VqcParams(n_qubits, depth, angles.value)
-        batched = x.value.ndim == 2
-        xv = x.value if batched else x.value[None, :]
-        out_val = qsim.run_vqc_batch(xv, params)
-        out = Node(out_val if batched else out_val[0])
+        out = Node(qsim.run_vqc_batch(x.value, params))
 
         def vjp():
-            up = out.grad if batched else out.grad[None, :]
-            if not np.any(up):
+            if not np.any(out.grad):
                 return
-            pg, ig = qsim.vqc_gradients_batch(xv, params, up)
+            pg, ig = qsim.vqc_gradients_batch(x.value, params, out.grad)
             angles.grad += pg
-            x.grad += ig if batched else ig[0]
+            x.grad += ig
 
         self._push(vjp)
         return out
@@ -303,6 +285,11 @@ class Dense:
     def parameters(self) -> list[Param]:
         return [self.w, self.b]
 
+    @staticmethod
+    def parameter_shapes(n_in: int, n_out: int) -> list[tuple]:
+        """Shapes of parameters() for these sizes, without building."""
+        return [(n_out, n_in), (n_out,)]
+
 
 class LstmCell:
     """Single-layer LSTM cell. Gate weights have shape [H, D+H]; the forget
@@ -330,8 +317,13 @@ class LstmCell:
             self.w_o, self.b_o, self.w_g, self.b_g,
         ]
 
-    def initial_state(self, batch: int | None = None) -> tuple[Node, Node]:
-        shape = (self.hidden_size,) if batch is None else (batch, self.hidden_size)
+    @staticmethod
+    def parameter_shapes(input_size: int, hidden_size: int) -> list[tuple]:
+        """Shapes of parameters() for these sizes, without building."""
+        return 4 * [(hidden_size, input_size + hidden_size), (hidden_size,)]
+
+    def initial_state(self, batch: int) -> tuple[Node, Node]:
+        shape = (batch, self.hidden_size)
         return Node(np.zeros(shape)), Node(np.zeros(shape))
 
 
@@ -472,9 +464,10 @@ def load_model(path, magic: bytes, fields: dict, build):
     """Read a model file written by ``save_model`` with the same magic.
 
     ``fields`` maps each header key to its type, int (a size, at least 1)
-    or str; the header must hold exactly these keys. ``build(**header)``
-    returns a fresh model whose ``parameters()`` then take the stored
-    arrays.
+    or str; the header must hold exactly these keys. ``build`` is the model
+    class: the stored arrays must have the shapes that
+    ``build.parameter_shapes(**header)`` lists, and only then does
+    ``build(**header)`` make the model whose ``parameters()`` take them.
     """
     try:
         with open(path, "rb") as fh:
@@ -502,10 +495,9 @@ def _decode_model(raw: bytes, magic: bytes, fields: dict, build):
             raise ValueError(f"header field {key} = {value!r} is not a valid "
                              f"{kind.__name__}")
     arrays = unpack_arrays(raw[start + meta_len:])
-    model = build(**header)
-    shapes = [p.value.shape for p in model.parameters()]
+    shapes = build.parameter_shapes(**header)
     if [a.shape for a in arrays] != shapes:
         raise ValueError(
-            f"array shapes {[a.shape for a in arrays]} differ from the model's {shapes}"
+            f"array shapes {[a.shape for a in arrays]} differ from the header's {shapes}"
         )
-    return model, arrays
+    return build(**header), arrays

@@ -185,6 +185,22 @@ def expected_artifacts(config: ExperimentConfig) -> list[str]:
     return sorted(names)
 
 
+def load_series(path, train_fraction: float) -> tradeenv.MarketSeries:
+    """Ingest a market CSV and z-score it on its training prefix; constant
+    columns are expected there and not reported."""
+    series = tradeenv.load_market_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
+        return tradeenv.zscore(series, train_fraction)
+
+
+def evaluation_report(evaluation: a3c.EvaluationRun) -> metrics.MetricsReport:
+    """The metric battery over one evaluation run's equity curve and trades."""
+    curve = metrics.EquityCurve(tuple(evaluation.dates),
+                                np.asarray(evaluation.asset_values))
+    return metrics.summary_metrics(curve, evaluation.trades, evaluation.position_flags)
+
+
 def _prepare_series(config: ExperimentConfig, out: Path, written: list[Path]):
     if config.synthetic is not None:
         data_path = out / "data.csv"
@@ -192,10 +208,7 @@ def _prepare_series(config: ExperimentConfig, out: Path, written: list[Path]):
         written.append(data_path)
     else:
         data_path = Path(config.data)
-    series = tradeenv.load_market_csv(data_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)  # expected
-        return tradeenv.zscore(series, config.train_fraction)
+    return load_series(data_path, config.train_fraction)
 
 
 def _attach_forecasts(config: ExperimentConfig, series):
@@ -253,11 +266,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
             evaluation = a3c.evaluate_policy(net, env_factory())
 
         stage = "metrics"
-        curve = metrics.EquityCurve(tuple(evaluation.dates),
-                                    np.asarray(evaluation.asset_values))
-        report = metrics.summary_metrics(
-            curve, evaluation.trades, evaluation.position_flags
-        )
+        report = evaluation_report(evaluation)
 
         stage = "emit"
         files: dict[str, Path] = {}

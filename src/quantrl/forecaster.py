@@ -101,9 +101,14 @@ class ForecastModel:
     def parameters(self):
         return self.cell.parameters() + self.head.parameters()
 
+    @staticmethod
+    def parameter_shapes(n_features: int, hidden: int, lookback: int) -> list[tuple]:
+        """Shapes of parameters() for these sizes, without building."""
+        return (LstmCell.parameter_shapes(n_features, hidden)
+                + Dense.parameter_shapes(hidden, 1))
+
     def _forward(self, tape: Tape, windows: np.ndarray) -> Node:
-        batch = windows.shape[0]
-        h, c = self.cell.initial_state(batch=batch)
+        h, c = self.cell.initial_state(windows.shape[0])
         for t in range(windows.shape[1]):
             h, c = tape.lstm(self.cell, Node(windows[:, t, :]), (h, c))
         return tape.dense(self.head, h)  # [batch, 1]

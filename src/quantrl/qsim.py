@@ -286,16 +286,6 @@ def run_vqc_batch(inputs: np.ndarray, params: VqcParams) -> np.ndarray:
     return probs @ _z_signs(params.n_qubits).T
 
 
-def run_vqc(inputs: np.ndarray, params: VqcParams) -> np.ndarray:
-    """Per-qubit Z expectations for one input vector of length n_qubits."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != params.n_qubits:
-        raise ValueError(
-            f"input must be a vector of length {params.n_qubits}, got shape {x.shape}"
-        )
-    return run_vqc_batch(x[None, :], params)[0]
-
-
 def _y_overlaps(psi: np.ndarray, lam: np.ndarray, n: int) -> np.ndarray:
     """Im<lam|Y_q|psi> per row and qubit, shape [B, n].
 
@@ -401,17 +391,3 @@ def parameter_shift_gradients_batch(
     input_grads = ENCODING_SCALE * grads[:, :n]
     param_grads = grads[:, n:].sum(axis=0).reshape(depth, n, 2)
     return param_grads, input_grads
-
-
-def vqc_gradients(
-    inputs: np.ndarray,
-    params: VqcParams,
-    upstream: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-instance convenience wrapper around :func:`vqc_gradients_batch`."""
-    x = np.asarray(inputs, dtype=np.float64)
-    up = np.asarray(upstream, dtype=np.float64)
-    if x.ndim != 1 or up.ndim != 1:
-        raise ValueError("inputs and upstream must be vectors")
-    param_grads, input_grads = vqc_gradients_batch(x[None, :], params, up[None, :])
-    return param_grads, input_grads[0]

@@ -113,11 +113,12 @@ def test_c01_quantum_gradients_match_finite_differences():
     for _ in range(100):
         x, params = random_instance(rng, n=4, depth=2)
         upstream = rng.uniform(-1, 1, 4)
-        param_grads, input_grads = qsim.vqc_gradients(x, params, upstream)
+        param_grads, input_grads = qsim.vqc_gradients_batch(
+            x[None, :], params, upstream[None, :])
 
         def scalar(xv, angles):
-            return float(upstream @ qsim.run_vqc(
-                xv, qsim.VqcParams(4, 2, angles)))
+            return float(upstream @ qsim.run_vqc_batch(
+                xv[None, :], qsim.VqcParams(4, 2, angles))[0])
 
         for idx in np.ndindex(params.angles.shape):
             up, dn = params.angles.copy(), params.angles.copy()
@@ -130,7 +131,7 @@ def test_c01_quantum_gradients_match_finite_differences():
             up[i] += h
             dn[i] -= h
             fd = (scalar(up, params.angles) - scalar(dn, params.angles)) / (2 * h)
-            worst = max(worst, abs(input_grads[i] - fd))
+            worst = max(worst, abs(input_grads[0, i] - fd))
     elapsed = time.monotonic() - start
     assert worst < 1e-6
     assert elapsed < 10.0
@@ -162,7 +163,7 @@ def test_c02_statevector_integrity():
     for n in (1, 2, 3, 4):
         for _ in range(10):
             x, params = random_instance(rng, n=n, depth=2)
-            got = qsim.run_vqc(x, params)
+            got = qsim.run_vqc_batch(x[None, :], params)[0]
             want = dense_oracle_expectations(x, params)
             worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst < 1e-10
@@ -204,13 +205,13 @@ def test_c03_differentiable_layers():
     for _ in range(10):
         layer1 = Dense(4, 3, rng)
         layer2 = Dense(3, 3, rng)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         action = int(rng.integers(3))
 
         def chain(t):
             hidden = t.tanh(t.dense(layer1, Node(x)))
             probs = t.softmax(t.dense(layer2, hidden))
-            return t.log(t.pick(probs, action))
+            return t.sum(t.log(t.pick(probs, [action])))
 
         grads, fds = _grad_and_fd(chain, layer1.parameters() + layer2.parameters())
         worst_abs = max(worst_abs, max(float(np.max(np.abs(g - f)))
@@ -220,13 +221,13 @@ def test_c03_differentiable_layers():
     # LSTM through time, relative 1e-4
     cell = LstmCell(3, 4, rng)
     head = Dense(4, 1, rng)
-    xs = rng.normal(size=(5, 3))
+    xs = rng.normal(size=(5, 1, 3))  # five steps of a one-row batch
 
     def bptt(t):
-        h, c = cell.initial_state()
+        h, c = cell.initial_state(1)
         for x in xs:
             h, c = t.lstm(cell, Node(x), (h, c))
-        return t.pick(t.dense(head, h), 0)
+        return t.sum(t.pick(t.dense(head, h), [0]))
 
     grads, fds = _grad_and_fd(bptt, cell.parameters() + head.parameters())
     worst_rel = max(
@@ -239,7 +240,7 @@ def test_c03_differentiable_layers():
     front = Dense(4, 3, rng)
     angles = Param(rng.uniform(-0.5, 0.5, (2, 3, 2)))
     back = Dense(3, 2, rng)
-    x = rng.uniform(-1, 1, 4)
+    x = rng.uniform(-1, 1, (1, 4))
     contraction = np.array([0.7, -1.2])
 
     def hybrid(t):

@@ -61,16 +61,16 @@ def test_dense_identity():
     layer = Dense(2, 2, rng)
     layer.w.value[...] = np.eye(2)
     layer.b.value[...] = 0.0
-    out = Tape().dense(layer, Node(np.array([1.0, 2.0])))
-    assert np.array_equal(out.value, [1.0, 2.0])
+    out = Tape().dense(layer, Node(np.array([[1.0, 2.0]])))
+    assert np.array_equal(out.value, [[1.0, 2.0]])
 
 
 def test_dense_arithmetic():
     layer = Dense(2, 1, np.random.default_rng(0))
     layer.w.value[...] = [[1.0, 1.0]]
     layer.b.value[...] = [1.0]
-    out = Tape().dense(layer, Node(np.array([2.0, 3.0])))
-    assert out.value[0] == pytest.approx(6.0)
+    out = Tape().dense(layer, Node(np.array([[2.0, 3.0]])))
+    assert out.value[0, 0] == pytest.approx(6.0)
 
 
 def test_dense_matches_matrix_oracle():
@@ -88,7 +88,30 @@ def test_dense_matches_matrix_oracle():
 def test_dense_shape_mismatch():
     layer = Dense(3, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        Tape().dense(layer, Node(np.zeros(4)))
+        Tape().dense(layer, Node(np.zeros((1, 4))))
+
+
+def _apply_op(op, x):
+    """One feature-consuming op on x; the LSTM state and the pick index take
+    x's leading shape, so a vector gets vector-shaped companions."""
+    rng = np.random.default_rng(0)
+    lead = x.value.shape[:-1]
+    if op == "dense":
+        return Tape().dense(Dense(3, 2, rng), x)
+    if op == "lstm":
+        state = (Node(np.zeros(lead + (2,))), Node(np.zeros(lead + (2,))))
+        return Tape().lstm(LstmCell(3, 2, rng), x, state)[0]
+    if op == "vqc":
+        return Tape().vqc(Param(rng.uniform(-0.5, 0.5, (1, 3, 2))), 3, 1, x)
+    return Tape().pick(x, np.zeros(lead, dtype=int))
+
+
+@pytest.mark.parametrize("op", ["dense", "lstm", "vqc", "pick"])
+def test_ops_take_batches_only(op):
+    x = np.array([0.1, -0.2, 0.3])
+    assert _apply_op(op, Node(x[None, :])).value.shape[0] == 1
+    with pytest.raises(ValueError):
+        _apply_op(op, Node(x))
 
 
 def test_softmax_symmetry():
@@ -177,8 +200,8 @@ def test_lstm_zero_parameters_zero_hidden():
     for p in cell.parameters():
         p.value[...] = 0.0
     tape = Tape()
-    h, c = cell.initial_state()
-    h1, c1 = tape.lstm(cell, Node(np.array([5.0, -2.0, 1.0])), (h, c))
+    h, c = cell.initial_state(1)
+    h1, c1 = tape.lstm(cell, Node(np.array([[5.0, -2.0, 1.0]])), (h, c))
     assert np.all(h1.value == 0.0)
     assert np.all(c1.value == 0.0)
 
@@ -190,32 +213,32 @@ def test_lstm_saturated_forget_gate_preserves_cell():
     cell.b_f.value[...] = 10.0   # forget ~ 1
     cell.b_i.value[...] = -10.0  # input ~ 0
     tape = Tape()
-    h = Node(np.zeros(3))
-    c = Node(np.array([0.7, -0.4, 1.2]))
+    h = Node(np.zeros((1, 3)))
+    c = Node(np.array([[0.7, -0.4, 1.2]]))
     for _ in range(5):
-        h, c = tape.lstm(cell, Node(np.ones(2)), (h, c))
-    assert np.allclose(c.value, [0.7, -0.4, 1.2], atol=1e-3)
+        h, c = tape.lstm(cell, Node(np.ones((1, 2))), (h, c))
+    assert np.allclose(c.value, [[0.7, -0.4, 1.2]], atol=1e-3)
 
 
 def test_lstm_bptt_matches_finite_differences():
     rng = np.random.default_rng(5)
     cell = LstmCell(3, 4, rng)
     head = Dense(4, 1, rng)
-    xs = rng.normal(size=(6, 3))
+    xs = rng.normal(size=(6, 1, 3))  # six steps of a one-row batch
     params = cell.parameters() + head.parameters()
 
     def forward_value():
         t = Tape()
-        h, c = cell.initial_state()
+        h, c = cell.initial_state(1)
         for x in xs:
             h, c = t.lstm(cell, Node(x), (h, c))
-        return float(t.dense(head, h).value[0])
+        return float(t.dense(head, h).value[0, 0])
 
     def on_tape(t):
-        h, c = cell.initial_state()
+        h, c = cell.initial_state(1)
         for x in xs:
             h, c = t.lstm(cell, Node(x), (h, c))
-        return t.pick(t.dense(head, h), 0)
+        return t.sum(t.pick(t.dense(head, h), [0]))
 
     got = tape_gradient(on_tape, params)
     want = finite_difference(lambda: forward_value(), params)
@@ -229,12 +252,12 @@ def test_lstm_batched_equals_loop():
     cell = LstmCell(2, 3, rng)
     xs = rng.normal(size=(4, 2))
     tape = Tape()
-    hb, cb = cell.initial_state(batch=4)
+    hb, cb = cell.initial_state(4)
     hb, cb = tape.lstm(cell, Node(xs), (hb, cb))
     for i in range(4):
-        h, c = cell.initial_state()
-        h, c = tape.lstm(cell, Node(xs[i]), (h, c))
-        assert np.allclose(hb.value[i], h.value, atol=1e-14)
+        h, c = cell.initial_state(1)
+        h, c = tape.lstm(cell, Node(xs[i:i + 1]), (h, c))
+        assert np.allclose(hb.value[i], h.value[0], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +270,7 @@ def test_backward_at_minimum_gives_zero_grads():
     layer = Dense(3, 3, rng)
     layer.w.value[...] = np.eye(3)
     layer.b.value[...] = 0.0
-    x = np.array([0.3, -1.2, 2.0])
+    x = np.array([[0.3, -1.2, 2.0]])
 
     tape = Tape()
     out = tape.dense(layer, Node(x))
@@ -266,7 +289,7 @@ def test_backward_dense_tanh_matches_hand_chain_rule():
     u = np.array([1.3, -0.7])  # contraction weights making the loss scalar
 
     tape = Tape()
-    y = tape.tanh(tape.dense(layer, Node(x)))
+    y = tape.tanh(tape.dense(layer, Node(x[None, :])))
     loss = tape.sum(tape.scale(y, u))
     tape.backward(loss)
 
@@ -288,7 +311,7 @@ def test_hybrid_head_matches_finite_differences():
     front = Dense(4, n_qubits, rng)
     angles = Param(rng.uniform(-0.5, 0.5, (depth, n_qubits, 2)))
     back = Dense(n_qubits, 2, rng)
-    x = rng.uniform(-1, 1, 4)
+    x = rng.uniform(-1, 1, (1, 4))
     u = np.array([0.8, -1.1])
     params = front.parameters() + [angles] + back.parameters()
 
@@ -316,14 +339,14 @@ def test_randomized_op_gradient_checks():
         n_mid = int(rng.integers(2, 5))
         layer1 = Dense(n_in, n_mid, rng)
         layer2 = Dense(n_mid, 3, rng)
-        x = rng.normal(size=n_in)
+        x = rng.normal(size=(1, n_in))
         action = int(rng.integers(3))
         params = layer1.parameters() + layer2.parameters()
 
         def on_tape(t):
             hid = t.tanh(t.dense(layer1, Node(x)))
             probs = t.softmax(t.dense(layer2, hid))
-            picked = t.log(t.pick(probs, action))
+            picked = t.sum(t.log(t.pick(probs, [action])))
             penalty = t.scale(t.sum(t.square(hid)), 0.5)
             return t.add(picked, penalty)
 

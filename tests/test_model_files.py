@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantrl.a3c import ActorCriticNet, load_checkpoint, save_checkpoint
+from quantrl.cli import main
 from quantrl.diffnet import flatten_params, pack_arrays, set_flat_params
+from quantrl.errors import ModelFileError
 from quantrl.forecaster import ForecastModel, load_forecaster, save_forecaster
 
 
@@ -54,6 +56,20 @@ def assemble(magic, header: bytes, blob: bytes) -> bytes:
     return magic + struct.pack("<I", len(header)) + header + blob
 
 
+def header_and_blob(magic, raw: bytes):
+    (meta_len,) = struct.unpack_from("<I", raw, len(magic))
+    start = len(magic) + 4
+    return json.loads(raw[start:start + meta_len]), raw[start + meta_len:]
+
+
+def with_header(fmt, **changes) -> bytes:
+    """The writer's file for the format with some header values replaced."""
+    magic = FORMATS[fmt][0]
+    header, blob = header_and_blob(magic, written_bytes(fmt))
+    header.update(changes)
+    return assemble(magic, json.dumps(header, sort_keys=True).encode(), blob)
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_layout_pinned_and_roundtrips(tmp_path, fmt):
     _, make, _, load, digest = FORMATS[fmt]
@@ -71,8 +87,7 @@ def corrupt_files(draw, fmt):
     """(kind, bytes) of a file that no reader may accept."""
     magic, make, _, _, _ = FORMATS[fmt]
     raw = written_bytes(fmt)
-    (meta_len,) = struct.unpack_from("<I", raw, len(magic))
-    header = json.loads(raw[len(magic) + 4: len(magic) + 4 + meta_len])
+    header, _ = header_and_blob(magic, raw)
     arrays = [p.value.copy() for p in make().parameters()]
     kind = draw(st.sampled_from([
         "truncated", "trailing", "non-finite", "count", "shape",
@@ -130,3 +145,37 @@ def test_missing_file_raises_value_error(tmp_path, fmt):
     with pytest.raises(ValueError) as info:
         load(path)
     assert str(path) in str(info.value)
+
+
+# a size this large would need hundreds of TiB if the model were built first
+@pytest.mark.parametrize("fmt,key", [
+    ("qnet", "obs_dim"), ("qlstm", "hidden"), ("qlstm", "n_features"),
+])
+def test_oversized_header_rejected_before_building(tmp_path, fmt, key):
+    _, _, _, load, _ = FORMATS[fmt]
+    path = tmp_path / "huge"
+    path.write_bytes(with_header(fmt, **{key: 10**13}))
+    with pytest.raises(ModelFileError) as info:
+        load(path)
+    assert str(path) in str(info.value)
+
+
+def test_forecaster_lookback_sets_no_shape(tmp_path):
+    path = tmp_path / "long.qlstm"
+    path.write_bytes(with_header("qlstm", lookback=10**13))
+    model = load_forecaster(path)
+    assert model.lookback == 10**13
+    assert np.array_equal(flatten_params(model.parameters()),
+                          flatten_params(small_forecaster().parameters()))
+
+
+def test_cli_evaluate_oversized_checkpoint_exit_code(tmp_path, capsys):
+    data = tmp_path / "m.csv"
+    main(["generate", "--kind", "sawtooth", "--length", "16", "--out", str(data)])
+    checkpoint = tmp_path / "huge.qnet"
+    checkpoint.write_bytes(with_header("qnet", obs_dim=10**13))
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data),
+                 "--out", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(checkpoint) in err[0]

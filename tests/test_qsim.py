@@ -19,9 +19,7 @@ from quantrl.qsim import (
     apply_rz,
     init_zero_state,
     parameter_shift_gradients_batch,
-    run_vqc,
     run_vqc_batch,
-    vqc_gradients,
     vqc_gradients_batch,
 )
 
@@ -193,27 +191,29 @@ def test_norm_preserved_under_random_gate_sequence():
 
 
 # ---------------------------------------------------------------------------
-# run_vqc
+# run_vqc_batch
 # ---------------------------------------------------------------------------
 
 def test_vqc_encoding_only_zero_input():
-    out = run_vqc(np.zeros(1), VqcParams(1, 0))
-    assert out[0] == pytest.approx(1.0, abs=1e-14)
+    out = run_vqc_batch(np.zeros((1, 1)), VqcParams(1, 0))
+    assert out[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_vqc_zero_params_analytic_expectation():
     # encoding RY(pi * x) on |0> gives <Z> = cos(pi x)
-    out = run_vqc(np.array([0.5]), VqcParams(1, 1))
-    assert out[0] == pytest.approx(np.cos(0.5 * np.pi), abs=1e-12)
-    out = run_vqc(np.array([0.3]), VqcParams(1, 2))
-    assert out[0] == pytest.approx(np.cos(0.3 * np.pi), abs=1e-12)
+    out = run_vqc_batch(np.array([[0.5]]), VqcParams(1, 1))
+    assert out[0, 0] == pytest.approx(np.cos(0.5 * np.pi), abs=1e-12)
+    out = run_vqc_batch(np.array([[0.3]]), VqcParams(1, 2))
+    assert out[0, 0] == pytest.approx(np.cos(0.3 * np.pi), abs=1e-12)
 
 
 def test_vqc_input_length_validation():
     with pytest.raises(ValueError):
-        run_vqc(np.zeros(3), VqcParams(4, 2))
+        run_vqc_batch(np.zeros((1, 3)), VqcParams(4, 2))
     with pytest.raises(ValueError):
         run_vqc_batch(np.zeros((2, 3)), VqcParams(4, 2))
+    with pytest.raises(ValueError):
+        run_vqc_batch(np.zeros(4), VqcParams(4, 2))  # a vector, not a batch
 
 
 def test_vqc_matches_dense_unitary_oracle():
@@ -222,32 +222,24 @@ def test_vqc_matches_dense_unitary_oracle():
     for n in (1, 2, 3, 4, qsim.BLOCK_MAX_QUBITS, qsim.BLOCK_MAX_QUBITS + 1):
         for _ in range(5):
             x, params = random_instance(rng, n=n, depth=2)
-            got = run_vqc(x, params)
+            got = run_vqc_batch(x[None, :], params)[0]
             want = dense_oracle_expectations(x, params)
             assert np.max(np.abs(got - want)) < 1e-10
-
-
-def test_vqc_batch_agrees_with_single():
-    rng = np.random.default_rng(5)
-    params = VqcParams(3, 2, rng.uniform(-1, 1, (2, 3, 2)))
-    xs = rng.uniform(-1, 1, (6, 3))
-    batch = run_vqc_batch(xs, params)
-    for i, x in enumerate(xs):
-        assert np.allclose(batch[i], run_vqc(x, params), atol=1e-14)
 
 
 def test_vqc_expectations_bounded():
     rng = np.random.default_rng(23)
     for _ in range(20):
         x, params = random_instance(rng)
-        out = run_vqc(x, params)
+        out = run_vqc_batch(x[None, :], params)
         assert np.all(out <= 1.0 + 1e-12) and np.all(out >= -1.0 - 1e-12)
 
 
 def test_vqc_deterministic_bit_identical():
     rng = np.random.default_rng(9)
     x, params = random_instance(rng)
-    assert np.array_equal(run_vqc(x, params), run_vqc(x, params))
+    assert np.array_equal(run_vqc_batch(x[None, :], params),
+                          run_vqc_batch(x[None, :], params))
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +249,10 @@ def test_vqc_deterministic_bit_identical():
 def test_forward_follows_angles_mutated_in_place():
     rng = np.random.default_rng(29)
     x, params = random_instance(rng, n=3, depth=2)
-    run_vqc(x, params)  # fills the cache for the current angles
+    run_vqc_batch(x[None, :], params)  # fills the cache for the current angles
     for _ in range(3):
         params.angles[...] = rng.uniform(-np.pi, np.pi, params.angles.shape)
-        got = run_vqc(x, params)
+        got = run_vqc_batch(x[None, :], params)[0]
         assert np.max(np.abs(got - dense_oracle_expectations(x, params))) < 1e-12
 
 
@@ -271,7 +263,7 @@ def test_forward_follows_set_flat():
     x = rng.uniform(-1, 1, 3)
 
     def encoder_readout():
-        return Tape().vqc(net.policy_encoder, 3, 2, Node(x)).value
+        return Tape().vqc(net.policy_encoder, 3, 2, Node(x[None, :])).value[0]
 
     encoder_readout()  # fills the cache for the current angles
     for _ in range(3):
@@ -293,7 +285,7 @@ def test_block_cache_shared_by_threads():
     def worker(offset):
         for i in range(200):
             k = (offset + i) % len(params)
-            errors.append(np.max(np.abs(run_vqc(x, params[k]) - want[k])))
+            errors.append(np.max(np.abs(run_vqc_batch(x[None, :], params[k])[0] - want[k])))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -311,7 +303,7 @@ def test_block_cache_shared_by_threads():
 
 def test_cached_block_matrix_is_read_only():
     params = VqcParams(2, 1, np.array([[[0.3, -0.2], [0.1, 0.5]]]))
-    run_vqc(np.zeros(2), params)
+    run_vqc_batch(np.zeros((1, 2)), params)
     block = qsim._block_matrix(2, 1, params.angles.tobytes())
     assert not block.flags.writeable
     with pytest.raises(ValueError):
@@ -325,30 +317,31 @@ def test_cached_block_matrix_is_read_only():
 def test_single_ry_gradient_is_minus_sine():
     for theta in (np.pi / 2, 0.3, -1.1):
         params = VqcParams(1, 1, np.array([[[theta, 0.0]]]))
-        param_grads, _ = vqc_gradients(np.zeros(1), params, np.ones(1))
+        param_grads, _ = vqc_gradients_batch(np.zeros((1, 1)), params, np.ones((1, 1)))
         assert param_grads[0, 0, 0] == pytest.approx(-np.sin(theta), abs=1e-12)
 
 
 def test_encoding_gradient_has_pi_chain_factor():
     # <Z> = cos(pi x) so d/dx = -pi sin(pi x)
     x = 0.3
-    _, input_grads = vqc_gradients(np.array([x]), VqcParams(1, 1), np.ones(1))
-    assert input_grads[0] == pytest.approx(-np.pi * np.sin(np.pi * x), abs=1e-12)
+    _, input_grads = vqc_gradients_batch(np.array([[x]]), VqcParams(1, 1), np.ones((1, 1)))
+    assert input_grads[0, 0] == pytest.approx(-np.pi * np.sin(np.pi * x), abs=1e-12)
 
 
 def test_zero_upstream_zero_gradients():
     rng = np.random.default_rng(1)
     x, params = random_instance(rng)
-    param_grads, input_grads = vqc_gradients(x, params, np.zeros(4))
+    param_grads, input_grads = vqc_gradients_batch(x[None, :], params, np.zeros((1, 4)))
     assert np.all(param_grads == 0.0)
     assert np.all(input_grads == 0.0)
 
 
 def fd_gradients(x, params, upstream, h=1e-5):
-    """Central finite differences through the public run_vqc only."""
+    """Central finite differences through the public run_vqc_batch only."""
 
     def scalar(xv, angles):
-        return float(upstream @ run_vqc(xv, VqcParams(params.n_qubits, params.depth, angles)))
+        circuit = VqcParams(params.n_qubits, params.depth, angles)
+        return float(upstream @ run_vqc_batch(xv[None, :], circuit)[0])
 
     param_grads = np.zeros_like(params.angles)
     for idx in np.ndindex(params.angles.shape):
@@ -401,15 +394,15 @@ def test_batch_gradients_sum_over_rows():
     pg_batch, ig_batch = vqc_gradients_batch(xs, params, ups)
     pg_sum = np.zeros_like(params.angles)
     for i in range(5):
-        pg, ig = vqc_gradients(xs[i], params, ups[i])
+        pg, ig = vqc_gradients_batch(xs[i:i + 1], params, ups[i:i + 1])
         pg_sum += pg
-        assert np.allclose(ig_batch[i], ig, atol=1e-12)
+        assert np.allclose(ig_batch[i], ig[0], atol=1e-12)
     assert np.allclose(pg_batch, pg_sum, atol=1e-12)
 
 
 def test_gradient_shape_validation():
     params = VqcParams(2, 1)
     with pytest.raises(ValueError):
-        vqc_gradients(np.zeros(3), params, np.zeros(2))
+        vqc_gradients_batch(np.zeros((1, 3)), params, np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        vqc_gradients(np.zeros(2), params, np.zeros(3))
+        vqc_gradients_batch(np.zeros((1, 2)), params, np.zeros((1, 3)))
