@@ -14,7 +14,11 @@ parameters back; the push-then-pull is one atomic transaction under the
 store's lock. The advantage is treated as a constant in the policy term
 (no gradient flows through it), the standard actor-critic formulation.
 
-A single-worker run with a fixed seed is bit-reproducible.
+The workers are taken in turn on the calling thread, one push each, in
+worker order. Each worker computes its gradient on its own copy, pulled
+after its last push, while the others push in between, so the updates
+stay asynchronous in A3C's sense. Only the interleaving is fixed: a run
+with a fixed seed is bit-reproducible at any worker count.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ import numpy as np
 
 from . import diffnet
 from .diffnet import Dense, Node, Param, Tape, categorical_sample
-from .errors import ConfigError, GradientRejected, TrainingError
+from .errors import ConfigError, GradientRejected, IngestionError, TrainingError
 from .metrics import Trade
 from .tradeenv import ACTION_NAMES, BUY, SELL, TradingEnv
 
 N_ACTIONS = 3
 _NAME_TO_ACTION = {name: action for action, name in ACTION_NAMES.items()}
+_EVAL_COLUMNS = ("date", "action", "price", "asset_value")
 
 
 @dataclass
@@ -41,7 +46,7 @@ class TrainConfig:
     gamma: float = 0.9
     update_every: int = 10          # steps between global pushes
     max_episodes: int = 3000
-    n_workers: int = 1              # >1 runs worker threads, not reproducible
+    n_workers: int = 1              # workers taken in turn on one thread
     learning_rate: float = 1e-3
     seed: int = 0
     head_kind: str = "classical"    # or "quantum"
@@ -298,13 +303,14 @@ def moving_average(values, window: int = 100) -> list[float]:
     return out
 
 
-def _worker_loop(worker_id, config, global_params, env, net, stop):
+def _worker_loop(worker_id, config, global_params, env, net):
+    """One worker's episodes; yields after every push-and-pull."""
     rng = np.random.default_rng([config.seed, worker_id])
     net.set_flat(global_params.pull())
     trajectory = Trajectory()
     k = config.update_every
 
-    while not stop.is_set() and global_params.try_begin_episode():
+    while global_params.try_begin_episode():
         obs = env.reset()
         episode_reward = 0.0
         trajectory.clear()
@@ -330,12 +336,13 @@ def _worker_loop(worker_id, config, global_params, env, net, stop):
                     theta = global_params.pull()  # resync, drop the bad update
                 net.set_flat(theta)
                 trajectory.clear()
+                yield True
             obs = next_obs
         global_params.record_episode(episode_reward)
 
 
 def train(config: TrainConfig, env_factory, net_factory=None) -> TrainingHistory:
-    """Run N workers until max_episodes episodes have been claimed.
+    """Run N workers in turn until max_episodes episodes have been claimed.
 
     env_factory() must build a fresh environment per call; net_factory()
     (optional) a fresh, identically-seeded network. Returns the reward
@@ -361,33 +368,15 @@ def train(config: TrainConfig, env_factory, net_factory=None) -> TrainingHistory
         template.get_flat(), optimizer, config.max_episodes
     )
 
-    errors: list[BaseException] = []
-    stop = threading.Event()
-
-    def run(worker_id):
-        try:
-            _worker_loop(
-                worker_id, config, global_params,
-                env_factory(), net_factory(), stop,
-            )
-        except BaseException as exc:  # noqa: BLE001 - worker diagnostics
-            errors.append(exc)
-            stop.set()
-
-    if config.n_workers == 1:
-        run(0)  # keep single-worker runs on the calling thread: reproducible
-    else:
-        threads = [
-            threading.Thread(target=run, args=(i,), name=f"a3c-worker-{i}")
+    try:
+        workers = [
+            _worker_loop(i, config, global_params, env_factory(), net_factory())
             for i in range(config.n_workers)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-    if errors:
-        raise TrainingError(f"worker failed: {errors[0]!r}") from errors[0]
+        while workers:
+            workers = [w for w in workers if next(w, False)]
+    except Exception as exc:
+        raise TrainingError(f"worker failed: {exc!r}") from exc
     rewards = list(global_params.episode_rewards)
     return TrainingHistory(
         rewards=rewards,
@@ -420,7 +409,7 @@ class EvaluationRun:
             if stamp:
                 fh.write(f"# {stamp}\n")
             writer = csv.writer(fh)
-            writer.writerow(["date", "action", "price", "asset_value"])
+            writer.writerow(_EVAL_COLUMNS)
             for date, action, price, asset in zip(
                 self.dates, self.actions, self.prices, self.asset_values
             ):
@@ -431,15 +420,26 @@ class EvaluationRun:
 
     @staticmethod
     def from_csv(path) -> "EvaluationRun":
-        """Rebuild a run (including flags and trades) by replaying the log."""
+        """Rebuild a run (including flags and trades) by replaying the log.
+        A missing column or a row that does not parse is an IngestionError
+        naming the file and the row."""
         dates, actions, prices, assets = [], [], [], []
         with open(path, newline="") as fh:
             rows = [line for line in fh if not line.startswith("#")]
-        for record in csv.DictReader(rows):
-            dates.append(dt.date.fromisoformat(record["date"]))
-            actions.append(_NAME_TO_ACTION[record["action"]])
-            prices.append(float(record["price"]))
-            assets.append(float(record["asset_value"]))
+        reader = csv.DictReader(rows)
+        missing = [c for c in _EVAL_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row, record in enumerate(reader, start=1):
+            try:
+                if record["action"] not in _NAME_TO_ACTION:
+                    raise ValueError(f"unknown action {record['action']!r}")
+                dates.append(dt.date.fromisoformat(record["date"]))
+                actions.append(_NAME_TO_ACTION[record["action"]])
+                prices.append(float(record["price"]))
+                assets.append(float(record["asset_value"]))
+            except (TypeError, ValueError) as exc:
+                raise IngestionError(f"{path}: row {row}: {exc}") from exc
         flags, trades = _replay(dates, actions, prices, assets)
         return EvaluationRun(dates, actions, prices, assets, flags, trades)
 

@@ -45,7 +45,7 @@ def _add_train_flags(parser):
     parser.add_argument("--use-forecast", action="store_true", default=None,
                         help="augment the state with the LSTM forecast signal")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker threads (default: 1, the reproducible run)")
+                        help="A3C workers, taken in turn (default: 1)")
     parser.add_argument("--episodes", type=int, default=None)
     parser.add_argument("--data", default=None, help="market CSV path")
     parser.add_argument("--synthetic-kind", default=None,

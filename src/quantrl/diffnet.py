@@ -111,7 +111,7 @@ class Tape:
 
         def vjp():
             g = out.grad
-            inner = np.sum(g * out.value, axis=-1, keepdims=True)
+            inner = (g * out.value).sum(axis=-1, keepdims=True)
             x.grad += out.value * (g - inner)
 
         self._push(vjp)
@@ -269,9 +269,9 @@ def _sigmoid(v):
 def softmax(v) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety."""
     v = np.asarray(v, dtype=np.float64)
-    shifted = v - np.max(v, axis=-1, keepdims=True)
+    shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Dense:

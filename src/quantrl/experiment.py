@@ -3,8 +3,8 @@ five-strategy comparison matrix.
 
 A run executes ingest -> (optional) forecast -> train -> evaluate ->
 metrics -> emit. Every artifact is stamped with the resolved config hash
-and seed; with one worker and a fixed seed a rerun reproduces identical
-CSV bytes. Failures abort with the stage name and remove partial files.
+and seed; with a fixed seed a rerun reproduces identical CSV bytes, at
+any worker count. Failures abort with the stage name and remove partial files.
 
 Config files are INI ("key = value" under [experiment], [synthetic],
 [train], [env], [forecast] sections); the resolved config is always
@@ -80,9 +80,6 @@ class ExperimentConfig:
         )
 
 
-_SKIP_FIELDS = {("experiment", "out_dir")}  # not part of the config hash
-
-
 def config_to_ini(config: ExperimentConfig) -> str:
     """Canonical INI text: fixed section order, sorted keys."""
     sections: dict[str, dict] = {"experiment": {
@@ -122,16 +119,23 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+_SECTIONS = {"experiment": ExperimentConfig, "synthetic": SyntheticSpec,
+             "train": TrainConfig, "env": EnvConfig, "forecast": ForecastConfig}
+
+
 def _coerce(dc_type, section) -> dict:
     """Parse an INI section into a dataclass's typed fields; an empty value
-    means None for ``X | None`` fields only."""
+    means None for ``X | None`` fields only. A key that is no such field
+    (a nested config is read from its own section) is a ConfigError."""
     getters = {int: section.getint, float: section.getfloat,
                bool: section.getboolean, str: section.get}
+    hints = typing.get_type_hints(dc_type)
     kwargs = {}
-    for name, kind in typing.get_type_hints(dc_type).items():
+    for name in section:
+        kind = hints.get(name)
         base = next(t for t in typing.get_args(kind) or (kind,) if t is not type(None))
-        if name not in section or base not in getters:
-            continue  # absent, or a nested config read from its own section
+        if base not in getters:
+            raise ConfigError(f"{section.name}.{name}: unknown key")
         if section[name] == "" and type(None) in typing.get_args(kind):
             kwargs[name] = None
             continue
@@ -148,16 +152,14 @@ def load_config_ini(path, **overrides) -> ExperimentConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(f"{path}: unknown section [{name}]")
     exp = (_coerce(ExperimentConfig, parser["experiment"])
            if parser.has_section("experiment") else {})
-    if parser.has_section("synthetic"):
-        exp["synthetic"] = SyntheticSpec(**_coerce(SyntheticSpec, parser["synthetic"]))
-    if parser.has_section("train"):
-        exp["train"] = TrainConfig(**_coerce(TrainConfig, parser["train"]))
-    if parser.has_section("env"):
-        exp["env"] = EnvConfig(**_coerce(EnvConfig, parser["env"]))
-    if parser.has_section("forecast"):
-        exp["forecast"] = ForecastConfig(**_coerce(ForecastConfig, parser["forecast"]))
+    for name, kind in _SECTIONS.items():
+        if name != "experiment" and parser.has_section(name):
+            exp[name] = kind(**_coerce(kind, parser[name]))
     exp.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return ExperimentConfig(**exp)

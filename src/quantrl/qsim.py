@@ -25,8 +25,8 @@ Apart from one cache, everything here is stateless. The block matrices
 live in an ``lru_cache`` of ``BLOCK_CACHE_SIZE`` entries keyed on the
 angle bytes. So an angle array overwritten in place gets a new key, not a
 stale matrix. The cached matrices are read-only, and ``lru_cache`` is
-thread-safe, so A3C worker threads share entries safely; two threads that
-miss together at worst build the same matrix twice.
+thread-safe, so threads may share entries; two threads that miss together
+at worst build the same matrix twice.
 """
 
 from __future__ import annotations
@@ -91,10 +91,6 @@ class VqcParams:
             )
         if not np.all(np.isfinite(self.angles)):
             raise ValueError("angles must be finite")
-
-    @property
-    def n_trainable(self) -> int:
-        return self.angles.size
 
 
 def init_zero_state(n_qubits: int) -> QuantumState:

@@ -2,6 +2,7 @@
 parameter store, training plumbing and greedy evaluation."""
 
 import datetime as dt
+import sys
 import threading
 import warnings
 
@@ -310,6 +311,45 @@ def test_train_two_workers_runs_and_counts():
     assert len(history.rewards) == 6
 
 
+def test_train_two_workers_is_deterministic():
+    # a short switch interval would expose any thread-chosen interleaving
+    config = TrainConfig(max_episodes=10, n_workers=2, seed=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        h1, h2 = (train(config, lambda: sawtooth_env(n=16)) for _ in range(2))
+    finally:
+        sys.setswitchinterval(interval)
+    assert h1.rewards == h2.rewards
+    assert np.array_equal(h1.final_theta, h2.final_theta)
+
+
+def test_workers_take_turns_one_push_each():
+    steps = []
+
+    class LoggingEnv:
+        observation_dim = 4
+
+        def __init__(self, worker_id):
+            self.worker_id = worker_id
+
+        def reset(self):
+            self.t = 0
+            return np.zeros(4)
+
+        def step(self, action):
+            steps.append(self.worker_id)
+            self.t += 1
+            return np.zeros(4), 0.0, self.t == 6, {}
+
+    made = iter(range(2))
+    config = TrainConfig(max_episodes=4, n_workers=2, update_every=3, seed=0)
+    history = train(config, lambda: LoggingEnv(next(made)),
+                    lambda: ActorCriticNet(obs_dim=4, seed=0))
+    assert len(history.rewards) == 4
+    assert steps == ([0] * 3 + [1] * 3) * 4
+
+
 def test_train_quantum_mode_smoke():
     config = TrainConfig(max_episodes=2, n_workers=1, seed=0,
                          head_kind="quantum", latent_dim=3, vqc_depth=1)
@@ -318,7 +358,8 @@ def test_train_quantum_mode_smoke():
     assert np.all(np.isfinite(history.final_theta))
 
 
-def test_worker_failure_aborts_with_diagnostic():
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_worker_failure_aborts_with_diagnostic(n_workers):
     class BrokenEnv:
         observation_dim = 4
 
@@ -328,7 +369,7 @@ def test_worker_failure_aborts_with_diagnostic():
         def __len__(self):
             return 1
 
-    config = TrainConfig(max_episodes=2, n_workers=1, seed=0)
+    config = TrainConfig(max_episodes=2, n_workers=n_workers, seed=0)
     with pytest.raises(TrainingError, match="boom"):
         train(config, lambda: BrokenEnv(),
               lambda: ActorCriticNet(obs_dim=4, seed=0))

@@ -4,6 +4,7 @@ Training runs in here are deliberately tiny (tens of episodes); the
 full-scale learning runs live in test_acceptance.py."""
 
 import csv
+import re
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -79,6 +80,18 @@ def test_config_ini_bad_value_names_the_key(tmp_path, section, line):
     path.write_text(f"[synthetic]\nkind = sawtooth\nlength = 20\n[{section}]\n{line}\n")
     key = line.partition("=")[0].strip()
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config_ini(path)
+
+
+@pytest.mark.parametrize("text, name", [
+    ("[train]\nn_worker = 3\nlearning_rat = 5\n", "train.n_worker"),
+    ("[experiment]\ntrain = 3\n", "experiment.train"),
+    ("[trian]\nn_workers = 3\n", "[trian]"),
+], ids=["misspelled-key", "nested-config-key", "unknown-section"])
+def test_config_ini_unknown_key_or_section_names_it(tmp_path, text, name):
+    path = tmp_path / "bad.ini"
+    path.write_text("[synthetic]\nkind = sawtooth\nlength = 20\n" + text)
+    with pytest.raises(ConfigError, match=re.escape(name)):
         load_config_ini(path)
 
 
@@ -316,6 +329,26 @@ def test_cli_evaluate_truncated_checkpoint_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "ev")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(checkpoint) in err[0]
+
+
+_EVALUATION = ("date,action,price,asset_value\n"
+               "2022-01-07,buy,100,1000\n2022-01-14,sell,101,1010\n")
+
+
+@pytest.mark.parametrize("text, detail", [
+    (_EVALUATION.replace("sell", "jump"), "row 2: unknown action 'jump'"),
+    ("date,action,price\n2022-01-07,buy,100\n", "missing column(s) asset_value"),
+    (_EVALUATION.replace("2022-01-14", "2022-13-14"), "row 2: "),
+    (_EVALUATION.replace("101,", "1o1,"), "row 2: "),
+], ids=["unknown-action", "missing-column", "bad-date", "bad-number"])
+def test_cli_report_malformed_evaluation_exit_code(tmp_path, capsys, text, detail):
+    path = tmp_path / "evaluation.csv"
+    path.write_text(text)
+    assert main(["report", "--evaluation", str(path),
+                 "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+    assert detail in err[0]
 
 
 def test_cli_generate_rejects_bad_spec(tmp_path):
