@@ -421,11 +421,16 @@ class EvaluationRun:
     @staticmethod
     def from_csv(path) -> "EvaluationRun":
         """Rebuild a run (including flags and trades) by replaying the log.
-        A missing column or a row that does not parse is an IngestionError
-        naming the file and the row."""
+        An unreadable file, a missing column or a row that does not parse
+        is an IngestionError naming the file (and the row)."""
         dates, actions, prices, assets = [], [], [], []
-        with open(path, newline="") as fh:
-            rows = [line for line in fh if not line.startswith("#")]
+        try:
+            with open(path, newline="") as fh:
+                rows = [line for line in fh if not line.startswith("#")]
+        except OSError as exc:
+            raise IngestionError(f"{path}: cannot open: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{path}: not a text file: {exc}") from exc
         reader = csv.DictReader(rows)
         missing = [c for c in _EVAL_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
@@ -479,8 +484,12 @@ def _replay(dates, actions, prices, assets):
 
 
 def greedy_action(probs: np.ndarray) -> int:
-    """argmax with ties broken toward the lowest action index."""
-    return int(np.argmax(probs))
+    """argmax with ties broken toward the lowest action index; ValueError
+    on a non-finite entry, which argmax would otherwise read as hold."""
+    p = np.asarray(probs)
+    if not np.isfinite(p).all():
+        raise ValueError(f"non-finite action probabilities {p}")
+    return int(p.argmax())
 
 
 def _rollout(env: TradingEnv, pick_action) -> EvaluationRun:

@@ -40,14 +40,20 @@ from .errors import ModelFileError, QuantrlError
 
 class Node:
     """A value and the gradient buffer that ops accumulate into: a traced
-    tape value, or a trainable parameter (``Param``)."""
+    tape value, or a trainable parameter (``Param``).
+
+    A leaf or ``Param`` built with ``Node(...)`` allocates its zero grad at
+    once. A tape op's output starts with ``grad = None`` and gets its zero
+    grad from ``Tape.backward``, so a forward pass that is never
+    differentiated, such as one decision, allocates no grad for it.
+    """
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
         # np.zeros takes about a third of np.zeros_like's time on arrays this
-        # small, and a one-row decision creates a node per op
+        # small
         self.grad = np.zeros(self.value.shape)
 
 
@@ -64,20 +70,33 @@ def _check_batch(op: str, x: Node, width: int) -> None:
 class Tape:
     """Ordered record of a forward pass; backward replays it in reverse.
 
-    Every op returns a Node. Calling :meth:`backward` seeds the loss node
+    Every op returns a Node whose grad is not allocated yet. Calling
+    :meth:`backward` gives every op output a zero grad, seeds the loss node
     and sweeps the recorded vector-Jacobian products last-to-first,
     accumulating into the grad of every node and parameter they touch.
+    Leaves and parameters keep the grads they allocated when built.
     """
 
     def __init__(self):
         self._records = []
+        self._outputs = []
 
     def _push(self, vjp) -> None:
         self._records.append(vjp)
 
+    def _output(self, value: np.ndarray) -> Node:
+        """An op's result node; its grad is filled in by backward."""
+        out = Node.__new__(Node)
+        out.value = value
+        out.grad = None
+        self._outputs.append(out)
+        return out
+
     def backward(self, loss: Node) -> None:
         if not self._records:
             raise ValueError("backward called before any forward op was recorded")
+        for node in self._outputs:
+            node.grad = np.zeros(node.value.shape)
         loss.grad = loss.grad + 1.0
         for vjp in reversed(self._records):
             vjp()
@@ -86,7 +105,7 @@ class Tape:
 
     def dense(self, layer: "Dense", x: Node) -> Node:
         _check_batch("dense", x, layer.w.value.shape[1])
-        out = Node(x.value @ layer.w.value.T + layer.b.value)
+        out = self._output(x.value @ layer.w.value.T + layer.b.value)
 
         def vjp():
             g = out.grad
@@ -98,7 +117,7 @@ class Tape:
         return out
 
     def tanh(self, x: Node) -> Node:
-        out = Node(np.tanh(x.value))
+        out = self._output(np.tanh(x.value))
 
         def vjp():
             x.grad += (1.0 - out.value * out.value) * out.grad
@@ -107,7 +126,7 @@ class Tape:
         return out
 
     def softmax(self, x: Node) -> Node:
-        out = Node(softmax(x.value))
+        out = self._output(softmax(x.value))
 
         def vjp():
             g = out.grad
@@ -118,7 +137,7 @@ class Tape:
         return out
 
     def log(self, x: Node) -> Node:
-        out = Node(np.log(x.value))
+        out = self._output(np.log(x.value))
 
         def vjp():
             x.grad += out.grad / x.value
@@ -132,7 +151,7 @@ class Tape:
             raise ValueError(f"pick expects a [batch, n] input, got shape {x.value.shape}")
         idx = np.asarray(index, dtype=np.intp)
         rows = np.arange(x.value.shape[0])
-        out = Node(x.value[rows, idx])
+        out = self._output(x.value[rows, idx])
 
         def vjp():
             np.add.at(x.grad, (rows, idx), out.grad)
@@ -141,7 +160,7 @@ class Tape:
         return out
 
     def add(self, a: Node, b: Node) -> Node:
-        out = Node(a.value + b.value)
+        out = self._output(a.value + b.value)
 
         def vjp():
             a.grad += out.grad
@@ -151,7 +170,7 @@ class Tape:
         return out
 
     def add_const(self, x: Node, c) -> Node:
-        out = Node(x.value + c)
+        out = self._output(x.value + c)
 
         def vjp():
             x.grad += out.grad
@@ -160,7 +179,7 @@ class Tape:
         return out
 
     def mul(self, a: Node, b: Node) -> Node:
-        out = Node(a.value * b.value)
+        out = self._output(a.value * b.value)
 
         def vjp():
             a.grad += b.value * out.grad
@@ -170,7 +189,7 @@ class Tape:
         return out
 
     def scale(self, x: Node, c) -> Node:
-        out = Node(x.value * c)
+        out = self._output(x.value * c)
 
         def vjp():
             x.grad += np.asarray(c) * out.grad
@@ -179,7 +198,7 @@ class Tape:
         return out
 
     def square(self, x: Node) -> Node:
-        out = Node(x.value * x.value)
+        out = self._output(x.value * x.value)
 
         def vjp():
             x.grad += 2.0 * x.value * out.grad
@@ -188,7 +207,7 @@ class Tape:
         return out
 
     def sum(self, x: Node) -> Node:
-        out = Node(np.sum(x.value))
+        out = self._output(np.asarray(x.value.sum()))
 
         def vjp():
             x.grad += out.grad
@@ -205,9 +224,9 @@ class Tape:
         gf = _sigmoid(z @ cell.w_f.value.T + cell.b_f.value)
         go = _sigmoid(z @ cell.w_o.value.T + cell.b_o.value)
         gg = np.tanh(z @ cell.w_g.value.T + cell.b_g.value)
-        c_new = Node(gf * c.value + gi * gg)
+        c_new = self._output(gf * c.value + gi * gg)
         tc = np.tanh(c_new.value)
-        h_new = Node(go * tc)
+        h_new = self._output(go * tc)
 
         def vjp():
             gh = h_new.grad
@@ -244,7 +263,7 @@ class Tape:
         from . import qsim  # local import keeps diffnet importable standalone
 
         params = qsim.VqcParams(n_qubits, depth, angles.value)
-        out = Node(qsim.run_vqc_batch(x.value, params))
+        out = self._output(qsim.run_vqc_batch(x.value, params))
 
         def vjp():
             if not np.any(out.grad):
@@ -330,10 +349,11 @@ class LstmCell:
 def categorical_sample(probs, rng: np.random.Generator) -> int:
     """Sample an index from a probability vector; deterministic given rng state."""
     p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    c = p.cumsum()
+    # written so that a NaN anywhere fails the check
+    if not (p.ndim == 1 and p.min() >= 0 and abs(c[-1] - 1.0) <= 1e-9):
         raise ValueError("probs must be a nonnegative vector summing to 1")
-    r = rng.random()
-    return int(min(np.searchsorted(np.cumsum(p), r, side="right"), len(p) - 1))
+    return int(min(c.searchsorted(rng.random(), side="right"), p.size - 1))
 
 
 # -- parameter plumbing -----------------------------------------------------

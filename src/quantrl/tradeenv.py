@@ -266,10 +266,15 @@ class TradingEnv:
             raise ValueError("series must be z-scored before trading (call zscore)")
         self.series = series
         self.config = config or EnvConfig()
+        # one observation row per week; the [position, pnl] tail is zero
+        # (flat) here and written by _observe while long
         cols = [series.normalized]
         if series.normalized_forecast is not None:
             cols.append(series.normalized_forecast[:, None])
-        self._obs_base = np.ascontiguousarray(np.hstack(cols))
+        self._with_tail = self.config.include_position_in_state
+        if self._with_tail:
+            cols.append(np.zeros((len(series), 2)))
+        self._obs_rows = np.hstack(cols)
         self._state = EnvState(initial_cash=self.config.initial_cash)
         self._close = series.close
 
@@ -278,24 +283,20 @@ class TradingEnv:
 
     @property
     def observation_dim(self) -> int:
-        extra = 2 if self.config.include_position_in_state else 0
-        return self._obs_base.shape[1] + extra
+        return self._obs_rows.shape[1]
 
     @property
     def state(self) -> EnvState:
         return self._state
 
     def _observe(self, t: int) -> np.ndarray:
-        base = self._obs_base[t]
-        if not self.config.include_position_in_state:
-            return base.copy()
+        # a fresh array: a Trajectory keeps the observations it is given
+        obs = self._obs_rows[t].copy()
         s = self._state
-        if s.position == LONG:
-            pnl = (self._close[t] - s.buy_price) / s.buy_price
-            tail = (1.0, pnl)
-        else:
-            tail = (0.0, 0.0)
-        return np.concatenate([base, tail])
+        if s.position == LONG and self._with_tail:
+            obs[-2] = 1.0
+            obs[-1] = (self._close[t] - s.buy_price) / s.buy_price
+        return obs
 
     def reset(self) -> np.ndarray:
         self._state = EnvState(initial_cash=self.config.initial_cash)

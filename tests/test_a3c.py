@@ -2,6 +2,7 @@
 parameter store, training plumbing and greedy evaluation."""
 
 import datetime as dt
+import hashlib
 import sys
 import threading
 import warnings
@@ -410,9 +411,37 @@ def test_uniform_policy_evaluates_to_flat_asset():
     assert run.trades == []
 
 
+@pytest.mark.parametrize("head, digests", [
+    (dict(max_episodes=20),
+     ("13ff7f22b490529c784d4d87fd2425cb20ee9ab5b5104cd1e36862e9ea20ea18",
+      "e407ca437a1e1544057fe6b6e9990c108779568168dad988fd8f1bb87ca6cbb2")),
+    (dict(max_episodes=3, head_kind="quantum", latent_dim=4, vqc_depth=2),
+     ("d6417d600b09ac8cbe2b29e3076e3a145bc786222212437a0fa11d2fd8bb80bc",
+      "b743590410e5448b7c9558be6dfee146d2318ac77a9da030323d939d8ce18961")),
+], ids=["classical", "quantum"])
+def test_seeded_training_is_pinned(head, digests):
+    # c06's sawtooth and hyperparameters, one worker: a change that claims
+    # identical results must leave every reward and final parameter bit
+    # for bit as it was
+    config = dict(n_workers=1, seed=0, gamma=0.95, learning_rate=1e-3,
+                  entropy_coeff=0.01, latent_dim=8, update_every=20)
+    history = train(TrainConfig(**{**config, **head}), lambda: sawtooth_env(n=120))
+    got = (hashlib.sha256(np.asarray(history.rewards, np.float64).tobytes()).hexdigest(),
+           hashlib.sha256(history.final_theta.tobytes()).hexdigest())
+    assert got == digests
+
+
 def test_greedy_tie_break_lowest_index():
     assert greedy_action(np.array([1 / 3, 1 / 3, 1 / 3])) == 0
     assert greedy_action(np.array([0.2, 0.4, 0.4])) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_greedy_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        greedy_action(np.array([bad, bad, bad]))
+    with pytest.raises(ValueError):
+        greedy_action(np.array([0.2, bad, 0.4]))
 
 
 def test_hand_built_buy_sell_net_logs_one_trade():

@@ -189,6 +189,10 @@ def test_sample_invalid_distribution():
         categorical_sample([0.5, 0.6], rng)
     with pytest.raises(ValueError):
         categorical_sample([-0.1, 1.1], rng)
+    with pytest.raises(ValueError):
+        categorical_sample([np.nan, np.nan, np.nan], rng)
+    with pytest.raises(ValueError):
+        categorical_sample([[0.5, 0.5]], rng)
 
 
 # ---------------------------------------------------------------------------

@@ -340,10 +340,14 @@ _EVALUATION = ("date,action,price,asset_value\n"
     ("date,action,price\n2022-01-07,buy,100\n", "missing column(s) asset_value"),
     (_EVALUATION.replace("2022-01-14", "2022-13-14"), "row 2: "),
     (_EVALUATION.replace("101,", "1o1,"), "row 2: "),
-], ids=["unknown-action", "missing-column", "bad-date", "bad-number"])
+    (None, "No such file"),
+    (b"date,action\n\x89PNG\n", "not a text file"),
+], ids=["unknown-action", "missing-column", "bad-date", "bad-number", "missing-file",
+        "binary"])
 def test_cli_report_malformed_evaluation_exit_code(tmp_path, capsys, text, detail):
     path = tmp_path / "evaluation.csv"
-    path.write_text(text)
+    if text is not None:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["report", "--evaluation", str(path),
                  "--out", str(tmp_path / "rep")]) == 2
     err = capsys.readouterr().err.splitlines()

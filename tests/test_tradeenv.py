@@ -221,6 +221,53 @@ def test_reset_idempotent_and_after_episode():
     assert np.array_equal(env.reset(), first)
 
 
+def test_observations_are_fresh_arrays():
+    env = make_env([100.0, 101.0, 102.0, 103.0])
+
+    def episode(scribble):
+        seen = []
+        obs = env.reset()
+        for action in (BUY, HOLD, SELL, HOLD):
+            seen.append(obs.copy())
+            if scribble:
+                obs[:] = 99.0  # a caller writing into what it was given
+            obs = env.step(action)[0]
+        return seen
+
+    first = episode(scribble=True)
+    assert np.array_equal(episode(scribble=False), first)
+    assert [o[-2] for o in first] == [0.0, 1.0, 1.0, 0.0]
+
+
+def test_long_tail_is_position_and_unrealized_pnl():
+    closes = [100.0, 104.0, 98.0, 103.0]
+    env = make_env(closes)
+    env.reset()
+    obs, _, _, _ = env.step(BUY)  # bought at 100, now observing week 1
+    for t in (1, 2):
+        assert obs[-2:].tolist() == [1.0, (closes[t] - 100.0) / 100.0]
+        obs, _, _, _ = env.step(HOLD)
+    obs, _, _, _ = env.step(SELL)
+    assert obs[-2:].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("with_forecast", [False, True])
+def test_observation_without_position_is_feature_row(with_forecast):
+    with pytest.warns(UserWarning):
+        series = zscore(series_from_closes([100.0, 104.0, 98.0]))
+    cols = [series.normalized]
+    if with_forecast:
+        series = attach_forecast(series, [1.0, -2.0, 0.5])
+        cols.append(series.normalized_forecast[:, None])
+    rows = np.hstack(cols)
+    env = TradingEnv(series, EnvConfig(include_position_in_state=False))
+    assert env.observation_dim == rows.shape[1]
+    observed = [env.reset()]
+    for action in (BUY, HOLD):
+        observed.append(env.step(action)[0])
+    assert np.array_equal(np.array(observed), rows)
+
+
 def test_sell_reward_worked_example():
     env = make_env([4500.0, 4800.0, 4900.0], trade_cost_rate=0.001)
     env.reset()
