@@ -30,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffnet
+from . import diffnet, qsim
 from .diffnet import Dense, Node, Param, Tape, categorical_sample
 from .errors import ConfigError, GradientRejected, IngestionError, TrainingError
 from .metrics import Trade
-from .tradeenv import ACTION_NAMES, BUY, SELL, TradingEnv
+from .tradeenv import ACTION_NAMES, BUY, SELL, TradingEnv, read_text_lines
 
 N_ACTIONS = 3
 _NAME_TO_ACTION = {name: action for action, name in ACTION_NAMES.items()}
@@ -67,6 +67,11 @@ class TrainConfig:
             raise ConfigError("n_workers must be >= 1")
         if self.head_kind not in ("classical", "quantum"):
             raise ConfigError(f"unknown head_kind {self.head_kind!r}")
+        if self.latent_dim < 1:
+            raise ConfigError("latent_dim must be >= 1")
+        if self.head_kind == "quantum" and self.latent_dim > qsim.MAX_QUBITS:
+            raise ConfigError(f"quantum latent_dim (qubits) must be <= "
+                              f"{qsim.MAX_QUBITS}, got {self.latent_dim}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
@@ -424,14 +429,8 @@ class EvaluationRun:
         An unreadable file, a missing column or a row that does not parse
         is an IngestionError naming the file (and the row)."""
         dates, actions, prices, assets = [], [], [], []
-        try:
-            with open(path, newline="") as fh:
-                rows = [line for line in fh if not line.startswith("#")]
-        except OSError as exc:
-            raise IngestionError(f"{path}: cannot open: {exc.strerror or exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise IngestionError(f"{path}: not a text file: {exc}") from exc
-        reader = csv.DictReader(rows)
+        reader = csv.DictReader(
+            line for line in read_text_lines(path) if not line.startswith("#"))
         missing = [c for c in _EVAL_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")

@@ -1,10 +1,14 @@
-"""Experiment orchestration: config parsing, the run pipeline and the
-five-strategy comparison matrix.
+"""Experiment orchestration: config parsing, the pipeline stages, the run
+pipeline and the five-strategy comparison matrix.
 
 A run executes ingest -> (optional) forecast -> train -> evaluate ->
 metrics -> emit. Every artifact is stamped with the resolved config hash
 and seed; with a fixed seed a rerun reproduces identical CSV bytes, at
-any worker count. Failures abort with the stage name and remove partial files.
+any worker count.
+
+Each CLI subcommand is one function here, built from the same stages
+(``fit_forecast``, ``emit_evaluation``, ``emit_metrics``) and run inside
+one ``Stages`` wrapper, which owns failure handling.
 
 Config files are INI ("key = value" under [experiment], [synthetic],
 [train], [env], [forecast] sections); the resolved config is always
@@ -15,12 +19,15 @@ own snapshot.
 from __future__ import annotations
 
 import configparser
+import contextlib
+import csv
 import dataclasses
 import hashlib
 import logging
 import typing
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -146,25 +153,54 @@ def _coerce(dc_type, section) -> dict:
     return kwargs
 
 
-def load_config_ini(path, **overrides) -> ExperimentConfig:
-    """Build an ExperimentConfig from an INI file plus keyword overrides."""
+def load_config_ini(path=None, **overrides) -> ExperimentConfig:
+    """Build an ExperimentConfig from an INI file (none if ``path`` is None)
+    plus keyword overrides; a None override keeps the file's value."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    for name in parser.sections():
-        if name not in _SECTIONS:
-            raise ConfigError(f"{path}: unknown section [{name}]")
-    exp = (_coerce(ExperimentConfig, parser["experiment"])
-           if parser.has_section("experiment") else {})
-    for name, kind in _SECTIONS.items():
-        if name != "experiment" and parser.has_section(name):
-            exp[name] = kind(**_coerce(kind, parser[name]))
-    exp.update({k: v for k, v in overrides.items() if v is not None})
     try:
+        if path is not None and not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        for name in parser.sections():
+            if name not in _SECTIONS:
+                raise ConfigError(f"{path}: unknown section [{name}]")
+        exp = (_coerce(ExperimentConfig, parser["experiment"])
+               if parser.has_section("experiment") else {})
+        for name, kind in _SECTIONS.items():
+            if name != "experiment" and parser.has_section(name):
+                exp[name] = kind(**_coerce(kind, parser[name]))
+        exp.update({k: v for k, v in overrides.items() if v is not None})
         return ExperimentConfig(**exp)
-    except TypeError as exc:
-        raise ConfigError(f"bad config file {path}: {exc}") from exc
+    except (TypeError, configparser.Error, UnicodeDecodeError) as exc:
+        detail = "; ".join(str(exc).splitlines())  # configparser's span lines
+        raise ConfigError(f"bad config file {path}: {detail}") from exc
+
+
+class Stages(contextlib.AbstractContextManager):
+    """Context manager around a pipeline: ``stage`` names the running stage
+    and ``write`` records each file before writing it. On a failure the
+    recorded files are deleted and the error is raised as a StageError
+    naming the stage; a ConfigError passes through."""
+
+    def __init__(self, stage: str):
+        self.stage = stage
+        self.written: list[Path] = []
+
+    def write(self, path, content) -> Path:
+        """Write ``content`` (text, or a callable taking the path) to ``path``."""
+        path = Path(path)
+        self.written.append(path)
+        if callable(content):
+            content(path)
+        else:
+            path.write_text(content)
+        return path
+
+    def __exit__(self, kind, exc, tb):
+        for path in self.written if exc is not None else ():
+            with contextlib.suppress(OSError):
+                path.unlink()
+        if isinstance(exc, Exception) and not isinstance(exc, ConfigError):
+            raise StageError(self.stage, exc) from exc
 
 
 @dataclass
@@ -196,6 +232,17 @@ def load_series(path, train_fraction: float) -> tradeenv.MarketSeries:
         return tradeenv.zscore(series, train_fraction)
 
 
+def fit_forecast(series: tradeenv.MarketSeries, config: ForecastConfig):
+    """Fit the forecaster on a z-scored series; returns the model, its
+    window dataset and the per-row forecast vector."""
+    dataset = forecaster.build_windows(series, config.lookback,
+                                       config.train_fraction)
+    model = forecaster.train_forecaster(dataset, config)
+    vector = forecaster.forecast_series(model, series,
+                                        direction_only=config.direction_only)
+    return model, dataset, vector
+
+
 def evaluation_report(evaluation: a3c.EvaluationRun) -> metrics.MetricsReport:
     """The metric battery over one evaluation run's equity curve and trades."""
     curve = metrics.EquityCurve(tuple(evaluation.dates),
@@ -203,56 +250,103 @@ def evaluation_report(evaluation: a3c.EvaluationRun) -> metrics.MetricsReport:
     return metrics.summary_metrics(curve, evaluation.trades, evaluation.position_flags)
 
 
-def _prepare_series(config: ExperimentConfig, out: Path, written: list[Path]):
-    if config.synthetic is not None:
-        data_path = out / "data.csv"
-        synthetic.generate_synthetic(config.synthetic, data_path)
-        written.append(data_path)
-    else:
-        data_path = Path(config.data)
-    return load_series(data_path, config.train_fraction)
+def emit_evaluation(run: Stages, out: Path, evaluation: a3c.EvaluationRun,
+                    label: str | None = None, stamp: str | None = None) -> None:
+    """evaluation.csv plus its action timeline and equity curve SVGs;
+    ``label`` goes in the chart titles, ``stamp`` heads every file."""
+    suffix = f" ({label})" if label else ""
+    run.write(out / "evaluation.csv", lambda p: evaluation.to_csv(p, stamp=stamp))
+    run.write(out / "action_timeline.svg", svgplot.action_timeline_svg(
+        evaluation.prices, [tradeenv.ACTION_NAMES[a] for a in evaluation.actions],
+        dates=evaluation.dates, title="Action timeline" + suffix, stamp=stamp,
+    ))
+    run.write(out / "equity_curve.svg", svgplot.equity_curve_svg(
+        evaluation.asset_values, dates=evaluation.dates,
+        title="Equity curve" + suffix, stamp=stamp,
+    ))
 
 
-def _attach_forecasts(config: ExperimentConfig, series):
-    dataset = forecaster.build_windows(
-        series, config.forecast.lookback, config.forecast.train_fraction
-    )
-    model = forecaster.train_forecaster(dataset, config.forecast)
-    vector = forecaster.forecast_series(
-        model, series, direction_only=config.forecast.direction_only
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
-        return model, tradeenv.attach_forecast(series, vector)
+def emit_metrics(run: Stages, out: Path, reports: dict, failures=None,
+                 stamp: str | None = None, name: str = "metrics"):
+    """The metric table as ``<name>.txt`` and its CSV mirror as
+    ``<name>.csv``; returns both paths."""
+    head = f"# {stamp}\n" if stamp else ""
+    return (run.write(out / f"{name}.txt", head + metrics.report_table(reports, failures)),
+            run.write(out / f"{name}.csv", head + metrics.report_csv(reports, failures)))
+
+
+def generate(spec: SyntheticSpec, path) -> Path:
+    with Stages("emit") as run:
+        return run.write(path, partial(synthetic.generate_synthetic, spec))
+
+
+def _write_with_forecast(path: Path, rows: list, dates, vector) -> None:
+    """CSV rows with the forecast column set by date (replaced if the header
+    has one, appended if not); rows the series dropped get 0."""
+    header = rows[0] + ["forecast"] * ("forecast" not in rows[0])
+    col, date_col = header.index("forecast"), header.index("date")
+    by_date = {d.isoformat(): v for d, v in zip(dates, vector)}
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows[1:]:
+            if row:
+                row = row + [""] * (len(header) - len(row))
+                row[col] = f"{by_date.get(row[date_col].strip(), 0.0):.8f}"
+            writer.writerow(row)
+
+
+def export_forecast(data, out_dir, config: ForecastConfig):
+    """Fit the forecaster on a market CSV; write the CSV with its forecast
+    column and the model file. Returns the validation metrics (None below
+    two validation windows) and the written paths."""
+    out = Path(out_dir)
+    with Stages("ingest") as run:
+        series = load_series(data, config.train_fraction)
+        rows = list(csv.reader(tradeenv.read_text_lines(data)))
+        run.stage = "forecast"
+        model, dataset, vector = fit_forecast(series, config)
+        inputs, targets = dataset.validation
+        validation = (forecaster.evaluate_forecasts(model.predict_batch(inputs), targets)
+                      if len(inputs) >= 2 else None)
+        run.stage = "emit"
+        out.mkdir(parents=True, exist_ok=True)
+        run.write(out / "data_with_forecast.csv",
+                  partial(_write_with_forecast, rows=rows, dates=series.dates,
+                          vector=vector))
+        run.write(out / "forecaster.qlstm", partial(forecaster.save_forecaster, model))
+    return validation, run.written
 
 
 def run_experiment(config: ExperimentConfig) -> RunArtifacts:
     """Execute the full pipeline and emit the artifact set."""
     config = config.resolved()
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
     stamp = f"config_hash={digest} seed={config.seed}"
-    written: list[Path] = []
-    stage = "ingest"
-    try:
-        series = _prepare_series(config, out, written)
+    with Stages("ingest") as run:
+        out.mkdir(parents=True, exist_ok=True)
+        data = config.data
+        if config.synthetic is not None:
+            data = run.write(out / "data.csv",
+                             partial(synthetic.generate_synthetic, config.synthetic))
+        series = load_series(data, config.train_fraction)
 
         if config.use_forecast:
-            stage = "forecast"
+            run.stage = "forecast"
             log.info("training forecaster (%d epochs)", config.forecast.epochs)
-            _, series = _attach_forecasts(config, series)
+            _, _, vector = fit_forecast(series, config.forecast)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
+                series = tradeenv.attach_forecast(series, vector)
 
-        def env_factory():
-            return tradeenv.TradingEnv(series, config.env)
-
+        env_factory = partial(tradeenv.TradingEnv, series, config.env)
         history = None
         if config.strategy == "random":
-            stage = "evaluate"
+            run.stage = "evaluate"
             evaluation = a3c.evaluate_random(env_factory(), seed=config.seed)
-            net = None
         else:
-            stage = "train"
+            run.stage = "train"
             log.info("training %s agent for %d episodes",
                      config.strategy, config.train.max_episodes)
             history = a3c.train(config.train, env_factory)
@@ -264,69 +358,65 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
                 seed=config.train.seed,
             )
             net.set_flat(history.final_theta)
-            stage = "evaluate"
+            run.stage = "evaluate"
             evaluation = a3c.evaluate_policy(net, env_factory())
 
-        stage = "metrics"
+        run.stage = "metrics"
         report = evaluation_report(evaluation)
 
-        stage = "emit"
-        files: dict[str, Path] = {}
-        if config.synthetic is not None:
-            files["data.csv"] = out / "data.csv"
-
-        def emit(name, writer):
-            path = out / name
-            writer(path)
-            written.append(path)
-            files[name] = path
-
-        emit("config.ini", lambda p: p.write_text(config_to_ini(config)))
-        emit("evaluation.csv", lambda p: evaluation.to_csv(p, stamp=stamp))
-        emit("metrics.txt", lambda p: p.write_text(
-            f"# {stamp}\n" + metrics.report_table({config.strategy: report})
-        ))
-        emit("metrics.csv", lambda p: p.write_text(
-            f"# {stamp}\n" + metrics.report_csv({config.strategy: report})
-        ))
-        emit("action_timeline.svg", lambda p: p.write_text(
-            svgplot.action_timeline_svg(
-                evaluation.prices,
-                [tradeenv.ACTION_NAMES[a] for a in evaluation.actions],
-                dates=evaluation.dates,
-                title=f"Action timeline ({config.strategy})", stamp=stamp,
-            )
-        ))
-        emit("equity_curve.svg", lambda p: p.write_text(
-            svgplot.equity_curve_svg(
-                evaluation.asset_values, dates=evaluation.dates,
-                title=f"Equity curve ({config.strategy})", stamp=stamp,
-            )
-        ))
+        run.stage = "emit"
+        run.write(out / "config.ini", config_to_ini(config))
+        emit_evaluation(run, out, evaluation, config.strategy, stamp)
+        emit_metrics(run, out, {config.strategy: report}, stamp=stamp)
         if history is not None:
-            emit("training_history.csv",
-                 lambda p: history.to_csv(p, stamp=stamp))
-            emit("reward_curve.svg", lambda p: p.write_text(
-                svgplot.reward_curve_svg(
-                    history.rewards, history.moving_average,
-                    title=f"Training rewards ({config.strategy})", stamp=stamp,
-                )
+            run.write(out / "training_history.csv",
+                      lambda p: history.to_csv(p, stamp=stamp))
+            run.write(out / "reward_curve.svg", svgplot.reward_curve_svg(
+                history.rewards, history.moving_average,
+                title=f"Training rewards ({config.strategy})", stamp=stamp,
             ))
-            emit("checkpoint.qnet", lambda p: a3c.save_checkpoint(net, p))
+            run.write(out / "checkpoint.qnet", partial(a3c.save_checkpoint, net))
 
-        return RunArtifacts(
-            out_dir=out, files=files, report=report,
-            history=history, evaluation=evaluation, config_hash=digest,
-        )
-    except Exception as exc:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        if isinstance(exc, StageError):
-            raise
-        raise StageError(stage, exc) from exc
+    return RunArtifacts(
+        out_dir=out, files={p.name: p for p in run.written}, report=report,
+        history=history, evaluation=evaluation, config_hash=digest,
+    )
+
+
+def evaluate_checkpoint(checkpoint, data, out_dir,
+                        train_fraction: float) -> a3c.EvaluationRun:
+    """Greedy rollout of a checkpoint over a market CSV, emitted as
+    evaluation.csv and its two SVGs. The checkpoint's reader raises its own
+    error naming the file."""
+    net = a3c.load_checkpoint(checkpoint)
+    out = Path(out_dir)
+    with Stages("ingest") as run:
+        env = tradeenv.TradingEnv(load_series(data, train_fraction), EnvConfig())
+        if env.observation_dim != net.obs_dim:
+            raise ConfigError(
+                f"checkpoint expects observation dim {net.obs_dim}, data gives "
+                f"{env.observation_dim} (forecast column or position flag mismatch)"
+            )
+        run.stage = "evaluate"
+        evaluation = a3c.evaluate_policy(net, env)
+        run.stage = "emit"
+        out.mkdir(parents=True, exist_ok=True)
+        emit_evaluation(run, out, evaluation)
+    return evaluation
+
+
+def report_evaluation(evaluation_csv, out_dir) -> Path:
+    """The metric battery of an evaluation CSV as metrics.txt and
+    metrics.csv; returns metrics.txt. The CSV's reader raises its own error
+    naming the file."""
+    evaluation = a3c.EvaluationRun.from_csv(evaluation_csv)
+    out = Path(out_dir)
+    with Stages("metrics") as run:
+        report = evaluation_report(evaluation)
+        run.stage = "emit"
+        out.mkdir(parents=True, exist_ok=True)
+        table, _ = emit_metrics(run, out, {"run": report})
+    return table
 
 
 @dataclass
@@ -354,36 +444,32 @@ def run_matrix(config: ExperimentConfig,
     if not strategies:
         raise ConfigError("matrix needs at least one strategy")
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    reports, failures, runs = {}, {}, {}
+    with Stages("ingest") as run:
+        out.mkdir(parents=True, exist_ok=True)
+        # one shared dataset: materialize a synthetic spec once up front
+        base = config
+        if config.synthetic is not None:
+            spec = replace(config.synthetic, seed=config.seed)
+            data = run.write(out / "data.csv",
+                             partial(synthetic.generate_synthetic, spec))
+            base = replace(config, synthetic=None, data=str(data))
 
-    # one shared dataset: materialize a synthetic spec once up front
-    base = config
-    if config.synthetic is not None:
-        data_path = out / "data.csv"
-        synthetic.generate_synthetic(
-            replace(config.synthetic, seed=config.seed), data_path
-        )
-        base = replace(config, synthetic=None, data=str(data_path))
+        for label in strategies:
+            sub_dir = out / label.replace("+", "_")
+            try:
+                strategy, use_forecast = parse_strategy_label(label)
+                sub = replace(base, strategy=strategy, use_forecast=use_forecast,
+                              out_dir=str(sub_dir))
+                log.info("matrix: running %s", label)
+                result = run_experiment(sub)
+                reports[label] = result.report
+                runs[label] = result
+            except Exception as exc:  # noqa: BLE001 - isolate column failures
+                log.warning("matrix: %s failed: %s", label, exc)
+                failures[label] = str(exc)
 
-    reports: dict[str, metrics.MetricsReport] = {}
-    failures: dict[str, str] = {}
-    runs: dict[str, RunArtifacts] = {}
-    for label in strategies:
-        sub_dir = out / label.replace("+", "_")
-        try:
-            strategy, use_forecast = parse_strategy_label(label)
-            sub = replace(base, strategy=strategy, use_forecast=use_forecast,
-                          out_dir=str(sub_dir))
-            log.info("matrix: running %s", label)
-            result = run_experiment(sub)
-            reports[label] = result.report
-            runs[label] = result
-        except Exception as exc:  # noqa: BLE001 - isolate column failures
-            log.warning("matrix: %s failed: %s", label, exc)
-            failures[label] = str(exc)
-
-    table_txt = out / "matrix_table.txt"
-    table_csv = out / "matrix_table.csv"
-    table_txt.write_text(metrics.report_table(reports, failures))
-    table_csv.write_text(metrics.report_csv(reports, failures))
+        run.stage = "emit"
+        table_txt, table_csv = emit_metrics(run, out, reports, failures,
+                                            name="matrix_table")
     return MatrixResult(reports, failures, table_txt, table_csv, runs)

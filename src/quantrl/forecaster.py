@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diffnet
 from .diffnet import Dense, LstmCell, Node, Tape
-from .errors import EvaluationError, TrainingError
+from .errors import ConfigError, EvaluationError, TrainingError
 from .tradeenv import MarketSeries
 
 
@@ -33,6 +33,14 @@ class ForecastConfig:
     seed: int = 0
     train_fraction: float = 0.8
     direction_only: bool = False  # feed sign(prediction) instead of the value
+
+    def __post_init__(self):
+        if self.lookback < 1:
+            raise ConfigError(f"lookback must be >= 1, got {self.lookback}")
+        if self.hidden < 1:
+            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
+        if not 0 < self.train_fraction <= 1:
+            raise ConfigError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
 
 
 @dataclass

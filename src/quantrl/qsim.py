@@ -81,6 +81,7 @@ class VqcParams:
     angles: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        _check_qubit_count(self.n_qubits)
         if self.angles is None:
             self.angles = np.zeros((self.depth, self.n_qubits, 2))
         self.angles = np.asarray(self.angles, dtype=np.float64)
@@ -93,12 +94,14 @@ class VqcParams:
             raise ValueError("angles must be finite")
 
 
+def _check_qubit_count(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ConfigError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+
+
 def init_zero_state(n_qubits: int) -> QuantumState:
     """State |0...0>."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigError(
-            f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}"
-        )
+    _check_qubit_count(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return QuantumState(n_qubits, amps)

@@ -48,11 +48,6 @@ class SvgCanvas:
             f'stroke-width="{width}"/>\n'
         )
 
-    def circle(self, x, y, r, color):
-        self._parts.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{color}"/>\n'
-        )
-
     def triangle(self, x, y, size, color, up=True):
         s = size
         if up:

@@ -85,53 +85,53 @@ def _parse_float(text: str, column: str, row_number: int) -> float:
         ) from None
 
 
-def load_market_csv(path, column_map: dict | None = None) -> MarketSeries:
+def read_text_lines(path) -> list[str]:
+    """The lines of a text file (newlines kept, for ``csv``); a file that
+    cannot be opened or is not UTF-8 text is an IngestionError naming it."""
+    try:
+        with open(path, newline="") as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot open: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not a text file: {exc}") from exc
+
+
+def load_market_csv(path) -> MarketSeries:
     """Read the weekly schema, sort by date, forward-fill gaps.
 
-    `column_map` renames schema columns to CSV headers, e.g.
-    {"close": "SP500"}. Raises IngestionError (with the offending row
-    number) on unparseable content, duplicate dates or an empty result.
+    Raises IngestionError (naming the file, or the offending row number)
+    on an unreadable or non-text file, unparseable content, duplicate
+    dates or an empty result.
     """
-    column_map = column_map or {}
-
-    def col(name):
-        return column_map.get(name, name)
+    reader = csv.DictReader(read_text_lines(path))
+    if reader.fieldnames is None:
+        raise IngestionError(f"{path}: empty file, expected a header row")
+    missing = [c for c in ("date", *FEATURE_COLUMNS) if c not in reader.fieldnames]
+    if missing:
+        raise IngestionError(f"{path}: missing columns {missing}")
+    has_forecast = "forecast" in reader.fieldnames
 
     rows = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise IngestionError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise IngestionError(f"{path}: empty file, expected a header row")
-        missing = [c for c in FEATURE_COLUMNS if col(c) not in reader.fieldnames]
-        if col("date") not in reader.fieldnames:
-            missing.insert(0, "date")
-        if missing:
-            raise IngestionError(f"{path}: missing columns {missing}")
-        has_forecast = col("forecast") in reader.fieldnames
-
-        for row_number, raw in enumerate(reader, start=2):  # header is line 1
-            text = raw.get(col("date")) or ""
-            try:
-                date = dt.date.fromisoformat(text.strip())
-            except ValueError:
-                raise IngestionError(
-                    f"row {row_number}: cannot parse date {text!r} as ISO-8601"
-                ) from None
-            values = []
-            for column in FEATURE_COLUMNS:
-                cell = (raw.get(col(column)) or "").strip()
-                values.append(
-                    _parse_float(cell, column, row_number) if cell else None
-                )
-            fc = None
-            if has_forecast:
-                cell = (raw.get(col("forecast")) or "").strip()
-                fc = _parse_float(cell, "forecast", row_number) if cell else 0.0
-            rows.append((date, values, fc, row_number))
+    for row_number, raw in enumerate(reader, start=2):  # header is line 1
+        text = raw.get("date") or ""
+        try:
+            date = dt.date.fromisoformat(text.strip())
+        except ValueError:
+            raise IngestionError(
+                f"row {row_number}: cannot parse date {text!r} as ISO-8601"
+            ) from None
+        values = []
+        for column in FEATURE_COLUMNS:
+            cell = (raw.get(column) or "").strip()
+            values.append(
+                _parse_float(cell, column, row_number) if cell else None
+            )
+        fc = None
+        if has_forecast:
+            cell = (raw.get("forecast") or "").strip()
+            fc = _parse_float(cell, "forecast", row_number) if cell else 0.0
+        rows.append((date, values, fc, row_number))
 
     if not rows:
         raise IngestionError(f"{path}: no data rows")
@@ -182,7 +182,7 @@ def _zscore_columns(values: np.ndarray, n_train: int, what: str):
             )
         else:
             out[:, j] = (values[:, j] - mean[j]) / std[j]
-    return out, mean, std
+    return out
 
 
 def zscore(series: MarketSeries, train_fraction: float = 1.0) -> MarketSeries:
@@ -192,10 +192,10 @@ def zscore(series: MarketSeries, train_fraction: float = 1.0) -> MarketSeries:
     if not 0 < train_fraction <= 1:
         raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction}")
     n_train = max(1, math.ceil(train_fraction * len(series)))
-    normalized, _, _ = _zscore_columns(series.features, n_train, "feature")
+    normalized = _zscore_columns(series.features, n_train, "feature")
     out = replace(series, normalized=normalized, n_train=n_train)
     if series.forecast is not None:
-        nf, _, _ = _zscore_columns(series.forecast[:, None], n_train, "forecast")
+        nf = _zscore_columns(series.forecast[:, None], n_train, "forecast")
         out.normalized_forecast = nf[:, 0]
     return out
 
@@ -215,7 +215,7 @@ def attach_forecast(series: MarketSeries, forecasts) -> MarketSeries:
         )
     out = replace(series, forecast=fc.copy())
     if series.is_normalized:
-        nf, _, _ = _zscore_columns(fc[:, None], series.n_train, "forecast")
+        nf = _zscore_columns(fc[:, None], series.n_train, "forecast")
         out.normalized_forecast = nf[:, 0]
     return out
 

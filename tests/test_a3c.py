@@ -31,6 +31,7 @@ from quantrl.a3c import (
 )
 from quantrl.diffnet import SgdOptimizer
 from quantrl.errors import ConfigError, GradientRejected, TrainingError
+from quantrl.qsim import MAX_QUBITS
 from quantrl.tradeenv import BUY, HOLD, SELL, EnvConfig, MarketSeries, TradingEnv, zscore
 
 
@@ -386,6 +387,18 @@ def test_train_config_validation():
         TrainConfig(update_every=0)
     with pytest.raises(ConfigError):
         TrainConfig(head_kind="analog")
+
+
+def test_train_config_latent_dim_at_least_one():
+    with pytest.raises(ConfigError, match="latent_dim"):
+        TrainConfig(latent_dim=0)
+
+
+def test_train_config_quantum_latent_dim_within_qubit_limit():
+    assert TrainConfig(head_kind="quantum", latent_dim=MAX_QUBITS).latent_dim == MAX_QUBITS
+    assert TrainConfig(latent_dim=MAX_QUBITS + 8).latent_dim == MAX_QUBITS + 8
+    with pytest.raises(ConfigError, match="latent_dim"):
+        TrainConfig(head_kind="quantum", latent_dim=MAX_QUBITS + 1)
 
 
 def test_moving_average_trailing_window():

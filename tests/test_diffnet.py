@@ -24,6 +24,7 @@ from quantrl.diffnet import (
     unpack_arrays,
     zero_grads,
 )
+from quantrl.diffnet import _sigmoid
 
 
 def finite_difference(build_loss, params, h=1e-5):
@@ -435,3 +436,14 @@ def test_pack_unpack_roundtrip():
 def test_unpack_rejects_bad_magic():
     with pytest.raises(ValueError):
         unpack_arrays(b"XXXX" + b"\x00" * 16)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_matches_stable_closed_forms_without_overflow():
+    v = np.array([[-800.0, -1.0, 0.0, 1.0, 800.0]])
+    want = [np.exp(x) / (1.0 + np.exp(x)) if x < 0 else 1.0 / (1.0 + np.exp(-x))
+            for x in v[0]]
+    got = _sigmoid(v)
+    assert got.shape == v.shape
+    np.testing.assert_allclose(got[0], want, rtol=1e-15, atol=0.0)
+    assert got[0, 0] == 0.0 and got[0, 2] == 0.5 and got[0, 4] == 1.0

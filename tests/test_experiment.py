@@ -22,12 +22,13 @@ from quantrl.experiment import (
     config_to_ini,
     expected_artifacts,
     load_config_ini,
+    load_series,
     parse_strategy_label,
     run_experiment,
     run_matrix,
 )
 from quantrl.a3c import TrainConfig
-from quantrl.forecaster import ForecastConfig
+from quantrl.forecaster import ForecastConfig, forecast_series, load_forecaster
 from quantrl.svgplot import action_timeline_svg, equity_curve_svg, reward_curve_svg
 from quantrl.synthetic import SyntheticSpec
 
@@ -93,6 +94,19 @@ def test_config_ini_unknown_key_or_section_names_it(tmp_path, text, name):
     path.write_text("[synthetic]\nkind = sawtooth\nlength = 20\n" + text)
     with pytest.raises(ConfigError, match=re.escape(name)):
         load_config_ini(path)
+
+
+@pytest.mark.parametrize("text", [
+    "[synthetic]\nkind = sawtooth\n",
+    "kind = sawtooth\n",
+    b"[synthetic]\n\x89PNG\n",
+], ids=["missing-required-key", "no-section-header", "binary"])
+def test_cli_malformed_config_file_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: bad config file {path}")
 
 
 def test_config_ini_empty_value_is_none_for_optional_fields(tmp_path):
@@ -382,3 +396,92 @@ def test_cli_matrix_subcommand(tmp_path, capsys):
                  "--out", str(tmp_path / "m"), "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "Time in Market" in out
+
+
+def test_cli_forecast_exports_one_forecast_column(tmp_path, capsys):
+    data = tmp_path / "m.csv"
+    assert main(["generate", "--kind", "ar1", "--length", "40", "--seed", "3",
+                 "--out", str(data)]) == 0
+    flags = ["--epochs", "5", "--hidden", "4", "--lookback", "4", "--seed", "1"]
+    assert main(["forecast", "--data", str(data), "--out", str(tmp_path / "fc"),
+                 *flags]) == 0
+    exported = tmp_path / "fc" / "data_with_forecast.csv"
+    header = exported.read_text().splitlines()[0].split(",")
+    assert header.count("forecast") == 1
+    model = load_forecaster(tmp_path / "fc" / "forecaster.qlstm")
+    want = forecast_series(model, load_series(data, 0.8))
+    np.testing.assert_array_almost_equal(
+        tradeenv.load_market_csv(exported).forecast, want, decimal=8)
+
+    # an input that already has the column gets it replaced, not repeated
+    assert main(["forecast", "--data", str(exported), "--out", str(tmp_path / "again"),
+                 *flags]) == 0
+    again = (tmp_path / "again" / "data_with_forecast.csv").read_text()
+    assert again.splitlines()[0].split(",").count("forecast") == 1
+    assert again == exported.read_text()
+    assert "validation rmse=" in capsys.readouterr().out
+
+
+def _short_csv(tmp_path):
+    path = tmp_path / "short.csv"
+    main(["generate", "--kind", "ar1", "--length", "12", "--out", str(path)])
+    return path
+
+
+def _checkpoint(tmp_path):
+    path = tmp_path / "net.qnet"
+    save_checkpoint(ActorCriticNet(obs_dim=8, seed=0), path)
+    return path
+
+
+def _binary(tmp_path):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(np.random.default_rng(0).bytes(300))
+    return path
+
+
+@pytest.mark.parametrize("argv, code", [
+    (lambda t: ["forecast", "--data", str(_short_csv(t)), "--out", str(t / "fc"),
+                "--lookback", "12"], 2),
+    (lambda t: ["forecast", "--data", str(_short_csv(t)), "--out", str(t / "fc"),
+                "--lookback", "0"], 1),
+    (lambda t: ["evaluate", "--checkpoint", str(_checkpoint(t)),
+                "--data", str(_short_csv(t)), "--out", str(t / "ev"),
+                "--train-fraction", "2"], 2),
+    (lambda t: ["generate", "--kind", "ar1", "--length", "12",
+                "--out", str(t / "nodir" / "x.csv")], 2),
+    (lambda t: ["train", "--data", str(_short_csv(t)), "--strategy", "random",
+                "--out", str(t / "short.csv" / "sub")], 2),
+    (lambda t: ["forecast", "--data", str(_binary(t)), "--out", str(t / "fc")], 2),
+], ids=["forecast-too-short", "forecast-lookback-0", "evaluate-train-fraction",
+        "generate-missing-dir", "train-out-under-a-file", "forecast-binary"])
+def test_cli_failure_is_one_line_and_leaves_no_file(tmp_path, capsys, argv, code):
+    args = argv(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(args) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert err[0].startswith("configuration error: " if code == 1 else "error: ")
+    assert [p for p in sorted(tmp_path.rglob("*")) if p.is_file()] == \
+        [p for p in before if p.is_file()]
+
+
+@pytest.mark.parametrize("section, line", [
+    ("forecast", "hidden = 0"), ("train", "latent_dim = 0"),
+])
+def test_cli_size_bound_in_config_file_exit_code(tmp_path, capsys, section, line):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[experiment]\nuse_forecast = true\n[synthetic]\n"
+                   f"kind = sawtooth\nlength = 16\n[{section}]\n{line}\n")
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path / "r"),
+                 "--episodes", "1"]) == 1
+    assert line.split()[0] in capsys.readouterr().err
+
+
+def test_cli_config_file_takes_synthetic_kind_flag(tmp_path, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[experiment]\nstrategy = random\n")
+    assert main(["train", "--config", str(ini), "--synthetic-kind", "sawtooth",
+                 "--synthetic-length", "16", "--out", str(tmp_path / "r")]) == 0
+    assert "kind = sawtooth" in (tmp_path / "r" / "config.ini").read_text()

@@ -8,7 +8,7 @@ import pytest
 
 from quantrl import diffnet
 from quantrl.diffnet import Tape
-from quantrl.errors import EvaluationError, TrainingError
+from quantrl.errors import ConfigError, EvaluationError, TrainingError
 from quantrl.forecaster import (
     ForecastConfig,
     ForecastModel,
@@ -58,6 +58,15 @@ def sine_series(n=160, period=12, amplitude=2.0):
 # ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("lookback", 0), ("hidden", 0), ("train_fraction", 0.0), ("train_fraction", 1.5),
+])
+def test_forecast_config_bounds(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ForecastConfig(**{field: value})
+    assert ForecastConfig(train_fraction=1.0).train_fraction == 1.0
+
 
 def test_single_window_return_arithmetic():
     ds = build_windows(normalized_series([100.0, 110.0]), lookback=1)

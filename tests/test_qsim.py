@@ -100,6 +100,12 @@ def test_init_zero_state_out_of_range(bad):
         init_zero_state(bad)
 
 
+@pytest.mark.parametrize("bad", [0, qsim.MAX_QUBITS + 1])
+def test_vqc_params_qubit_count_out_of_range(bad):
+    with pytest.raises(ConfigError, match="n_qubits"):
+        VqcParams(bad, 1)
+
+
 def test_ry_pi_is_pauli_flip():
     state = apply_ry(init_zero_state(1), 0, np.pi)
     assert state.z_expectations()[0] == pytest.approx(-1.0, abs=1e-12)

@@ -2,6 +2,7 @@
 the accounting identity."""
 
 import datetime as dt
+import re
 import statistics
 
 import numpy as np
@@ -136,14 +137,11 @@ def test_empty_file_and_no_rows(tmp_path):
         load_market_csv(header_only)
 
 
-def test_column_map(tmp_path):
-    path = write_csv(
-        tmp_path / "m.csv",
-        ["2022-01-07,4500,20,0.1,1.0,1.8,3.0"],
-        header="date,SP500,vix,fedfunds,dgs2,dgs10,hy_spread",
-    )
-    series = load_market_csv(path, column_map={"close": "SP500"})
-    assert series.close[0] == 4500.0
+def test_binary_file_is_ingestion_error_naming_the_file(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(np.random.default_rng(0).bytes(200))
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: not a text file")):
+        load_market_csv(path)
 
 
 def test_forecast_column_ingested(tmp_path):
