@@ -10,8 +10,7 @@ drop-in replacements for each other.
 Workers own a private environment and network copy. Every ``update_every``
 steps (or at episode end) a worker computes n-step returns, pushes
 gradients to the global parameter store and pulls the post-update
-parameters back; the push-then-pull is one atomic transaction under the
-store's lock. The advantage is treated as a constant in the policy term
+parameters back. The advantage is treated as a constant in the policy term
 (no gradient flows through it), the standard actor-critic formulation.
 
 The workers are taken in turn on the calling thread, one push each, in
@@ -25,8 +24,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,6 +73,18 @@ class TrainConfig:
                               f"{qsim.MAX_QUBITS}, got {self.latent_dim}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.vqc_depth < 1:
+            raise ConfigError(f"vqc_depth must be >= 1, got {self.vqc_depth}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ConfigError(f"clip_norm must be None or > 0, got {self.clip_norm}")
+
+    def build_net(self, obs_dim: int) -> "ActorCriticNet":
+        """A fresh net of this config's architecture and seed."""
+        return ActorCriticNet(obs_dim, head_kind=self.head_kind,
+                              latent_dim=self.latent_dim,
+                              vqc_depth=self.vqc_depth, seed=self.seed)
 
 
 class ActorCriticNet:
@@ -176,28 +187,6 @@ def n_step_returns(rewards, bootstrap: float, gamma: float) -> np.ndarray:
     return out
 
 
-class Trajectory:
-    """Rolling (state, action, reward) buffer, cleared after each push."""
-
-    def __init__(self):
-        self.states: list[np.ndarray] = []
-        self.actions: list[int] = []
-        self.rewards: list[float] = []
-
-    def append(self, state, action, reward) -> None:
-        self.states.append(state)
-        self.actions.append(action)
-        self.rewards.append(reward)
-
-    def clear(self) -> None:
-        self.states.clear()
-        self.actions.clear()
-        self.rewards.clear()
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
 def compute_loss_and_grads(
     net: ActorCriticNet,
     states,
@@ -238,11 +227,11 @@ def compute_loss_and_grads(
 
 
 class GlobalParams:
-    """Shared flat parameter vector, optimizer state and episode ledger.
+    """The flat parameter vector all workers share, its optimizer state and
+    the episode ledger.
 
-    push_and_pull applies one optimizer step atomically and returns a
-    snapshot of the post-update parameters; readers never observe a
-    half-applied step.
+    push_and_pull applies one optimizer step and returns a copy of the
+    post-update parameters; a rejected gradient leaves them untouched.
     """
 
     def __init__(self, theta: np.ndarray, optimizer, max_episodes: int):
@@ -250,7 +239,6 @@ class GlobalParams:
         self._optimizer = optimizer
         self._max_episodes = max_episodes
         self._started = 0
-        self._lock = threading.Lock()
         self.episode_rewards: list[float] = []
 
     def push_and_pull(self, grads: np.ndarray) -> np.ndarray:
@@ -260,25 +248,31 @@ class GlobalParams:
             )
         if not np.all(np.isfinite(grads)):
             raise GradientRejected("non-finite gradient rejected")
-        with self._lock:
-            self._theta = self._optimizer.step(self._theta, grads)
-            return self._theta.copy()
+        self._theta = self._optimizer.step(self._theta, grads)
+        return self._theta.copy()
 
     def pull(self) -> np.ndarray:
-        with self._lock:
-            return self._theta.copy()
+        return self._theta.copy()
 
     def try_begin_episode(self) -> bool:
         """Reserve an episode slot; False once max_episodes are claimed."""
-        with self._lock:
-            if self._started >= self._max_episodes:
-                return False
-            self._started += 1
-            return True
+        if self._started >= self._max_episodes:
+            return False
+        self._started += 1
+        return True
 
     def record_episode(self, reward: float) -> None:
-        with self._lock:
-            self.episode_rewards.append(float(reward))
+        self.episode_rewards.append(float(reward))
+
+
+def _write_csv(path, stamp: str | None, header, rows) -> None:
+    """A CSV file headed by an optional ``# stamp`` comment line."""
+    with open(path, "w", newline="") as fh:
+        if stamp:
+            fh.write(f"# {stamp}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass
@@ -288,13 +282,9 @@ class TrainingHistory:
     final_theta: np.ndarray
 
     def to_csv(self, path, stamp: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if stamp:
-                fh.write(f"# {stamp}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["episode", "reward", "moving_average"])
-            for i, (r, m) in enumerate(zip(self.rewards, self.moving_average)):
-                writer.writerow([i, f"{r:.12g}", f"{m:.12g}"])
+        _write_csv(path, stamp, ("episode", "reward", "moving_average"), (
+            [i, f"{r:.12g}", f"{m:.12g}"]
+            for i, (r, m) in enumerate(zip(self.rewards, self.moving_average))))
 
 
 def moving_average(values, window: int = 100) -> list[float]:
@@ -312,25 +302,26 @@ def _worker_loop(worker_id, config, global_params, env, net):
     """One worker's episodes; yields after every push-and-pull."""
     rng = np.random.default_rng([config.seed, worker_id])
     net.set_flat(global_params.pull())
-    trajectory = Trajectory()
     k = config.update_every
+    states, actions, rewards = [], [], []  # since the last push
 
     while global_params.try_begin_episode():
         obs = env.reset()
         episode_reward = 0.0
-        trajectory.clear()
         done = False
         while not done:
             probs = net.policy_probs(obs)
             action = categorical_sample(probs, rng)
             next_obs, reward, done, _ = env.step(action)
-            trajectory.append(obs, action, reward)
+            states.append(obs)
+            actions.append(action)
+            rewards.append(reward)
             episode_reward += reward
-            if len(trajectory) >= k or done:
+            if len(actions) >= k or done:
                 bootstrap = 0.0 if done else net.value(next_obs)
-                returns = n_step_returns(trajectory.rewards, bootstrap, config.gamma)
+                returns = n_step_returns(rewards, bootstrap, config.gamma)
                 _, grads = compute_loss_and_grads(
-                    net, trajectory.states, trajectory.actions, returns,
+                    net, states, actions, returns,
                     entropy_coeff=config.entropy_coeff,
                 )
                 if config.clip_norm:
@@ -340,7 +331,7 @@ def _worker_loop(worker_id, config, global_params, env, net):
                 except GradientRejected:
                     theta = global_params.pull()  # resync, drop the bad update
                 net.set_flat(theta)
-                trajectory.clear()
+                states, actions, rewards = [], [], []
                 yield True
             obs = next_obs
         global_params.record_episode(episode_reward)
@@ -354,16 +345,7 @@ def train(config: TrainConfig, env_factory, net_factory=None) -> TrainingHistory
     history plus the final global parameters (``final_theta``).
     """
     if net_factory is None:
-        probe_env = env_factory()
-
-        def net_factory():
-            return ActorCriticNet(
-                probe_env.observation_dim,
-                head_kind=config.head_kind,
-                latent_dim=config.latent_dim,
-                vqc_depth=config.vqc_depth,
-                seed=config.seed,
-            )
+        net_factory = partial(config.build_net, env_factory().observation_dim)
 
     template = net_factory()
     optimizer = diffnet.make_optimizer(
@@ -410,18 +392,10 @@ class EvaluationRun:
         return self.asset_values[-1]
 
     def to_csv(self, path, stamp: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if stamp:
-                fh.write(f"# {stamp}\n")
-            writer = csv.writer(fh)
-            writer.writerow(_EVAL_COLUMNS)
+        _write_csv(path, stamp, _EVAL_COLUMNS, (
+            [date.isoformat(), ACTION_NAMES[action], f"{price:.12g}", f"{asset:.12g}"]
             for date, action, price, asset in zip(
-                self.dates, self.actions, self.prices, self.asset_values
-            ):
-                writer.writerow(
-                    [date.isoformat(), ACTION_NAMES[action],
-                     f"{price:.12g}", f"{asset:.12g}"]
-                )
+                self.dates, self.actions, self.prices, self.asset_values)))
 
     @staticmethod
     def from_csv(path) -> "EvaluationRun":

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import a3c, forecaster, metrics, svgplot, synthetic, tradeenv
-from .a3c import ActorCriticNet, TrainConfig
+from .a3c import TrainConfig
 from .errors import ConfigError, StageError
 from .forecaster import ForecastConfig
 from .synthetic import SyntheticSpec
@@ -69,22 +69,41 @@ class ExperimentConfig:
             raise ConfigError(
                 "exactly one data source required: a CSV path or a synthetic spec"
             )
-        if not 0 < self.train_fraction <= 1:
-            raise ConfigError("train_fraction must be in (0, 1]")
+        if self.strategy == "random" and self.use_forecast:
+            raise ConfigError("the random strategy reads no forecast; "
+                              "drop use_forecast")
+        _check_train_fraction(self.train_fraction)
 
     def resolved(self) -> "ExperimentConfig":
         """Propagate the experiment seed and strategy into the sub-configs."""
-        head_kind = "quantum" if self.strategy == "quantum" else "classical"
+        derived = _derived_settings(self.seed, self.strategy, self.train_fraction)
         return replace(
             self,
-            train=replace(self.train, seed=self.seed, head_kind=head_kind),
-            forecast=replace(self.forecast, seed=self.seed,
-                             train_fraction=self.train_fraction),
+            train=replace(self.train, **derived["train"]),
+            forecast=replace(self.forecast, **derived["forecast"]),
             synthetic=(
                 None if self.synthetic is None
-                else replace(self.synthetic, seed=self.seed)
+                else replace(self.synthetic, **derived["synthetic"])
             ),
         )
+
+
+def _check_train_fraction(train_fraction: float) -> None:
+    if not 0 < train_fraction <= 1:
+        raise ConfigError("train_fraction must be in (0, 1]")
+
+
+_DERIVED_FROM = {"seed": "seed", "head_kind": "strategy",  # [experiment] key
+                 "train_fraction": "train_fraction"}
+
+
+def _derived_settings(seed: int, strategy: str, train_fraction: float) -> dict:
+    """The sub-config keys that the experiment's seed, strategy and train
+    fraction decide, as {section: {key: value}}."""
+    head_kind = "quantum" if strategy == "quantum" else "classical"
+    return {"train": {"seed": seed, "head_kind": head_kind},
+            "forecast": {"seed": seed, "train_fraction": train_fraction},
+            "synthetic": {"seed": seed}}
 
 
 def config_to_ini(config: ExperimentConfig) -> str:
@@ -155,7 +174,8 @@ def _coerce(dc_type, section) -> dict:
 
 def load_config_ini(path=None, **overrides) -> ExperimentConfig:
     """Build an ExperimentConfig from an INI file (none if ``path`` is None)
-    plus keyword overrides; a None override keeps the file's value."""
+    plus keyword overrides; a None override keeps the file's value. A key
+    that ``resolved`` derives must agree with the file's [experiment]."""
     parser = configparser.ConfigParser()
     try:
         if path is not None and not parser.read(path):
@@ -165,9 +185,19 @@ def load_config_ini(path=None, **overrides) -> ExperimentConfig:
                 raise ConfigError(f"{path}: unknown section [{name}]")
         exp = (_coerce(ExperimentConfig, parser["experiment"])
                if parser.has_section("experiment") else {})
+        sources = {key: exp.get(key, getattr(ExperimentConfig, key))
+                   for key in ("seed", "strategy", "train_fraction")}
+        derived = _derived_settings(**sources)
         for name, kind in _SECTIONS.items():
             if name != "experiment" and parser.has_section(name):
-                exp[name] = kind(**_coerce(kind, parser[name]))
+                fields = _coerce(kind, parser[name])
+                for key, want in derived.get(name, {}).items():
+                    if key in fields and fields[key] != want:
+                        source = _DERIVED_FROM[key]
+                        raise ConfigError(
+                            f"{path}: {name}.{key} = {fields[key]} disagrees with "
+                            f"experiment.{source} = {sources[source]}")
+                exp[name] = kind(**fields)
         exp.update({k: v for k, v in overrides.items() if v is not None})
         return ExperimentConfig(**exp)
     except (TypeError, configparser.Error, UnicodeDecodeError) as exc:
@@ -350,13 +380,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
             log.info("training %s agent for %d episodes",
                      config.strategy, config.train.max_episodes)
             history = a3c.train(config.train, env_factory)
-            net = ActorCriticNet(
-                env_factory().observation_dim,
-                head_kind=config.train.head_kind,
-                latent_dim=config.train.latent_dim,
-                vqc_depth=config.train.vqc_depth,
-                seed=config.train.seed,
-            )
+            net = config.train.build_net(env_factory().observation_dim)
             net.set_flat(history.final_theta)
             run.stage = "evaluate"
             evaluation = a3c.evaluate_policy(net, env_factory())
@@ -388,6 +412,7 @@ def evaluate_checkpoint(checkpoint, data, out_dir,
     """Greedy rollout of a checkpoint over a market CSV, emitted as
     evaluation.csv and its two SVGs. The checkpoint's reader raises its own
     error naming the file."""
+    _check_train_fraction(train_fraction)
     net = a3c.load_checkpoint(checkpoint)
     out = Path(out_dir)
     with Stages("ingest") as run:
@@ -450,9 +475,8 @@ def run_matrix(config: ExperimentConfig,
         # one shared dataset: materialize a synthetic spec once up front
         base = config
         if config.synthetic is not None:
-            spec = replace(config.synthetic, seed=config.seed)
-            data = run.write(out / "data.csv",
-                             partial(synthetic.generate_synthetic, spec))
+            data = run.write(out / "data.csv", partial(
+                synthetic.generate_synthetic, config.resolved().synthetic))
             base = replace(config, synthetic=None, data=str(data))
 
         for label in strategies:

@@ -39,6 +39,10 @@ class ForecastConfig:
             raise ConfigError(f"lookback must be >= 1, got {self.lookback}")
         if self.hidden < 1:
             raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0 < self.train_fraction <= 1:
             raise ConfigError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
 
@@ -70,6 +74,11 @@ class ForecastEvaluation:
     directional_accuracy: float
 
 
+def _windows(series: MarketSeries, lookback: int, count: int) -> np.ndarray:
+    """[count, lookback, n_features]: window k is z-scored rows [k, k+lookback)."""
+    return np.stack([series.normalized[k: k + lookback] for k in range(count)])
+
+
 def build_windows(
     series: MarketSeries, lookback: int, train_fraction: float = 0.8
 ) -> ForecastDataset:
@@ -85,9 +94,7 @@ def build_windows(
             f"series of length {n} is too short for lookback {lookback}"
         )
     close = series.close
-    inputs = np.stack(
-        [series.normalized[k: k + lookback] for k in range(n_windows)]
-    )
+    inputs = _windows(series, lookback, n_windows)
     targets = 100.0 * (close[lookback:] / close[lookback - 1: -1] - 1.0)
     end_dates = tuple(series.dates[k + lookback - 1] for k in range(n_windows))
     target_dates = tuple(series.dates[k + lookback] for k in range(n_windows))
@@ -180,8 +187,7 @@ def forecast_series(model: ForecastModel, series: MarketSeries,
     out = np.zeros(n)
     if n < lb:
         return out
-    windows = np.stack([series.normalized[t - lb + 1: t + 1] for t in range(lb - 1, n)])
-    preds = model.predict_batch(windows)
+    preds = model.predict_batch(_windows(series, lb, n - lb + 1))
     out[lb - 1:] = np.sign(preds) if direction_only else preds
     return out
 

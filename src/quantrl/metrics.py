@@ -236,15 +236,12 @@ def summary_metrics(
         raise ValueError("position flags must align with the equity curve")
 
     values = curve.values
-    notes: dict[str, str] = {}
     r = periodic_returns(values)
     if r.size >= 2:
-        ratios, ratio_notes = ratio_metrics(r, periods_per_year)
-        notes.update(ratio_notes)
+        ratios, notes = ratio_metrics(r, periods_per_year)
     else:
-        ratios = {}
-        for name in RATIO_METRIC_NAMES:
-            notes[name] = "needs at least two returns"
+        ratios = dict.fromkeys(RATIO_METRIC_NAMES, math.nan)
+        notes = dict.fromkeys(RATIO_METRIC_NAMES, "needs at least two returns")
 
     dd_depth, dd_days = max_drawdown(curve)
     cumulative = float(values[-1] / values[0] - 1.0)
@@ -296,21 +293,13 @@ def summary_metrics(
         notes["win_month_pct"] = "fewer than two calendar months"
 
     return MetricsReport(
+        **ratios,
         time_in_market=100.0 * float(flags.mean()),
         cumulative_return=cumulative,
         cagr=cagr,
-        sharpe=ratios.get("sharpe", math.nan),
-        sortino=ratios.get("sortino", math.nan),
-        smart_sharpe=ratios.get("smart_sharpe", math.nan),
         max_drawdown=dd_depth,
         longest_drawdown_days=dd_days,
-        volatility_ann=ratios.get("volatility_ann", math.nan),
         calmar=calmar,
-        gain_pain=ratios.get("gain_pain", math.nan),
-        profit_factor=ratios.get("profit_factor", math.nan),
-        payoff_ratio=ratios.get("payoff_ratio", math.nan),
-        tail_ratio=ratios.get("tail_ratio", math.nan),
-        omega=ratios.get("omega", math.nan),
         ulcer_index=ulcer,
         recovery_factor=recovery,
         serenity_index=serenity,
@@ -387,18 +376,15 @@ def report_table(reports: dict[str, MetricsReport],
 
     label_width = max(len(label) for label, _, _ in REPORT_ROWS)
     widths = [max(len(col), max(len(c) for c in cells[col])) for col in columns]
-    lines = [
-        "Metric".ljust(label_width) + "  " + "  ".join(
-            col.rjust(w) for col, w in zip(columns, widths)
-        )
-    ]
-    lines.append("-" * len(lines[0]))
-    for i, (label, _, _) in enumerate(REPORT_ROWS):
-        row = label.ljust(label_width) + "  " + "  ".join(
-            cells[col][i].rjust(w) for col, w in zip(columns, widths)
-        )
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+
+    def line(label, row):
+        return label.ljust(label_width) + "  " + "  ".join(
+            cell.rjust(w) for cell, w in zip(row, widths))
+
+    header = line("Metric", columns)
+    return "\n".join([header, "-" * len(header)] + [
+        line(label, [cells[col][i] for col in columns])
+        for i, (label, _, _) in enumerate(REPORT_ROWS)]) + "\n"
 
 
 def report_csv(reports: dict[str, MetricsReport],

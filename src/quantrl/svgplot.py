@@ -133,6 +133,13 @@ class _Frame:
     def series(self, xs, ys):
         return [(self.x_pixel(x), self.y_pixel(y)) for x, y in zip(xs, ys)]
 
+    def date_labels(self, dates):
+        """First and last date under the x axis, if any dates are given."""
+        if dates:
+            self.canvas.text(self.left, self.bottom + 34, str(dates[0]), size=11)
+            self.canvas.text(self.right, self.bottom + 34, str(dates[-1]), size=11,
+                             anchor="end")
+
 
 def reward_curve_svg(rewards, moving_avg, title="Training rewards",
                      stamp: str | None = None) -> str:
@@ -168,10 +175,7 @@ def action_timeline_svg(prices, actions, dates=None, title="Action timeline",
         elif action == "sell":
             canvas.triangle(frame.x_pixel(i), frame.y_pixel(prices[i]), 5,
                             "#cc3333", up=False)
-    if dates:
-        canvas.text(frame.left, frame.bottom + 34, str(dates[0]), size=11)
-        canvas.text(frame.right, frame.bottom + 34, str(dates[-1]), size=11,
-                    anchor="end")
+    frame.date_labels(dates)
     return canvas.to_string()
 
 
@@ -183,8 +187,5 @@ def equity_curve_svg(asset_values, dates=None, title="Equity curve",
                    (min(asset_values), max(asset_values)),
                    title, "week", "portfolio value")
     canvas.polyline(frame.series(steps, asset_values), color="#1f4e9c", width=1.8)
-    if dates:
-        canvas.text(frame.left, frame.bottom + 34, str(dates[0]), size=11)
-        canvas.text(frame.right, frame.bottom + 34, str(dates[-1]), size=11,
-                    anchor="end")
+    frame.date_labels(dates)
     return canvas.to_string()

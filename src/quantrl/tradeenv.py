@@ -194,10 +194,7 @@ def zscore(series: MarketSeries, train_fraction: float = 1.0) -> MarketSeries:
     n_train = max(1, math.ceil(train_fraction * len(series)))
     normalized = _zscore_columns(series.features, n_train, "feature")
     out = replace(series, normalized=normalized, n_train=n_train)
-    if series.forecast is not None:
-        nf = _zscore_columns(series.forecast[:, None], n_train, "forecast")
-        out.normalized_forecast = nf[:, 0]
-    return out
+    return out if series.forecast is None else attach_forecast(out, series.forecast)
 
 
 def attach_forecast(series: MarketSeries, forecasts) -> MarketSeries:
@@ -290,7 +287,7 @@ class TradingEnv:
         return self._state
 
     def _observe(self, t: int) -> np.ndarray:
-        # a fresh array: a Trajectory keeps the observations it is given
+        # a fresh array: a worker keeps the observations it is given
         obs = self._obs_rows[t].copy()
         s = self._state
         if s.position == LONG and self._with_tail:
@@ -302,6 +299,16 @@ class TradingEnv:
         self._state = EnvState(initial_cash=self.config.initial_cash)
         return self._observe(0)
 
+    def _close_position(self, price: float) -> float:
+        """Sell the open position at ``price``; returns its realized pnl,
+        net of the trade cost."""
+        s, cost = self._state, self.config.trade_cost_rate
+        pnl = price - s.buy_price - cost * price
+        s.realized_pnl += pnl
+        s.position = FLAT
+        s.buy_price = None
+        return pnl
+
     def step(self, action: int):
         """Returns (observation, reward, done, info)."""
         s = self._state
@@ -312,7 +319,6 @@ class TradingEnv:
 
         t = s.t
         price = self._close[t]
-        cost = self.config.trade_cost_rate
         reward = 0.0
         executed = HOLD
 
@@ -321,22 +327,14 @@ class TradingEnv:
             s.buy_price = price
             executed = BUY
         elif action == SELL and s.position == LONG:
-            reward = price - s.buy_price - cost * price
-            s.realized_pnl += reward
-            s.position = FLAT
-            s.buy_price = None
+            reward = self._close_position(price)
             executed = SELL
 
         position_after_action = s.position
         done = t == len(self) - 1
-        liquidated = False
-        if done and s.position == LONG:
-            liq = price - s.buy_price - cost * price
-            reward += liq
-            s.realized_pnl += liq
-            s.position = FLAT
-            s.buy_price = None
-            liquidated = True
+        liquidated = done and s.position == LONG
+        if liquidated:
+            reward += self._close_position(price)
 
         asset = s.balance + (price - s.buy_price if s.position == LONG else 0.0)
         info = {

@@ -4,6 +4,7 @@ on success). Long-running learning checks live here, not in the unit
 modules."""
 
 import datetime as dt
+import hashlib
 import itertools
 import math
 import time
@@ -16,7 +17,7 @@ import scipy.stats
 from metric_oracle import oracle_summary
 from test_qsim import dense_oracle_expectations, random_instance
 
-from quantrl import diffnet, qsim
+from quantrl import diffnet, forecaster, qsim
 from quantrl.a3c import (
     TrainConfig,
     n_step_returns,
@@ -445,27 +446,55 @@ def test_c09_metrics_oracle():
 # 10. reproducibility
 # ---------------------------------------------------------------------------
 
-def test_c10_reproducible_artifacts(tmp_path):
-    def config(out):
-        return ExperimentConfig(
-            synthetic=SyntheticSpec("sawtooth", 60),
-            strategy="classical",
-            use_forecast=True,
-            out_dir=str(out),
-            seed=9,
-            train=TrainConfig(max_episodes=40, n_workers=1, seed=9,
-                              latent_dim=4, update_every=10),
-            forecast=ForecastConfig(epochs=40, hidden=8, lookback=4),
-        )
+def c10_config(out):
+    return ExperimentConfig(
+        synthetic=SyntheticSpec("sawtooth", 60),
+        strategy="classical",
+        use_forecast=True,
+        out_dir=str(out),
+        seed=9,
+        train=TrainConfig(max_episodes=40, n_workers=1, seed=9,
+                          latent_dim=4, update_every=10),
+        forecast=ForecastConfig(epochs=40, hidden=8, lookback=4),
+    )
 
-    first = run_experiment(config(tmp_path / "a"))
-    second = run_experiment(config(tmp_path / "b"))
+
+def test_c10_reproducible_artifacts(tmp_path):
+    first = run_experiment(c10_config(tmp_path / "a"))
+    second = run_experiment(c10_config(tmp_path / "b"))
     compared = []
     for name in ("data.csv", "training_history.csv", "evaluation.csv",
                  "metrics.csv"):
         assert first.files[name].read_bytes() == second.files[name].read_bytes()
         compared.append(name)
     _pass(10, f"single-worker fixed-seed reruns byte-identical: {compared}")
+
+
+def test_c10_artifacts_are_pinned(tmp_path, monkeypatch):
+    # c10 compares reruns of one build; these digests pin its files and the
+    # forecast vector across changes that claim identical results
+    vectors = []
+    forecast_series = forecaster.forecast_series
+
+    def capture(*args, **kwargs):
+        vectors.append(forecast_series(*args, **kwargs))
+        return vectors[-1]
+
+    monkeypatch.setattr(forecaster, "forecast_series", capture)
+    files = run_experiment(c10_config(tmp_path)).files
+    got = {name: hashlib.sha256(files[name].read_bytes()).hexdigest()
+           for name in ("data.csv", "evaluation.csv", "training_history.csv",
+                        "metrics.csv")}
+    got["forecast"] = hashlib.sha256(
+        np.asarray(vectors[0], np.float64).tobytes()).hexdigest()
+    assert len(vectors) == 1 and got == {
+        "data.csv": "544c344d275076afc51305534b33f212ae97c2ed82d7343dc80394752836cda9",
+        "evaluation.csv": "fa3b0e1c5bcaf9d6de2822a7369c5dace75e6547c6e7618708b9b0530d05e01a",
+        "training_history.csv":
+            "006c4a06a1b21b1397650b7ea4d084f8d68068858c67a8c173c930cd0963c010",
+        "metrics.csv": "7210ad33c551da06a935e5d5ce3abac475628bb6bd38219ac69b1a3f32786f85",
+        "forecast": "d5a0614e69a3d5736404939438247331a5eeecdfdb76da539441c09349b12b6a",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,40 @@ def test_config_ini_empty_value_is_none_for_optional_fields(tmp_path):
     assert config.data is None and config.train.clip_norm is None
 
 
+@pytest.mark.parametrize("text, keys", [
+    ("[train]\nhead_kind = quantum\n", ("train.head_kind", "experiment.strategy")),
+    ("[experiment]\nseed = 1\n[train]\nseed = 5\n", ("train.seed", "experiment.seed")),
+    ("[forecast]\ntrain_fraction = 0.5\n",
+     ("forecast.train_fraction", "experiment.train_fraction")),
+], ids=["head-kind", "train-seed", "forecast-train-fraction"])
+def test_config_ini_derived_key_must_agree_with_experiment(tmp_path, text, keys):
+    path = tmp_path / "c.ini"
+    path.write_text("[synthetic]\nkind = sawtooth\nlength = 20\n" + text)
+    with pytest.raises(ConfigError) as info:
+        load_config_ini(path)
+    assert all(key in str(info.value) for key in keys)
+
+
+def test_cli_snapshot_reruns_with_another_seed(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["train", "--synthetic-kind", "sawtooth", "--synthetic-length", "16",
+                 "--strategy", "classical", "--episodes", "1", "--seed", "3",
+                 "--out", str(first)]) == 0
+    assert main(["train", "--config", str(first / "config.ini"), "--seed", "7",
+                 "--out", str(second)]) == 0
+    snapshot = (second / "config.ini").read_text()
+    assert snapshot.count("seed = 7") == 4 and "seed = 3" not in snapshot
+
+
+def test_random_strategy_takes_no_forecast(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="random"):
+        tiny_config(tmp_path, strategy="random", use_forecast=True)
+    assert main(["train", "--synthetic-kind", "sawtooth", "--strategy", "random",
+                 "--use-forecast", "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "r").exists()
+
+
 def test_config_hash_ignores_out_dir(tmp_path):
     a = tiny_config(tmp_path / "a")
     b = tiny_config(tmp_path / "b")
@@ -188,7 +222,7 @@ def test_forecast_stage_runs(tmp_path):
 
 def test_stage_failure_names_stage_and_cleans_up(tmp_path):
     out = tmp_path / "run"
-    config = tiny_config(out, strategy="random", length=10, use_forecast=True)
+    config = tiny_config(out, strategy="classical", length=10, use_forecast=True)
     config = replace(config, forecast=ForecastConfig(lookback=50, epochs=2))
     with pytest.raises(StageError, match="forecast"):
         run_experiment(config)
@@ -204,7 +238,8 @@ def test_forecast_stage_passes_other_warnings_through(tmp_path, monkeypatch):
         return attach(series, vector)
 
     monkeypatch.setattr(tradeenv, "attach_forecast", warning_attach)
-    config = tiny_config(tmp_path / "run", length=40, use_forecast=True)
+    config = tiny_config(tmp_path / "run", strategy="classical", episodes=2,
+                         length=40, use_forecast=True)
     with pytest.warns(RuntimeWarning, match="forecast drift"):
         run_experiment(config)
 
@@ -447,7 +482,7 @@ def _binary(tmp_path):
                 "--lookback", "0"], 1),
     (lambda t: ["evaluate", "--checkpoint", str(_checkpoint(t)),
                 "--data", str(_short_csv(t)), "--out", str(t / "ev"),
-                "--train-fraction", "2"], 2),
+                "--train-fraction", "2"], 1),
     (lambda t: ["generate", "--kind", "ar1", "--length", "12",
                 "--out", str(t / "nodir" / "x.csv")], 2),
     (lambda t: ["train", "--data", str(_short_csv(t)), "--strategy", "random",

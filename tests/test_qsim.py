@@ -279,8 +279,9 @@ def test_forward_follows_set_flat():
 
 
 def test_block_cache_shared_by_threads():
-    # A3C workers share the cache: threads cycling through more angle
-    # vectors than it holds must each read their own circuit.
+    # The cache is module-wide, so any threads a caller runs share it:
+    # threads cycling through more angle vectors than it holds must each
+    # read their own circuit.
     rng = np.random.default_rng(41)
     x = rng.uniform(-1, 1, 3)
     params = [VqcParams(3, 2, rng.uniform(-np.pi, np.pi, (2, 3, 2)))
