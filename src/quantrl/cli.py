@@ -22,10 +22,12 @@ from .experiment import DEFAULT_MATRIX, STRATEGIES, ExperimentConfig
 from .forecaster import ForecastConfig
 from .synthetic import KINDS, SyntheticSpec
 
+_SYNTHETIC_LENGTH = 120  # --synthetic-kind rows without a [synthetic] section
+
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--config", default=None, help="INI config file")
 
 
@@ -37,8 +39,10 @@ def _add_train_flags(parser):
                         help="A3C workers, taken in turn (default: 1)")
     parser.add_argument("--episodes", dest="max_episodes", type=int, default=None)
     parser.add_argument("--data", default=None, help="market CSV path")
-    parser.add_argument("--synthetic-kind", choices=KINDS)
-    parser.add_argument("--synthetic-length", type=int, default=120)
+    parser.add_argument("--synthetic-kind", dest="kind", choices=KINDS)
+    parser.add_argument("--synthetic-length", dest="length", type=int,
+                        help=f"rows (default: the config file's, else "
+                             f"{_SYNTHETIC_LENGTH})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,12 +104,17 @@ def _given(args, *names) -> dict:
 
 
 def _experiment_config(args, default_out: str) -> ExperimentConfig:
-    overrides = _given(args, "strategy", "seed", "data", "use_forecast")
-    overrides["out_dir"] = args.out or default_out
-    if args.synthetic_kind:
-        overrides["synthetic"] = SyntheticSpec(args.synthetic_kind,
-                                               args.synthetic_length)
-    config = experiment.load_config_ini(args.config, **overrides)
+    """The --config file's values, with the given flags over them; the
+    synthetic flags replace only the kind and length of the file's spec."""
+    fields = {"out_dir": default_out, **experiment.read_config_ini(args.config)}
+    fields.update(_given(args, "strategy", "seed", "data", "use_forecast", "out_dir"))
+    if "synthetic" in fields:
+        fields["synthetic"] = dataclasses.replace(fields["synthetic"],
+                                                  **_given(args, "kind", "length"))
+    elif args.kind:
+        fields["synthetic"] = SyntheticSpec(args.kind, _SYNTHETIC_LENGTH
+                                            if args.length is None else args.length)
+    config = ExperimentConfig(**fields)
     return dataclasses.replace(config, train=dataclasses.replace(
         config.train, **_given(args, "n_workers", "max_episodes")))
 

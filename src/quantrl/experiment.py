@@ -2,18 +2,19 @@
 pipeline and the five-strategy comparison matrix.
 
 A run executes ingest -> (optional) forecast -> train -> evaluate ->
-metrics -> emit. Every artifact is stamped with the resolved config hash
-and seed; with a fixed seed a rerun reproduces identical CSV bytes, at
-any worker count.
+metrics -> emit. Every artifact is stamped with the config hash and seed;
+with a fixed seed a rerun reproduces identical CSV bytes, at any worker
+count.
 
 Each CLI subcommand is one function here, built from the same stages
 (``fit_forecast``, ``emit_evaluation``, ``emit_metrics``) and run inside
 one ``Stages`` wrapper, which owns failure handling.
 
 Config files are INI ("key = value" under [experiment], [synthetic],
-[train], [env], [forecast] sections); the resolved config is always
-written back out as ``config.ini`` so a run can be reproduced from its
-own snapshot.
+[train], [env], [forecast] sections); a config takes its sub-configs'
+seeds, head kind and forecast train fraction from its own when it is
+made, and every run writes it back out as ``config.ini`` so a run can be
+reproduced from its own snapshot.
 """
 
 from __future__ import annotations
@@ -73,19 +74,10 @@ class ExperimentConfig:
             raise ConfigError("the random strategy reads no forecast; "
                               "drop use_forecast")
         _check_train_fraction(self.train_fraction)
-
-    def resolved(self) -> "ExperimentConfig":
-        """Propagate the experiment seed and strategy into the sub-configs."""
         derived = _derived_settings(self.seed, self.strategy, self.train_fraction)
-        return replace(
-            self,
-            train=replace(self.train, **derived["train"]),
-            forecast=replace(self.forecast, **derived["forecast"]),
-            synthetic=(
-                None if self.synthetic is None
-                else replace(self.synthetic, **derived["synthetic"])
-            ),
-        )
+        for name, values in derived.items():
+            if getattr(self, name) is not None:
+                setattr(self, name, replace(getattr(self, name), **values))
 
 
 def _check_train_fraction(train_fraction: float) -> None:
@@ -106,33 +98,25 @@ def _derived_settings(seed: int, strategy: str, train_fraction: float) -> dict:
             "synthetic": {"seed": seed}}
 
 
-def config_to_ini(config: ExperimentConfig) -> str:
-    """Canonical INI text: fixed section order, sorted keys."""
-    sections: dict[str, dict] = {"experiment": {
-        "strategy": config.strategy,
-        "use_forecast": config.use_forecast,
-        "seed": config.seed,
-        "train_fraction": config.train_fraction,
-        "out_dir": config.out_dir,
-    }}
-    if config.data is not None:
-        sections["experiment"]["data"] = config.data
-    if config.synthetic is not None:
-        sections["synthetic"] = dataclasses.asdict(config.synthetic)
-    sections["train"] = dataclasses.asdict(config.train)
-    sections["env"] = dataclasses.asdict(config.env)
-    sections["forecast"] = dataclasses.asdict(config.forecast)
+_SECTIONS = {"experiment": ExperimentConfig, "synthetic": SyntheticSpec,
+             "train": TrainConfig, "env": EnvConfig, "forecast": ForecastConfig}
 
+
+def config_to_ini(config: ExperimentConfig) -> str:
+    """Canonical INI text: sections in ``_SECTIONS`` order, sorted keys. An
+    unset [experiment] value (the data path) is left out; any other None is
+    written empty."""
     lines = []
-    for name in ("experiment", "synthetic", "train", "env", "forecast"):
-        if name not in sections:
+    for name, kind in _SECTIONS.items():
+        section = config if name == "experiment" else getattr(config, name)
+        if section is None:
             continue
         lines.append(f"[{name}]")
-        for key in sorted(sections[name]):
-            value = sections[name][key]
-            if value is None:
-                value = ""
-            lines.append(f"{key} = {value}")
+        for key in sorted(f.name for f in dataclasses.fields(kind)):
+            value = getattr(section, key)
+            if key in _SECTIONS or (value is None and name == "experiment"):
+                continue
+            lines.append(f"{key} = {'' if value is None else value}")
         lines.append("")
     return "\n".join(lines)
 
@@ -143,10 +127,6 @@ def config_hash(config: ExperimentConfig) -> str:
         if not line.startswith("out_dir = ")
     )
     return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-_SECTIONS = {"experiment": ExperimentConfig, "synthetic": SyntheticSpec,
-             "train": TrainConfig, "env": EnvConfig, "forecast": ForecastConfig}
 
 
 def _coerce(dc_type, section) -> dict:
@@ -172,11 +152,11 @@ def _coerce(dc_type, section) -> dict:
     return kwargs
 
 
-def load_config_ini(path=None, **overrides) -> ExperimentConfig:
-    """Build an ExperimentConfig from an INI file (none if ``path`` is None)
-    plus keyword overrides; a None override keeps the file's value. A key
-    that ``resolved`` derives must agree with the file's [experiment]."""
-    parser = configparser.ConfigParser()
+def read_config_ini(path=None) -> dict:
+    """The ExperimentConfig keyword arguments an INI file sets (none if
+    ``path`` is None), each sub-config built from its section. A key that
+    ExperimentConfig derives must agree with the file's [experiment]."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         if path is not None and not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
@@ -198,11 +178,15 @@ def load_config_ini(path=None, **overrides) -> ExperimentConfig:
                             f"{path}: {name}.{key} = {fields[key]} disagrees with "
                             f"experiment.{source} = {sources[source]}")
                 exp[name] = kind(**fields)
-        exp.update({k: v for k, v in overrides.items() if v is not None})
-        return ExperimentConfig(**exp)
+        return exp
     except (TypeError, configparser.Error, UnicodeDecodeError) as exc:
         detail = "; ".join(str(exc).splitlines())  # configparser's span lines
         raise ConfigError(f"bad config file {path}: {detail}") from exc
+
+
+def load_config_ini(path) -> ExperimentConfig:
+    """The ExperimentConfig an INI file describes."""
+    return ExperimentConfig(**read_config_ini(path))
 
 
 class Stages(contextlib.AbstractContextManager):
@@ -350,7 +334,6 @@ def export_forecast(data, out_dir, config: ForecastConfig):
 
 def run_experiment(config: ExperimentConfig) -> RunArtifacts:
     """Execute the full pipeline and emit the artifact set."""
-    config = config.resolved()
     out = Path(config.out_dir)
     digest = config_hash(config)
     stamp = f"config_hash={digest} seed={config.seed}"
@@ -476,7 +459,7 @@ def run_matrix(config: ExperimentConfig,
         base = config
         if config.synthetic is not None:
             data = run.write(out / "data.csv", partial(
-                synthetic.generate_synthetic, config.resolved().synthetic))
+                synthetic.generate_synthetic, config.synthetic))
             base = replace(config, synthetic=None, data=str(data))
 
         for label in strategies:

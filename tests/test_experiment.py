@@ -4,10 +4,14 @@ Training runs in here are deliberately tiny (tens of episodes); the
 full-scale learning runs live in test_acceptance.py."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from quantrl.experiment import (
     config_hash,
     config_to_ini,
     expected_artifacts,
+    generate,
     load_config_ini,
     load_series,
     parse_strategy_label,
@@ -31,6 +36,8 @@ from quantrl.a3c import TrainConfig
 from quantrl.forecaster import ForecastConfig, forecast_series, load_forecaster
 from quantrl.svgplot import action_timeline_svg, equity_curve_svg, reward_curve_svg
 from quantrl.synthetic import SyntheticSpec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_config(out_dir, strategy="random", episodes=8, length=24, **kwargs):
@@ -61,14 +68,52 @@ def test_config_requires_exactly_one_source(tmp_path):
 def test_config_ini_roundtrip(tmp_path):
     config = tiny_config(tmp_path, strategy="quantum", use_forecast=True)
     path = tmp_path / "config.ini"
-    path.write_text(config_to_ini(config.resolved()))
+    path.write_text(config_to_ini(config))
     back = load_config_ini(path)
     assert back.strategy == "quantum"
     assert back.use_forecast is True
     assert back.synthetic.kind == "sawtooth"
     assert back.train.max_episodes == 8
     assert back.train.latent_dim == 4
-    assert config_hash(back.resolved()) == config_hash(config.resolved())
+    assert config_hash(back) == config_hash(config)
+
+
+def test_config_built_in_code_holds_derived_values():
+    config = ExperimentConfig(synthetic=SyntheticSpec("sawtooth", 20),
+                              strategy="quantum", seed=3, train_fraction=0.7,
+                              train=TrainConfig(latent_dim=4))
+    assert config.train.head_kind == "quantum"
+    assert config.train.seed == config.forecast.seed == config.synthetic.seed == 3
+    assert config.forecast.train_fraction == 0.7
+
+
+def test_replace_derives_again(tmp_path):
+    quantum = replace(tiny_config(tmp_path, strategy="classical"),
+                      strategy="quantum", seed=11)
+    assert quantum.train.head_kind == "quantum"
+    assert quantum.train.seed == quantum.forecast.seed == quantum.synthetic.seed == 11
+    assert replace(quantum, strategy="classical").train.head_kind == "classical"
+
+
+def test_config_built_in_code_roundtrips_and_hashes_as_stamped(tmp_path):
+    config = ExperimentConfig(synthetic=SyntheticSpec("ar1", 20, period=4),
+                              strategy="random", seed=3, train_fraction=0.7,
+                              out_dir=str(tmp_path / "run"))
+    path = tmp_path / "c.ini"
+    path.write_text(config_to_ini(config))
+    assert load_config_ini(path) == config
+    run = run_experiment(config)
+    stamp = run.files["evaluation.csv"].read_text().splitlines()[0]
+    assert stamp == f"# config_hash={config_hash(config)} seed=3"
+
+
+def test_snapshot_with_percent_in_paths_loads_back(tmp_path):
+    (tmp_path / "50%").mkdir()
+    data = generate(SyntheticSpec("trend", 20), tmp_path / "50%" / "d.csv")
+    config = ExperimentConfig(data=str(data), strategy="random",
+                              out_dir=str(tmp_path / "50%" / "run"))
+    run = run_experiment(config)
+    assert load_config_ini(run.files["config.ini"]) == config
 
 
 @pytest.mark.parametrize("section, line", [
@@ -512,6 +557,40 @@ def test_cli_size_bound_in_config_file_exit_code(tmp_path, capsys, section, line
     assert main(["train", "--config", str(ini), "--out", str(tmp_path / "r"),
                  "--episodes", "1"]) == 1
     assert line.split()[0] in capsys.readouterr().err
+
+
+def test_cli_out_dir_comes_from_config_file_unless_given(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("c.ini").write_text("[experiment]\nstrategy = random\nout_dir = fromfile\n"
+                             "[synthetic]\nkind = sawtooth\nlength = 16\n")
+    assert main(["train", "--config", "c.ini"]) == 0
+    assert Path("fromfile", "config.ini").is_file() and not Path("run").exists()
+    assert main(["matrix", "--synthetic-kind", "trend", "--strategies", "random"]) == 0
+    assert Path("matrix", "matrix_table.csv").is_file()
+
+
+@pytest.mark.parametrize("flags, kind, length", [
+    (["--synthetic-kind", "trend"], "trend", 40),
+    (["--synthetic-length", "30"], "sawtooth", 30),
+], ids=["kind", "length"])
+def test_cli_synthetic_flags_replace_only_their_key(tmp_path, flags, kind, length):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[experiment]\nstrategy = random\n[synthetic]\n"
+                   "kind = sawtooth\nlength = 40\nperiod = 4\n")
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path / "r"),
+                 *flags]) == 0
+    spec = load_config_ini(tmp_path / "r" / "config.ini").synthetic
+    assert (spec.kind, spec.length, spec.period) == (kind, length, 4)
+
+
+def test_cli_module_runs_without_import_warning(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "quantrl.cli", "--help"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_config_file_takes_synthetic_kind_flag(tmp_path, capsys):
