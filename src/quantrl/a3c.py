@@ -10,8 +10,11 @@ drop-in replacements for each other.
 Workers own a private environment and network copy. Every ``update_every``
 steps (or at episode end) a worker computes n-step returns, pushes
 gradients to the global parameter store and pulls the post-update
-parameters back. The advantage is treated as a constant in the policy term
-(no gradient flows through it), the standard actor-critic formulation.
+parameters back. The store holds the shared parameters and their
+optimizer state, nothing else; ``train`` hands the workers one episode
+budget and one reward log. The advantage is treated as a constant in the
+policy term (no gradient flows through it), the standard actor-critic
+formulation.
 
 The workers are taken in turn on the calling thread, one push each, in
 worker order. Each worker computes its gradient on its own copy, pulled
@@ -227,19 +230,15 @@ def compute_loss_and_grads(
 
 
 class GlobalParams:
-    """The flat parameter vector all workers share, its optimizer state and
-    the episode ledger.
+    """The flat parameter vector all workers share and its optimizer state.
 
     push_and_pull applies one optimizer step and returns a copy of the
     post-update parameters; a rejected gradient leaves them untouched.
     """
 
-    def __init__(self, theta: np.ndarray, optimizer, max_episodes: int):
+    def __init__(self, theta: np.ndarray, optimizer):
         self._theta = np.asarray(theta, dtype=np.float64).copy()
         self._optimizer = optimizer
-        self._max_episodes = max_episodes
-        self._started = 0
-        self.episode_rewards: list[float] = []
 
     def push_and_pull(self, grads: np.ndarray) -> np.ndarray:
         if grads.shape != self._theta.shape:
@@ -253,16 +252,6 @@ class GlobalParams:
 
     def pull(self) -> np.ndarray:
         return self._theta.copy()
-
-    def try_begin_episode(self) -> bool:
-        """Reserve an episode slot; False once max_episodes are claimed."""
-        if self._started >= self._max_episodes:
-            return False
-        self._started += 1
-        return True
-
-    def record_episode(self, reward: float) -> None:
-        self.episode_rewards.append(float(reward))
 
 
 def _write_csv(path, stamp: str | None, header, rows) -> None:
@@ -298,14 +287,15 @@ def moving_average(values, window: int = 100) -> list[float]:
     return out
 
 
-def _worker_loop(worker_id, config, global_params, env, net):
-    """One worker's episodes; yields after every push-and-pull."""
+def _worker_loop(worker_id, config, global_params, episodes, reward_log, env, net):
+    """One worker's episodes, claimed from the shared ``episodes`` and
+    logged to ``reward_log``; yields after every push-and-pull."""
     rng = np.random.default_rng([config.seed, worker_id])
     net.set_flat(global_params.pull())
     k = config.update_every
     states, actions, rewards = [], [], []  # since the last push
 
-    while global_params.try_begin_episode():
+    for _ in episodes:
         obs = env.reset()
         episode_reward = 0.0
         done = False
@@ -334,37 +324,32 @@ def _worker_loop(worker_id, config, global_params, env, net):
                 states, actions, rewards = [], [], []
                 yield True
             obs = next_obs
-        global_params.record_episode(episode_reward)
+        reward_log.append(float(episode_reward))
 
 
 def train(config: TrainConfig, env_factory, net_factory=None) -> TrainingHistory:
     """Run N workers in turn until max_episodes episodes have been claimed.
 
     env_factory() must build a fresh environment per call; net_factory()
-    (optional) a fresh, identically-seeded network. Returns the reward
-    history plus the final global parameters (``final_theta``).
+    (optional) a fresh network of one architecture. Every worker starts
+    from worker 0's initial parameters. Returns the reward history plus
+    the final global parameters (``final_theta``).
     """
-    if net_factory is None:
-        net_factory = partial(config.build_net, env_factory().observation_dim)
-
-    template = net_factory()
-    optimizer = diffnet.make_optimizer(
-        config.optimizer, template.get_flat().size, config.learning_rate
-    )
-    global_params = GlobalParams(
-        template.get_flat(), optimizer, config.max_episodes
-    )
-
+    episodes = iter(range(config.max_episodes))
+    rewards: list[float] = []
     try:
-        workers = [
-            _worker_loop(i, config, global_params, env_factory(), net_factory())
-            for i in range(config.n_workers)
-        ]
+        if net_factory is None:
+            net_factory = partial(config.build_net, env_factory().observation_dim)
+        pairs = [(env_factory(), net_factory()) for _ in range(config.n_workers)]
+        theta = pairs[0][1].get_flat()
+        global_params = GlobalParams(theta, diffnet.make_optimizer(
+            config.optimizer, theta.size, config.learning_rate))
+        workers = [_worker_loop(i, config, global_params, episodes, rewards, env, net)
+                   for i, (env, net) in enumerate(pairs)]
         while workers:
             workers = [w for w in workers if next(w, False)]
     except Exception as exc:
         raise TrainingError(f"worker failed: {exc!r}") from exc
-    rewards = list(global_params.episode_rewards)
     return TrainingHistory(
         rewards=rewards,
         moving_average=moving_average(rewards),

@@ -104,9 +104,15 @@ def _given(args, *names) -> dict:
 
 
 def _experiment_config(args, default_out: str) -> ExperimentConfig:
-    """The --config file's values, with the given flags over them; the
-    synthetic flags replace only the kind and length of the file's spec."""
+    """The --config file's values, with the given flags over them. One given
+    data source (--data or --synthetic-kind) replaces the file's other one;
+    the synthetic flags replace only the kind and length of a file's spec."""
     fields = {"out_dir": default_out, **experiment.read_config_ini(args.config)}
+    if (args.data is None) != (args.kind is None):
+        fields.pop("data" if args.data is None else "synthetic", None)
+    if args.length is not None and args.kind is None and "synthetic" not in fields:
+        raise ConfigError("--synthetic-length needs --synthetic-kind "
+                          "or a [synthetic] section")
     fields.update(_given(args, "strategy", "seed", "data", "use_forecast", "out_dir"))
     if "synthetic" in fields:
         fields["synthetic"] = dataclasses.replace(fields["synthetic"],

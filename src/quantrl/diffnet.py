@@ -35,6 +35,7 @@ import struct
 
 import numpy as np
 
+from . import qsim
 from .errors import ModelFileError, QuantrlError
 
 
@@ -260,14 +261,10 @@ class Tape:
     def vqc(self, angles: Param, n_qubits: int, depth: int, x: Node) -> Node:
         """Variational-circuit encoder over a batch; backward runs the
         adjoint method."""
-        from . import qsim  # local import keeps diffnet importable standalone
-
         params = qsim.VqcParams(n_qubits, depth, angles.value)
         out = self._output(qsim.run_vqc_batch(x.value, params))
 
         def vjp():
-            if not np.any(out.grad):
-                return
             pg, ig = qsim.vqc_gradients_batch(x.value, params, out.grad)
             angles.grad += pg
             x.grad += ig

@@ -108,6 +108,7 @@ class ForecastModel:
     def __init__(self, n_features: int, hidden: int, lookback: int, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.n_features = n_features
+        self.hidden = hidden
         self.lookback = lookback
         self.cell = LstmCell(n_features, hidden, rng)
         self.head = Dense(hidden, 1, rng)
@@ -193,23 +194,17 @@ def forecast_series(model: ForecastModel, series: MarketSeries,
 
 
 _CKPT_MAGIC = b"QLSTM"
+_CKPT_FIELDS = {"n_features": int, "hidden": int, "lookback": int}
 
 
 def save_forecaster(model: ForecastModel, path) -> None:
     """Shape header + parameters in the diffnet model-file format."""
-    header = {
-        "n_features": model.n_features,
-        "hidden": model.cell.hidden_size,
-        "lookback": model.lookback,
-    }
+    header = {key: getattr(model, key) for key in _CKPT_FIELDS}
     diffnet.save_model(path, _CKPT_MAGIC, header, model.parameters())
 
 
 def load_forecaster(path) -> ForecastModel:
-    return diffnet.load_model(
-        path, _CKPT_MAGIC, {"n_features": int, "hidden": int, "lookback": int},
-        ForecastModel,
-    )
+    return diffnet.load_model(path, _CKPT_MAGIC, _CKPT_FIELDS, ForecastModel)
 
 
 def evaluate_forecasts(predictions, actuals) -> ForecastEvaluation:

@@ -232,28 +232,22 @@ def test_length_mismatch_rejected():
 # ---------------------------------------------------------------------------
 
 def test_sgd_push_worked_example():
-    store = GlobalParams(np.array([1.0]), SgdOptimizer(1, 0.1), max_episodes=1)
+    store = GlobalParams(np.array([1.0]), SgdOptimizer(1, 0.1))
     out = store.push_and_pull(np.array([0.5]))
     assert out[0] == pytest.approx(0.95)
 
 
 def test_zero_gradient_push_is_fixed_point():
     theta = np.array([0.5, -1.5])
-    store = GlobalParams(theta, SgdOptimizer(2, 0.1), max_episodes=1)
+    store = GlobalParams(theta, SgdOptimizer(2, 0.1))
     assert np.array_equal(store.push_and_pull(np.zeros(2)), theta)
 
 
 def test_nonfinite_gradient_rejected():
-    store = GlobalParams(np.zeros(2), SgdOptimizer(2, 0.1), max_episodes=1)
+    store = GlobalParams(np.zeros(2), SgdOptimizer(2, 0.1))
     with pytest.raises(GradientRejected):
         store.push_and_pull(np.array([np.nan, 0.0]))
     assert np.array_equal(store.pull(), np.zeros(2))  # untouched
-
-
-def test_episode_reservation_caps_history():
-    store = GlobalParams(np.zeros(1), SgdOptimizer(1, 0.1), max_episodes=3)
-    claimed = sum(store.try_begin_episode() for _ in range(10))
-    assert claimed == 3
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +273,19 @@ def test_train_two_workers_runs_and_counts():
     config = TrainConfig(max_episodes=6, n_workers=2, seed=1)
     history = train(config, lambda: sawtooth_env(n=16))
     assert len(history.rewards) == 6
+
+
+def test_shared_episode_budget_caps_history_below_worker_count():
+    nets = []
+
+    def net_factory():
+        nets.append(ActorCriticNet(obs_dim=sawtooth_env().observation_dim, seed=0))
+        return nets[-1]
+
+    config = TrainConfig(max_episodes=2, n_workers=3, seed=0)
+    history = train(config, lambda: sawtooth_env(n=16), net_factory)
+    assert len(history.rewards) == 2
+    assert len(nets) == 3  # one net per worker, no template
 
 
 def test_train_two_workers_is_deterministic():
@@ -337,6 +344,15 @@ def test_worker_failure_aborts_with_diagnostic(n_workers):
     with pytest.raises(TrainingError, match="boom"):
         train(config, lambda: BrokenEnv(),
               lambda: ActorCriticNet(obs_dim=4, seed=0))
+
+
+def test_net_factory_failure_aborts_with_diagnostic():
+    def broken_net():
+        raise RuntimeError("no net")
+
+    config = TrainConfig(max_episodes=2, n_workers=2, seed=0)
+    with pytest.raises(TrainingError, match="no net"):
+        train(config, lambda: sawtooth_env(n=16), broken_net)
 
 
 def test_train_config_validation():

@@ -599,3 +599,28 @@ def test_cli_config_file_takes_synthetic_kind_flag(tmp_path, capsys):
     assert main(["train", "--config", str(ini), "--synthetic-kind", "sawtooth",
                  "--synthetic-length", "16", "--out", str(tmp_path / "r")]) == 0
     assert "kind = sawtooth" in (tmp_path / "r" / "config.ini").read_text()
+
+
+@pytest.mark.parametrize("given", ["data", "synthetic-kind"])
+def test_cli_given_data_source_replaces_the_config_files(tmp_path, given):
+    data = str(generate(SyntheticSpec("trend", 20), tmp_path / "d.csv"))
+    csv_flags, synthetic_flags = ["--data", data], ["--synthetic-kind", "trend"]
+    first, then = ((synthetic_flags, csv_flags) if given == "data"
+                   else (csv_flags, synthetic_flags))
+    assert main(["train", "--strategy", "random", "--out", str(tmp_path / "a"),
+                 *first]) == 0
+    assert main(["train", "--config", str(tmp_path / "a" / "config.ini"),
+                 "--out", str(tmp_path / "b"), *then]) == 0
+    rerun = load_config_ini(tmp_path / "b" / "config.ini")
+    if given == "data":
+        assert (rerun.data, rerun.synthetic) == (data, None)
+    else:
+        assert rerun.data is None and rerun.synthetic.kind == "trend"
+
+
+def test_cli_synthetic_length_without_a_spec_is_a_config_error(tmp_path, capsys):
+    data = generate(SyntheticSpec("trend", 20), tmp_path / "d.csv")
+    assert main(["train", "--data", str(data), "--synthetic-length", "30",
+                 "--strategy", "random", "--out", str(tmp_path / "r")]) == 1
+    assert "--synthetic-length" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
