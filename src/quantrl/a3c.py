@@ -119,6 +119,11 @@ class ActorCriticNet:
         self.value_in = Dense(obs_dim, latent_dim, rng)
         self.value_encoder = encoder()
         self.value_out = Dense(latent_dim, 1, rng)
+        # one circuit per quantum encoder, built once and sharing its angle
+        # array, so set_flat and checkpoint loads reach it
+        self.policy_circuit, self.value_circuit = (
+            qsim.VqcParams(latent_dim, vqc_depth, e.value) if head_kind == "quantum" else None
+            for e in (self.policy_encoder, self.value_encoder))
 
     @staticmethod
     def parameter_shapes(obs_dim: int, head_kind: str, latent_dim: int,
@@ -137,21 +142,22 @@ class ActorCriticNet:
             params.extend([part] if isinstance(part, Param) else part.parameters())
         return params
 
-    def _encode(self, tape: Tape, encoder, z: Node) -> Node:
-        if isinstance(encoder, Param):
-            return tape.vqc(encoder, self.latent_dim, self.vqc_depth, z)
-        return tape.dense(encoder, z)
+    @staticmethod
+    def _encode(tape: Tape, encoder, circuit, z: Node) -> Node:
+        if circuit is None:
+            return tape.dense(encoder, z)
+        return tape.vqc(encoder, circuit, z)
 
     def forward_policy(self, tape: Tape, s: Node) -> tuple[Node, Node]:
         """(action distributions, logits) for a [batch, obs_dim] batch."""
         z = tape.tanh(tape.dense(self.policy_in, s))
-        q = self._encode(tape, self.policy_encoder, z)
+        q = self._encode(tape, self.policy_encoder, self.policy_circuit, z)
         logits = tape.dense(self.policy_out, tape.tanh(q))
         return tape.softmax(logits), logits
 
     def forward_value(self, tape: Tape, s: Node) -> Node:
         z = tape.tanh(tape.dense(self.value_in, s))
-        q = self._encode(tape, self.value_encoder, z)
+        q = self._encode(tape, self.value_encoder, self.value_circuit, z)
         return tape.dense(self.value_out, tape.tanh(q))  # [batch, 1]
 
     def policy_probs(self, obs: np.ndarray) -> np.ndarray:
@@ -338,14 +344,15 @@ def train(config: TrainConfig, env_factory, net_factory=None) -> TrainingHistory
     episodes = iter(range(config.max_episodes))
     rewards: list[float] = []
     try:
+        envs = [env_factory() for _ in range(config.n_workers)]
         if net_factory is None:
-            net_factory = partial(config.build_net, env_factory().observation_dim)
-        pairs = [(env_factory(), net_factory()) for _ in range(config.n_workers)]
-        theta = pairs[0][1].get_flat()
+            net_factory = partial(config.build_net, envs[0].observation_dim)
+        nets = [net_factory() for _ in envs]
+        theta = nets[0].get_flat()
         global_params = GlobalParams(theta, diffnet.make_optimizer(
             config.optimizer, theta.size, config.learning_rate))
         workers = [_worker_loop(i, config, global_params, episodes, rewards, env, net)
-                   for i, (env, net) in enumerate(pairs)]
+                   for i, (env, net) in enumerate(zip(envs, nets))]
         while workers:
             workers = [w for w in workers if next(w, False)]
     except Exception as exc:

@@ -258,14 +258,14 @@ class Tape:
         self._push(vjp)
         return h_new, c_new
 
-    def vqc(self, angles: Param, n_qubits: int, depth: int, x: Node) -> Node:
+    def vqc(self, angles: Param, circuit: qsim.VqcParams, x: Node) -> Node:
         """Variational-circuit encoder over a batch; backward runs the
-        adjoint method."""
-        params = qsim.VqcParams(n_qubits, depth, angles.value)
-        out = self._output(qsim.run_vqc_batch(x.value, params))
+        adjoint method. ``circuit`` must hold ``angles.value`` itself, so
+        that in-place parameter writes reach it."""
+        out = self._output(qsim.run_vqc_batch(x.value, circuit))
 
         def vjp():
-            pg, ig = qsim.vqc_gradients_batch(x.value, params, out.grad)
+            pg, ig = qsim.vqc_gradients_batch(x.value, circuit, out.grad)
             angles.grad += pg
             x.grad += ig
 

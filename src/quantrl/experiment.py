@@ -363,10 +363,11 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
             log.info("training %s agent for %d episodes",
                      config.strategy, config.train.max_episodes)
             history = a3c.train(config.train, env_factory)
-            net = config.train.build_net(env_factory().observation_dim)
+            env = env_factory()
+            net = config.train.build_net(env.observation_dim)
             net.set_flat(history.final_theta)
             run.stage = "evaluate"
-            evaluation = a3c.evaluate_policy(net, env_factory())
+            evaluation = a3c.evaluate_policy(net, env)
 
         run.stage = "metrics"
         report = evaluation_report(evaluation)

@@ -9,17 +9,28 @@ qubit, followed by `depth` variational layers of per-qubit RY and RZ
 rotations and a CNOT ring CNOT(i, (i+1) mod n). Measurement is the vector
 of per-qubit Pauli-Z expectations.
 
-A forward pass builds the encoded state directly: RY on |0...0> gives a
-real product state. Up to ``BLOCK_MAX_QUBITS`` qubits, the variational
-layers are one 2**n x 2**n matrix that depends only on the angles. It is
-built once per distinct angle vector and then reused, so a forward is a
-Kronecker product and one matrix product. Larger circuits apply the gates
-to the batch directly.
+A forward pass folds the first variational layer's RYs into the
+encoding: RY(theta)·RY(pi x) = RY(pi x + theta), so the state after them
+is still a real product state, built directly as a Kronecker product of
+(cos, sin) pairs. Up to ``BLOCK_MAX_QUBITS`` qubits, the rest of the
+circuit (layer 1's RZ phases and CNOT ring, then layers 2..depth) is one
+matrix that depends only on the angles, stored as a real [2**n, 2 * 2**n]
+array of (re, im) pairs. It is built once per distinct angle vector and
+then reused, so a forward runs in real arithmetic: ``y = encoded @ block``
+and <Z> = ``(y * y) @ Z_pairs``. Larger circuits apply the phases, the
+ring and layers 2..depth to the batch directly.
 
 Gradients use the adjoint method (Jones & Gacon 2020): one reverse sweep
 gives every parameter and input gradient, exact and in O(B * P * 2**n).
-The parameter-shift rule (Schuld et al. 2019), which is what quantum
-hardware can run, is kept as the reference implementation and test oracle.
+It stops after undoing layer 1's RZ phases, where one read gives both
+layer 1's RY gradients and the input gradients. The parameter-shift rule
+(Schuld et al. 2019), which is what quantum hardware can run, is kept as
+the reference implementation and test oracle.
+
+``VqcParams`` keeps the angle array it is given, so a caller may build it
+once and write the angles in place. Angles are checked for finiteness
+where they enter the circuit: when a block matrix is built (a failed build
+is not cached), on the gate path and in the parameter-shift oracle.
 
 Apart from one cache, everything here is stateless. The block matrices
 live in an ``lru_cache`` of ``BLOCK_CACHE_SIZE`` entries keyed on the
@@ -41,9 +52,10 @@ from .errors import ConfigError
 MAX_QUBITS = 16
 ENCODING_SCALE = np.pi  # post-tanh latents in (-1, 1) map to angles in (-pi, pi)
 # A block matrix costs 16 * 4**n bytes (256 KiB at n=7) and a rebuild after
-# every parameter update. With A3C's 20-step updates at depth 2, training
-# ran faster with the matrix up to n=7 and slower from n=8 on, so larger
-# circuits apply the gates to each batch instead.
+# every parameter update. With A3C's 20-step updates at depth 2, a training
+# episode on a 120-row sawtooth took 43 ms with the matrix and 58 ms with
+# the gates at n=7, but 131 ms against 85 ms at n=8 (2-core x86 host), so
+# larger circuits apply the gates to each batch instead.
 BLOCK_MAX_QUBITS = 7
 BLOCK_CACHE_SIZE = 8    # angle vectors: the policy and value circuits of a few nets
 
@@ -74,7 +86,11 @@ class QuantumState:
 
 @dataclass
 class VqcParams:
-    """Trainable rotation angles, shape [depth][n_qubits][2] (0=RY, 1=RZ)."""
+    """Trainable rotation angles, shape [depth][n_qubits][2] (0=RY, 1=RZ).
+
+    A float64 array is kept, not copied, so writes to it in place reach the
+    circuit. Finiteness is checked where the angles enter the circuit.
+    """
 
     n_qubits: int = 8
     depth: int = 2
@@ -90,8 +106,6 @@ class VqcParams:
                 f"angles must have shape {(self.depth, self.n_qubits, 2)}, "
                 f"got {self.angles.shape}"
             )
-        if not np.all(np.isfinite(self.angles)):
-            raise ValueError("angles must be finite")
 
 
 def _check_qubit_count(n_qubits: int) -> None:
@@ -194,35 +208,46 @@ def apply_cnot(state: QuantumState, control: int, target: int) -> QuantumState:
     return QuantumState(state.n_qubits, amps[0])
 
 
-def _apply_layers(amps: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
-    """Rows of amps (real or complex) after the variational layers.
+def _apply_after_fold(amps: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
+    """Complex rows after layer 1's RZ phases and CNOT ring, then layers 2..depth.
 
-    The first RY sublayer runs in place on amps, so pass an array the
-    caller no longer needs. Each RZ sublayer is applied as one diagonal and
-    each CNOT ring as one permutation, equal to the gate-by-gate products.
+    amps holds rows (real or complex) after layer 1's RYs, which the
+    encoding has folded in; it is not modified. Each RZ sublayer is applied
+    as one diagonal and each CNOT ring as one permutation, equal to the
+    gate-by-gate products.
     """
     signs = _z_signs(n)
-    for layer in angles:
-        for q in range(n):
-            _ry_inplace(amps, n, q, layer[q, 0])
-        amps = amps * np.exp(-0.5j * (layer[:, 1] @ signs))
+    amps = amps.astype(np.complex128)
+    for layer, layer_angles in enumerate(angles):
+        if layer:
+            for q in range(n):
+                _ry_inplace(amps, n, q, layer_angles[q, 0])
+        amps *= np.exp(-0.5j * (layer_angles[:, 1] @ signs))
         if n > 1:  # a one-qubit ring would be a self-CNOT
-            amps = amps[:, _ring_perm(n)]
+            amps = amps.take(_ring_perm(n), axis=1)  # C-ordered, unlike amps[:, perm]
     return amps
+
+
+def _check_finite(angles: np.ndarray) -> None:
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("angles must be finite")
 
 
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _block_matrix(n: int, depth: int, angle_bytes: bytes) -> np.ndarray:
-    """Variational block as a read-only [2**n, 2**n] matrix.
+    """Circuit after the folded encoding as a read-only real [2**n, 2 * 2**n].
 
-    Row i is the image of basis state i, so a batch of row states maps to
-    ``states @ block``. Keyed on the angle bytes, not on an array, because
-    parameters are overwritten in place between updates.
+    Row i is the image of basis state i under layer 1's RZ phases and ring
+    and layers 2..depth, stored as (re, im) pairs, so a batch of real row
+    states maps to ``states @ block`` in real arithmetic. Keyed on the
+    angle bytes, not on an array, because parameters are overwritten in
+    place between updates. Non-finite angles raise, and nothing is cached.
     """
     angles = np.frombuffer(angle_bytes).reshape(depth, n, 2)
-    block = _apply_layers(np.eye(1 << n), n, angles)
-    block.flags.writeable = False
-    return block
+    _check_finite(angles)
+    block = _apply_after_fold(np.eye(1 << n), n, angles)
+    block.flags.writeable = False  # the real view below inherits this
+    return block.view(np.float64)
 
 
 @lru_cache(maxsize=None)
@@ -265,24 +290,48 @@ def _check_gradient_args(
     return x, up
 
 
-def _final_states(x: np.ndarray, params: VqcParams) -> np.ndarray:
-    """Statevectors after the whole circuit, shape [B, 2**n]."""
+@lru_cache(maxsize=None)
+def _pair_index(n_qubits: int) -> np.ndarray:
+    """index[q, i] = q, or n + q if bit q of i is set: the column of qubit
+    q's cos or sin factor in basis state i, in a row of cos then sin."""
+    return np.arange(n_qubits)[:, None] + n_qubits * _basis_bits(n_qubits)
+
+
+@lru_cache(maxsize=None)
+def _z_pairs(n_qubits: int) -> np.ndarray:
+    """Z signs per (re, im) column: ``(y * y) @ pairs`` is <Z> of pair rows y."""
+    return np.repeat(_z_signs(n_qubits).T, 2, axis=0)
+
+
+def _folded_encoding(x: np.ndarray, params: VqcParams) -> np.ndarray:
+    """Real product states after RY(pi x_q + theta_q), layer 1's RYs folded
+    into the encoding, shape [B, 2**n]."""
     n = params.n_qubits
-    # RY(pi x_q) on |0> is the real pair (cos, sin)(pi x_q / 2); the encoded
-    # state is their Kronecker product, qubit 0 least significant.
-    half = 0.5 * ENCODING_SCALE * x
-    pairs = np.stack((np.cos(half), np.sin(half)), axis=-1)      # [B, n, 2]
-    encoded = pairs[:, np.arange(n)[:, None], _basis_bits(n)].prod(axis=1)
+    angles = ENCODING_SCALE * x
+    if params.depth:
+        angles = angles + params.angles[0, :, 0]
+    # RY(a) on |0> is the real pair (cos, sin)(a / 2); the state is their
+    # Kronecker product, qubit 0 least significant.
+    half = 0.5 * angles
+    pairs = np.concatenate((np.cos(half), np.sin(half)), axis=1)  # [B, 2n]
+    return np.multiply.reduce(pairs.take(_pair_index(n), axis=1), axis=1)
+
+
+def _final_states(x: np.ndarray, params: VqcParams) -> np.ndarray:
+    """Statevectors after the whole circuit as (re, im) pairs, shape
+    [B, 2 * 2**n]; ``.view(np.complex128)`` gives the amplitudes."""
+    n = params.n_qubits
+    encoded = _folded_encoding(x, params)
     if n > BLOCK_MAX_QUBITS:
-        return _apply_layers(encoded, n, params.angles)
+        _check_finite(params.angles)
+        return _apply_after_fold(encoded, n, params.angles).view(np.float64)
     return encoded @ _block_matrix(n, params.depth, params.angles.tobytes())
 
 
 def run_vqc_batch(inputs: np.ndarray, params: VqcParams) -> np.ndarray:
     """Per-qubit Z expectations for a batch of input rows, shape [B, n]."""
-    amps = _final_states(_check_batch(inputs, params), params)
-    probs = amps.real ** 2 + amps.imag ** 2
-    return probs @ _z_signs(params.n_qubits).T
+    y = _final_states(_check_batch(inputs, params), params)
+    return (y * y) @ _z_pairs(params.n_qubits)
 
 
 def _y_overlaps(psi: np.ndarray, lam: np.ndarray, n: int) -> np.ndarray:
@@ -316,23 +365,27 @@ def vqc_gradients_batch(
     n = params.n_qubits
     batch = x.shape[0]
     signs = _z_signs(n)
-    psi = _final_states(x, params)
+    psi = _final_states(x, params).view(np.complex128)
     both = np.concatenate((psi, (up @ signs) * psi))    # rows: psi, then lam
     param_grads = np.empty_like(params.angles)
     for layer in reversed(range(params.depth)):
         if n > 1:
-            both = both[:, _ring_inverse(n)]
+            both = both.take(_ring_inverse(n), axis=1)
         psi, lam = both[:batch], both[batch:]
         param_grads[layer, :, 1] = signs @ (lam.conj() * psi).imag.sum(axis=0)
         both *= np.exp(0.5j * (params.angles[layer, :, 1] @ signs))  # undo RZs
-        # psi and lam are views of both, so the RY derivatives below are read
-        # after the RZ undo, as they must be
-        param_grads[layer, :, 0] = _y_overlaps(psi, lam, n).sum(axis=0)
-        for q in range(n):
-            _ry_inplace(both, n, q, -params.angles[layer, q, 0])
-    psi, lam = both[:batch], both[batch:]
-    input_grads = ENCODING_SCALE * _y_overlaps(psi, lam, n)
-    return param_grads, input_grads
+        if layer:  # layer 1's RYs are folded into the encoding, read below
+            # psi and lam are views of both, so the RY derivatives are read
+            # after the RZ undo, as they must be
+            param_grads[layer, :, 0] = _y_overlaps(psi, lam, n).sum(axis=0)
+            for q in range(n):
+                _ry_inplace(both, n, q, -params.angles[layer, q, 0])
+    # both is back at the folded encoding RY(pi x_q + theta_q), so one read
+    # gives layer 1's RY gradients and, times pi, the input gradients
+    overlaps = _y_overlaps(both[:batch], both[batch:], n)
+    if params.depth:
+        param_grads[0, :, 0] = overlaps.sum(axis=0)
+    return param_grads, ENCODING_SCALE * overlaps
 
 
 def parameter_shift_gradients_batch(
@@ -349,6 +402,7 @@ def parameter_shift_gradients_batch(
     O(B * P**2 * 2**n) for P rotation angles.
     """
     x, up = _check_gradient_args(inputs, params, upstream)
+    _check_finite(params.angles)
     n = params.n_qubits
     depth = params.depth
     batch = x.shape[0]

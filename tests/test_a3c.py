@@ -288,6 +288,17 @@ def test_shared_episode_budget_caps_history_below_worker_count():
     assert len(nets) == 3  # one net per worker, no template
 
 
+def test_train_builds_one_env_per_worker():
+    envs = []
+
+    def env_factory():
+        envs.append(sawtooth_env(n=16))
+        return envs[-1]
+
+    train(TrainConfig(max_episodes=2, n_workers=2), env_factory)
+    assert len(envs) == 2  # the net's width comes from worker 0's env
+
+
 def test_train_two_workers_is_deterministic():
     config = TrainConfig(max_episodes=10, n_workers=2, seed=1)
     h1, h2 = (train(config, lambda: sawtooth_env(n=16)) for _ in range(2))
@@ -418,7 +429,7 @@ def test_uniform_policy_evaluates_to_flat_asset():
       "e407ca437a1e1544057fe6b6e9990c108779568168dad988fd8f1bb87ca6cbb2")),
     (dict(max_episodes=3, head_kind="quantum", latent_dim=4, vqc_depth=2),
      ("d6417d600b09ac8cbe2b29e3076e3a145bc786222212437a0fa11d2fd8bb80bc",
-      "b743590410e5448b7c9558be6dfee146d2318ac77a9da030323d939d8ce18961")),
+      "3d9019e3dd31e23cdbee5ca7d52acda7064c95ffe94d83b7b2d3a440cd008402")),
 ], ids=["classical", "quantum"])
 def test_seeded_training_is_pinned(head, digests):
     # c06's sawtooth and hyperparameters, one worker: a change that claims

@@ -246,7 +246,7 @@ def test_c03_differentiable_layers():
 
     def hybrid(t):
         z = t.tanh(t.dense(front, Node(x)))
-        q = t.vqc(angles, 3, 2, z)
+        q = t.vqc(angles, qsim.VqcParams(3, 2, angles.value), z)
         return t.sum(t.scale(t.dense(back, t.tanh(q)), contraction))
 
     grads, fds = _grad_and_fd(hybrid, front.parameters() + [angles] + back.parameters())

@@ -25,6 +25,7 @@ from quantrl.diffnet import (
     zero_grads,
 )
 from quantrl.diffnet import _sigmoid
+from quantrl.qsim import VqcParams
 
 
 def finite_difference(build_loss, params, h=1e-5):
@@ -103,7 +104,8 @@ def _apply_op(op, x):
         state = (Node(np.zeros(lead + (2,))), Node(np.zeros(lead + (2,))))
         return Tape().lstm(LstmCell(3, 2, rng), x, state)[0]
     if op == "vqc":
-        return Tape().vqc(Param(rng.uniform(-0.5, 0.5, (1, 3, 2))), 3, 1, x)
+        angles = Param(rng.uniform(-0.5, 0.5, (1, 3, 2)))
+        return Tape().vqc(angles, VqcParams(3, 1, angles.value), x)
     return Tape().pick(x, np.zeros(lead, dtype=int))
 
 
@@ -322,7 +324,7 @@ def test_hybrid_head_matches_finite_differences():
 
     def on_tape(t):
         z = t.tanh(t.dense(front, Node(x)))
-        q = t.vqc(angles, n_qubits, depth, z)
+        q = t.vqc(angles, VqcParams(n_qubits, depth, angles.value), z)
         out = t.dense(back, t.tanh(q))
         return t.sum(t.scale(out, u))
 

@@ -248,6 +248,20 @@ def test_repeat_run_byte_identical_csvs(tmp_path):
         assert run_a.files[name].read_bytes() == run_b.files[name].read_bytes(), name
 
 
+def test_run_builds_one_env_per_worker_and_one_for_evaluation(tmp_path, monkeypatch):
+    built = []
+
+    class CountingEnv(tradeenv.TradingEnv):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(tradeenv, "TradingEnv", CountingEnv)
+    config = tiny_config(tmp_path, strategy="classical", episodes=2)
+    run_experiment(replace(config, train=replace(config.train, n_workers=2)))
+    assert len(built) == 3
+
+
 def test_rerun_from_snapshot_reproduces_csvs(tmp_path):
     config = tiny_config(tmp_path / "orig", strategy="classical", episodes=5)
     first = run_experiment(config)

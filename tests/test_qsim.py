@@ -224,10 +224,13 @@ def test_vqc_input_length_validation():
 
 def test_vqc_matches_dense_unitary_oracle():
     rng = np.random.default_rng(11)
-    # the last two n are the largest circuit with a block matrix and the smallest without
-    for n in (1, 2, 3, 4, qsim.BLOCK_MAX_QUBITS, qsim.BLOCK_MAX_QUBITS + 1):
+    # the last two n are the largest circuit with a block matrix and the
+    # smallest without; depths 1 and 3 check the fold of layer 1 on both paths
+    edges = (qsim.BLOCK_MAX_QUBITS, qsim.BLOCK_MAX_QUBITS + 1)
+    for n, depth in [(n, 2) for n in (1, 2, 3, 4, *edges)] + [
+            (n, depth) for depth in (1, 3) for n in edges]:
         for _ in range(5):
-            x, params = random_instance(rng, n=n, depth=2)
+            x, params = random_instance(rng, n=n, depth=depth)
             got = run_vqc_batch(x[None, :], params)[0]
             want = dense_oracle_expectations(x, params)
             assert np.max(np.abs(got - want)) < 1e-10
@@ -269,7 +272,7 @@ def test_forward_follows_set_flat():
     x = rng.uniform(-1, 1, 3)
 
     def encoder_readout():
-        return Tape().vqc(net.policy_encoder, 3, 2, Node(x[None, :])).value[0]
+        return Tape().vqc(net.policy_encoder, net.policy_circuit, Node(x[None, :])).value[0]
 
     encoder_readout()  # fills the cache for the current angles
     for _ in range(3):
@@ -312,9 +315,25 @@ def test_cached_block_matrix_is_read_only():
     params = VqcParams(2, 1, np.array([[[0.3, -0.2], [0.1, 0.5]]]))
     run_vqc_batch(np.zeros((1, 2)), params)
     block = qsim._block_matrix(2, 1, params.angles.tobytes())
-    assert not block.flags.writeable
-    with pytest.raises(ValueError):
-        block[0, 0] = 0.0
+    assert block.shape == (4, 8) and block.dtype == np.float64  # (re, im) pairs
+    for array in (block, block.base):  # the complex matrix the view reads
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [4, qsim.BLOCK_MAX_QUBITS + 1])
+def test_non_finite_angles_raise(n):
+    net = ActorCriticNet(obs_dim=5, head_kind="quantum", latent_dim=n,
+                         vqc_depth=2, seed=3)
+    params = net.parameters()
+    offset = sum(p.value.size for p in params[:params.index(net.policy_encoder)])
+    theta = net.get_flat()
+    theta[offset + 3] = np.nan  # a layer-1 RZ angle of the policy circuit
+    net.set_flat(theta)
+    for _ in range(2):  # a failed block build is not cached
+        with pytest.raises(ValueError, match="finite"):
+            net.policy_probs(np.zeros(5))
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +348,15 @@ def test_single_ry_gradient_is_minus_sine():
 
 
 def test_encoding_gradient_has_pi_chain_factor():
-    # <Z> = cos(pi x) so d/dx = -pi sin(pi x)
-    x = 0.3
-    _, input_grads = vqc_gradients_batch(np.array([[x]]), VqcParams(1, 1), np.ones((1, 1)))
-    assert input_grads[0, 0] == pytest.approx(-np.pi * np.sin(np.pi * x), abs=1e-12)
+    # <Z> = cos(pi x) so d/dx = -pi sin(pi x), with or without a variational
+    # layer (at depth 0 nothing is folded into the encoding)
+    x = np.array([[0.3]])
+    for depth in (0, 1):
+        params = VqcParams(1, depth)
+        assert run_vqc_batch(x, params)[0, 0] == pytest.approx(np.cos(0.3 * np.pi), abs=1e-12)
+        param_grads, input_grads = vqc_gradients_batch(x, params, np.ones((1, 1)))
+        assert param_grads.shape == (depth, 1, 2)
+        assert input_grads[0, 0] == pytest.approx(-np.pi * np.sin(0.3 * np.pi), abs=1e-12)
 
 
 def test_zero_upstream_zero_gradients():
