@@ -25,12 +25,6 @@ expectations = qsim.run_vqc_batch(x, params)
 print("input          :", np.round(x[0], 3))
 print("<Z_i> readout  :", np.round(expectations[0], 4))
 
-# statevector norm is preserved through the whole gate sequence
-state = qsim.init_zero_state(n_qubits)
-for q in range(n_qubits):
-    state = qsim.apply_ry(state, q, np.pi * x[0, q])
-print("norm after encoding:", state.norm_squared())
-
 # --- exact gradients: adjoint sweep and parameter-shift rule ---------------
 upstream = rng.uniform(-1, 1, (1, n_qubits))  # pretend gradient from a loss
 param_grads, input_grads = qsim.vqc_gradients_batch(x, params, upstream)

@@ -12,8 +12,8 @@ import warnings
 
 import numpy as np
 
-from quantrl.a3c import ActorCriticNet, TrainConfig, evaluate_policy, train
-from quantrl.metrics import EquityCurve, report_table, summary_metrics, trade_behavior
+from quantrl.a3c import TrainConfig, evaluate_policy, train
+from quantrl.metrics import EquityCurve, report_table, summary_metrics
 from quantrl.tradeenv import EnvConfig, MarketSeries, TradingEnv, zscore
 
 HEAD_KIND = "classical"   # or "quantum"
@@ -52,15 +52,12 @@ print(f"mean reward: first 100 = {np.mean(history.rewards[:100]):.2f}, "
       f"last 100 = {np.mean(history.rewards[-100:]):.2f}")
 
 env = make_env()
-net = ActorCriticNet(env.observation_dim, head_kind=config.head_kind,
-                     latent_dim=config.latent_dim, seed=config.seed)
+net = config.build_net(env.observation_dim)
 net.set_flat(history.final_theta)
 run = evaluate_policy(net, env)
 
-behavior = trade_behavior(run.trades)
 print(f"\ngreedy evaluation: final asset {run.final_asset:.2f}, "
-      f"{behavior['trade_count']} trades, "
-      f"mean holding {behavior['mean_holding_weeks']:.1f} weeks")
+      f"{len(run.trades)} trades")
 
 curve = EquityCurve(tuple(run.dates), np.asarray(run.asset_values))
 report = summary_metrics(curve, run.trades, run.position_flags)

@@ -485,21 +485,6 @@ def evaluate_random(env: TradingEnv, seed: int = 0) -> EvaluationRun:
     return _rollout(env, lambda obs: int(rng.integers(N_ACTIONS)))
 
 
-def random_reward_history(env: TradingEnv, episodes: int, seed: int = 0) -> list[float]:
-    """Per-episode total rewards of the uniform-random policy."""
-    rng = np.random.default_rng(seed)
-    history = []
-    for _ in range(episodes):
-        env.reset()
-        total = 0.0
-        done = False
-        while not done:
-            _, reward, done, _ = env.step(int(rng.integers(N_ACTIONS)))
-            total += reward
-        history.append(total)
-    return history
-
-
 # -- checkpoints --------------------------------------------------------------
 
 _CKPT_MAGIC = b"QNET"

@@ -63,10 +63,6 @@ class Trade:
     sell_price: float
     profit: float
 
-    @property
-    def holding_weeks(self) -> float:
-        return (self.sell_date - self.buy_date).days / 7.0
-
 
 @dataclass
 class EquityCurve:
@@ -110,9 +106,7 @@ class MetricsReport:
 
 def periodic_returns(values) -> np.ndarray:
     """r_i = v_i / v_{i-1} - 1 for a positive equity curve."""
-    v = values.values if isinstance(values, EquityCurve) else np.asarray(
-        values, dtype=np.float64
-    )
+    v = np.asarray(values, dtype=np.float64)
     if v.size < 2:
         raise ValueError("need at least two equity values for returns")
     if np.any(v <= 0):
@@ -152,9 +146,7 @@ def _autocorrelation(r: np.ndarray, lag: int) -> float:
     return float(np.sum(centered[:-lag] * centered[lag:]) / denom)
 
 
-def ratio_metrics(
-    returns, periods_per_year: int = PERIODS_PER_YEAR
-) -> tuple[dict, dict]:
+def ratio_metrics(returns) -> tuple[dict, dict]:
     """The nine return-ratio metrics.
 
     Returns (values, notes): undefined entries carry NaN in `values` and
@@ -170,7 +162,7 @@ def ratio_metrics(
         values[name] = math.nan
         notes[name] = reason
 
-    ann = math.sqrt(periods_per_year)
+    ann = math.sqrt(PERIODS_PER_YEAR)
     mean = float(r.mean())
     std = float(r.std(ddof=1))
     losses = np.minimum(r, 0.0)
@@ -228,7 +220,6 @@ def summary_metrics(
     curve: EquityCurve,
     trade_log: list[Trade],
     position_flags,
-    periods_per_year: int = PERIODS_PER_YEAR,
 ) -> MetricsReport:
     """The full metric battery for one evaluation run."""
     flags = np.asarray(position_flags, dtype=np.float64)
@@ -238,7 +229,7 @@ def summary_metrics(
     values = curve.values
     r = periodic_returns(values)
     if r.size >= 2:
-        ratios, notes = ratio_metrics(r, periods_per_year)
+        ratios, notes = ratio_metrics(r)
     else:
         ratios = dict.fromkeys(RATIO_METRIC_NAMES, math.nan)
         notes = dict.fromkeys(RATIO_METRIC_NAMES, "needs at least two returns")
@@ -307,23 +298,6 @@ def summary_metrics(
         trade_count=len(trade_log),
         notes=notes,
     )
-
-
-def trade_behavior(trade_log: list[Trade]) -> dict:
-    """Trade count, mean holding period (weeks) and a holding histogram."""
-    count = len(trade_log)
-    if count == 0:
-        return {"trade_count": 0, "mean_holding_weeks": math.nan,
-                "holding_histogram": {}}
-    weeks = [t.holding_weeks for t in trade_log]
-    histogram: dict[int, int] = {}
-    for w in weeks:
-        histogram[int(w)] = histogram.get(int(w), 0) + 1
-    return {
-        "trade_count": count,
-        "mean_holding_weeks": float(np.mean(weeks)),
-        "holding_histogram": dict(sorted(histogram.items())),
-    }
 
 
 # -- rendering ---------------------------------------------------------------

@@ -61,30 +61,6 @@ BLOCK_CACHE_SIZE = 8    # angle vectors: the policy and value circuits of a few 
 
 
 @dataclass
-class QuantumState:
-    """Complex statevector over ``n_qubits`` (length ``2**n_qubits``)."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (1 << self.n_qubits,):
-            raise ValueError(
-                f"statevector for {self.n_qubits} qubits must have length "
-                f"{1 << self.n_qubits}, got {self.amplitudes.shape}"
-            )
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def z_expectations(self) -> np.ndarray:
-        """Per-qubit <Z_i>, each in [-1, 1]."""
-        probs = np.abs(self.amplitudes) ** 2
-        return probs @ _z_signs(self.n_qubits).T
-
-
-@dataclass
 class VqcParams:
     """Trainable rotation angles, shape [depth][n_qubits][2] (0=RY, 1=RZ).
 
@@ -97,7 +73,9 @@ class VqcParams:
     angles: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigError(
+                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         if self.angles is None:
             self.angles = np.zeros((self.depth, self.n_qubits, 2))
         self.angles = np.asarray(self.angles, dtype=np.float64)
@@ -106,24 +84,6 @@ class VqcParams:
                 f"angles must have shape {(self.depth, self.n_qubits, 2)}, "
                 f"got {self.angles.shape}"
             )
-
-
-def _check_qubit_count(n_qubits: int) -> None:
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-
-
-def init_zero_state(n_qubits: int) -> QuantumState:
-    """State |0...0>."""
-    _check_qubit_count(n_qubits)
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return QuantumState(n_qubits, amps)
-
-
-def _check_qubit(n_qubits: int, qubit: int, what: str = "qubit") -> None:
-    if not 0 <= qubit < n_qubits:
-        raise ValueError(f"{what} index {qubit} out of range for {n_qubits} qubits")
 
 
 @lru_cache(maxsize=None)
@@ -179,33 +139,6 @@ def _rz_inplace(amps: np.ndarray, n: int, qubit: int, theta) -> None:
 
 def _cnot_inplace(amps: np.ndarray, n: int, control: int, target: int) -> None:
     amps[:, :] = amps[:, _cnot_perm(n, control, target)]
-
-
-def apply_ry(state: QuantumState, qubit: int, theta: float) -> QuantumState:
-    """RY(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]] on one qubit."""
-    _check_qubit(state.n_qubits, qubit)
-    amps = state.amplitudes[None, :].copy()
-    _ry_inplace(amps, state.n_qubits, qubit, float(theta))
-    return QuantumState(state.n_qubits, amps[0])
-
-
-def apply_rz(state: QuantumState, qubit: int, theta: float) -> QuantumState:
-    """Phase rotation diag(exp(-i t/2), exp(+i t/2)) on one qubit."""
-    _check_qubit(state.n_qubits, qubit)
-    amps = state.amplitudes[None, :].copy()
-    _rz_inplace(amps, state.n_qubits, qubit, float(theta))
-    return QuantumState(state.n_qubits, amps[0])
-
-
-def apply_cnot(state: QuantumState, control: int, target: int) -> QuantumState:
-    """Flip `target` on basis states where `control` is set."""
-    _check_qubit(state.n_qubits, control, "control")
-    _check_qubit(state.n_qubits, target, "target")
-    if control == target:
-        raise ValueError("control and target must differ")
-    amps = state.amplitudes[None, :].copy()
-    _cnot_inplace(amps, state.n_qubits, control, target)
-    return QuantumState(state.n_qubits, amps[0])
 
 
 def _apply_after_fold(amps: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:

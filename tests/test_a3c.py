@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantrl.a3c import (
+    N_ACTIONS,
     ActorCriticNet,
     EvaluationRun,
     GlobalParams,
@@ -22,7 +23,6 @@ from quantrl.a3c import (
     load_checkpoint,
     moving_average,
     n_step_returns,
-    random_reward_history,
     save_checkpoint,
     train,
 )
@@ -526,6 +526,21 @@ def test_evaluation_csv_roundtrip(tmp_path):
         assert a.buy_date == b.buy_date and a.sell_date == b.sell_date
         assert a.profit == pytest.approx(b.profit, abs=1e-9)
     assert np.allclose(back.asset_values, run.asset_values, atol=1e-9)
+
+
+def random_reward_history(env: TradingEnv, episodes: int, seed: int = 0) -> list[float]:
+    """Per-episode total rewards of the uniform-random policy."""
+    rng = np.random.default_rng(seed)
+    history = []
+    for _ in range(episodes):
+        env.reset()
+        total = 0.0
+        done = False
+        while not done:
+            _, reward, done, _ = env.step(int(rng.integers(N_ACTIONS)))
+            total += reward
+        history.append(total)
+    return history
 
 
 def test_random_baseline_reward_history_flat():

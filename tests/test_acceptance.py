@@ -15,13 +15,13 @@ import pytest
 import scipy.stats
 
 from metric_oracle import oracle_summary
+from test_a3c import random_reward_history
 from test_qsim import dense_oracle_expectations, random_instance
 
 from quantrl import diffnet, forecaster, qsim
 from quantrl.a3c import (
     TrainConfig,
     n_step_returns,
-    random_reward_history,
     train,
 )
 from quantrl.diffnet import Dense, LstmCell, Node, Param, Tape
@@ -146,19 +146,14 @@ def test_c01_quantum_gradients_match_finite_differences():
 
 def test_c02_statevector_integrity():
     rng = np.random.default_rng(11)
-    state = qsim.init_zero_state(4)
-    for _ in range(1000):
-        kind = rng.integers(3)
-        q = int(rng.integers(4))
-        if kind == 0:
-            state = qsim.apply_ry(state, q, rng.uniform(-np.pi, np.pi))
-        elif kind == 1:
-            state = qsim.apply_rz(state, q, rng.uniform(-np.pi, np.pi))
-        else:
-            t = (q + 1 + int(rng.integers(3))) % 4
-            state = qsim.apply_cnot(state, q, t)
-    drift = abs(state.norm_squared() - 1.0)
-    assert drift < 1e-12
+    # depth 84 is 84 * 12 = 1008 gates at n=4, run as one cached block
+    # matrix; the smallest circuit without a block runs twice as many gates
+    drift = {}
+    for n in (4, qsim.BLOCK_MAX_QUBITS + 1):
+        x, params = random_instance(rng, n=n, depth=84)
+        y = qsim._final_states(x[None, :], params)
+        drift[n] = abs(float(np.sum(y * y)) - 1.0)
+    assert max(drift.values()) < 1e-12
 
     worst = 0.0
     for n in (1, 2, 3, 4):
@@ -168,8 +163,9 @@ def test_c02_statevector_integrity():
             want = dense_oracle_expectations(x, params)
             worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst < 1e-10
-    _pass(2, f"norm drift {drift:.2e} (< 1e-12) after 1000 gates; dense-unitary "
-             f"oracle max err {worst:.2e} (< 1e-10) for n <= 4")
+    _pass(2, "norm drift after depth 84 "
+             + ", ".join(f"{d:.2e} at n={n}" for n, d in drift.items())
+             + f" (< 1e-12); dense-unitary oracle max err {worst:.2e} (< 1e-10) for n <= 4")
 
 
 # ---------------------------------------------------------------------------

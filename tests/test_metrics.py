@@ -17,7 +17,6 @@ from quantrl.metrics import (
     report_csv,
     report_table,
     summary_metrics,
-    trade_behavior,
 )
 
 START = dt.date(2022, 1, 7)
@@ -205,29 +204,6 @@ def test_flags_length_validated():
     curve = weekly_curve([100.0, 101.0])
     with pytest.raises(ValueError):
         summary_metrics(curve, [], [1])
-
-
-# ---------------------------------------------------------------------------
-# trade behavior
-# ---------------------------------------------------------------------------
-
-def test_trade_behavior_empty_log():
-    out = trade_behavior([])
-    assert out["trade_count"] == 0
-    assert math.isnan(out["mean_holding_weeks"])
-    assert out["holding_histogram"] == {}
-
-
-def test_trade_behavior_mean_holding():
-    trades = [
-        Trade(START, 100.0, START + dt.timedelta(weeks=1), 105.0, 5.0),
-        Trade(START + dt.timedelta(weeks=2), 100.0,
-              START + dt.timedelta(weeks=5), 95.0, -5.0),
-    ]
-    out = trade_behavior(trades)
-    assert out["trade_count"] == 2
-    assert out["mean_holding_weeks"] == pytest.approx(2.0)
-    assert out["holding_histogram"] == {1: 1, 3: 1}
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,7 @@ from quantrl.a3c import ActorCriticNet
 from quantrl.diffnet import Node, Tape
 from quantrl.errors import ConfigError
 from quantrl.qsim import (
-    QuantumState,
     VqcParams,
-    apply_cnot,
-    apply_ry,
-    apply_rz,
-    init_zero_state,
     parameter_shift_gradients_batch,
     run_vqc_batch,
     vqc_gradients_batch,
@@ -83,117 +78,39 @@ def random_instance(rng, n=4, depth=2):
 
 
 # ---------------------------------------------------------------------------
-# init / gates
+# gate kernels
 # ---------------------------------------------------------------------------
 
-def test_init_zero_state_one_qubit():
-    assert np.array_equal(init_zero_state(1).amplitudes, [1, 0])
-
-
-def test_init_zero_state_two_qubits():
-    assert np.array_equal(init_zero_state(2).amplitudes, [1, 0, 0, 0])
-
-
-@pytest.mark.parametrize("bad", [0, 17, -3])
-def test_init_zero_state_out_of_range(bad):
-    with pytest.raises(ConfigError):
-        init_zero_state(bad)
-
-
-@pytest.mark.parametrize("bad", [0, qsim.MAX_QUBITS + 1])
+@pytest.mark.parametrize("bad", [0, qsim.MAX_QUBITS + 1, -3])
 def test_vqc_params_qubit_count_out_of_range(bad):
     with pytest.raises(ConfigError, match="n_qubits"):
         VqcParams(bad, 1)
 
 
-def test_ry_pi_is_pauli_flip():
-    state = apply_ry(init_zero_state(1), 0, np.pi)
-    assert state.z_expectations()[0] == pytest.approx(-1.0, abs=1e-12)
-    assert abs(state.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_ry_zero_is_identity():
-    state = apply_ry(init_zero_state(1), 0, 0.0)
-    assert np.array_equal(state.amplitudes, [1, 0])
-
-
-def test_ry_half_pi_gives_zero_expectation():
-    state = apply_ry(init_zero_state(1), 0, np.pi / 2)
-    assert state.z_expectations()[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_rz_on_basis_state_is_global_phase():
-    state = apply_rz(init_zero_state(1), 0, np.pi)
-    assert state.z_expectations()[0] == pytest.approx(1.0, abs=1e-12)
-    assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rz_pi_flips_x_expectation():
-    plus = QuantumState(1, np.array([1, 1]) / np.sqrt(2))
-
-    def x_expect(s):
-        return float(2 * np.real(np.conj(s.amplitudes[0]) * s.amplitudes[1]))
-
-    assert x_expect(plus) == pytest.approx(1.0)
-    rotated = apply_rz(plus, 0, np.pi)
-    assert x_expect(rotated) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_rz_zero_is_identity():
-    rng = np.random.default_rng(7)
-    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    amps /= np.linalg.norm(amps)
-    state = QuantumState(2, amps)
-    assert np.allclose(apply_rz(state, 1, 0.0).amplitudes, amps, atol=1e-15)
-
-
-def test_cnot_truth_table():
-    # |10> means qubit 1 set, qubit 0 clear -> basis index 2
-    ten = QuantumState(2, np.array([0, 0, 1, 0], dtype=complex))
-    out = apply_cnot(ten, 1, 0)
-    assert np.array_equal(out.amplitudes, [0, 0, 0, 1])  # |11>
-
-
-def test_cnot_identity_on_zero():
-    out = apply_cnot(init_zero_state(2), 0, 1)
-    assert np.array_equal(out.amplitudes, [1, 0, 0, 0])
-
-
-def test_cnot_is_involution():
-    rng = np.random.default_rng(3)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    state = QuantumState(3, amps)
-    twice = apply_cnot(apply_cnot(state, 2, 0), 2, 0)
-    assert np.allclose(twice.amplitudes, amps, atol=1e-15)
-
-
-def test_gate_index_validation():
-    state = init_zero_state(2)
-    with pytest.raises(ValueError):
-        apply_ry(state, 2, 0.1)
-    with pytest.raises(ValueError):
-        apply_rz(state, -1, 0.1)
-    with pytest.raises(ValueError):
-        apply_cnot(state, 1, 1)
-    with pytest.raises(ValueError):
-        apply_cnot(state, 0, 5)
-
-
-def test_norm_preserved_under_random_gate_sequence():
-    rng = np.random.default_rng(42)
-    state = init_zero_state(4)
-    for _ in range(1000):
-        kind = rng.integers(3)
-        q = int(rng.integers(4))
-        if kind == 0:
-            state = apply_ry(state, q, rng.uniform(-np.pi, np.pi))
-        elif kind == 1:
-            state = apply_rz(state, q, rng.uniform(-np.pi, np.pi))
-        else:
-            t = (q + 1 + int(rng.integers(3))) % 4
-            state = apply_cnot(state, q, t)
-    assert abs(state.norm_squared() - 1.0) < 1e-12
+@pytest.mark.parametrize("gate, wires", [
+    *((gate, (q,)) for gate in ("ry", "rz") for q in range(3)),
+    *(("cnot", (c, t)) for c in range(3) for t in range(3) if c != t),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_gate_kernels_match_dense_matrices(gate, wires):
+    # every batch row is a random complex vector, so each kernel is checked
+    # as a linear map, not only on normalized states
+    n, batch = 3, 5
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
+    if gate == "cnot":
+        got = amps.copy()
+        qsim._cnot_inplace(got, n, *wires)
+        assert np.array_equal(got, amps @ _cnot_matrix(*wires, n).T)
+        return
+    kernel, matrix = {"ry": (qsim._ry_inplace, _ry_matrix),
+                      "rz": (qsim._rz_inplace, _rz_matrix)}[gate]
+    # a scalar angle for the whole batch, then one angle per row
+    for theta in (rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi, batch)):
+        got = amps.copy()
+        kernel(got, n, wires[0], theta)
+        for row, angle in enumerate(np.broadcast_to(theta, batch)):
+            want = _embed_single(matrix(angle), wires[0], n) @ amps[row]
+            assert np.max(np.abs(got[row] - want)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
