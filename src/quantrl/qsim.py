@@ -20,6 +20,12 @@ then reused, so a forward runs in real arithmetic: ``y = encoded @ block``
 and <Z> = ``(y * y) @ Z_pairs``. Larger circuits apply the phases, the
 ring and layers 2..depth to the batch directly.
 
+Each RZ sublayer is one diagonal and each CNOT ring one permutation. Up
+to ``BLOCK_MAX_QUBITS`` qubits, each RY sublayer is one real 2**n x 2**n
+matrix, the Kronecker product of its 2x2 rotations, gathered from the
+angles' cos and sin like the encoded state; larger sublayers are applied
+qubit by qubit. Block builds and the adjoint sweep share this kernel.
+
 Gradients use the adjoint method (Jones & Gacon 2020): one reverse sweep
 gives every parameter and input gradient, exact and in O(B * P * 2**n).
 It stops after undoing layer 1's RZ phases, where one read gives both
@@ -35,9 +41,7 @@ is not cached), on the gate path and in the parameter-shift oracle.
 Apart from one cache, everything here is stateless. The block matrices
 live in an ``lru_cache`` of ``BLOCK_CACHE_SIZE`` entries keyed on the
 angle bytes. So an angle array overwritten in place gets a new key, not a
-stale matrix. The cached matrices are read-only, and ``lru_cache`` is
-thread-safe, so threads may share entries; two threads that miss together
-at worst build the same matrix twice.
+stale matrix. The cached matrices are read-only.
 """
 
 from __future__ import annotations
@@ -55,7 +59,10 @@ ENCODING_SCALE = np.pi  # post-tanh latents in (-1, 1) map to angles in (-pi, pi
 # every parameter update. With A3C's 20-step updates at depth 2, a training
 # episode on a 120-row sawtooth took 43 ms with the matrix and 58 ms with
 # the gates at n=7, but 131 ms against 85 ms at n=8 (2-core x86 host), so
-# larger circuits apply the gates to each batch instead.
+# larger circuits apply the gates to each batch instead. The same cutoff
+# picks the RY sublayer kernel: one dense real matrix against n per-qubit
+# rotations took 448 against 623 us for 128 rows at n=7, but 1590 against
+# 586 us for 40 rows at n=8.
 BLOCK_MAX_QUBITS = 7
 BLOCK_CACHE_SIZE = 8    # angle vectors: the policy and value circuits of a few nets
 
@@ -141,6 +148,33 @@ def _cnot_inplace(amps: np.ndarray, n: int, control: int, target: int) -> None:
     amps[:, :] = amps[:, _cnot_perm(n, control, target)]
 
 
+@lru_cache(maxsize=None)
+def _sublayer_index(n_qubits: int) -> np.ndarray:
+    """index[q, i, j] = q + n * (2 bit_q(i) + bit_q(j)): the column of RY(theta_q)'s
+    entry [bit_q(i), bit_q(j)] in a row of cos, -sin, sin, cos, each per qubit."""
+    bits = _basis_bits(n_qubits)
+    return (np.arange(n_qubits)[:, None, None]
+            + n_qubits * (2 * bits[:, :, None] + bits[:, None, :]))
+
+
+def _ry_sublayer(amps: np.ndarray, n: int, thetas: np.ndarray) -> np.ndarray:
+    """Rows after RY(thetas[q]) on every qubit q; use the returned array.
+
+    Up to ``BLOCK_MAX_QUBITS`` qubits the sublayer is one real matrix
+    K = R_(n-1) x ... x R_0, built with one gather and one product like
+    the folded encoding, and a new ``amps @ K.T`` is returned. Larger
+    sublayers are applied qubit by qubit to amps in place.
+    """
+    if n > BLOCK_MAX_QUBITS:
+        for q in range(n):
+            _ry_inplace(amps, n, q, thetas[q])
+        return amps
+    half = 0.5 * thetas
+    c, s = np.cos(half), np.sin(half)
+    entries = np.concatenate((c, -s, s, c))
+    return amps @ np.multiply.reduce(entries.take(_sublayer_index(n)), axis=0).T
+
+
 def _apply_after_fold(amps: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
     """Complex rows after layer 1's RZ phases and CNOT ring, then layers 2..depth.
 
@@ -153,8 +187,7 @@ def _apply_after_fold(amps: np.ndarray, n: int, angles: np.ndarray) -> np.ndarra
     amps = amps.astype(np.complex128)
     for layer, layer_angles in enumerate(angles):
         if layer:
-            for q in range(n):
-                _ry_inplace(amps, n, q, layer_angles[q, 0])
+            amps = _ry_sublayer(amps, n, layer_angles[:, 0])
         amps *= np.exp(-0.5j * (layer_angles[:, 1] @ signs))
         if n > 1:  # a one-qubit ring would be a self-CNOT
             amps = amps.take(_ring_perm(n), axis=1)  # C-ordered, unlike amps[:, perm]
@@ -311,8 +344,7 @@ def vqc_gradients_batch(
             # psi and lam are views of both, so the RY derivatives are read
             # after the RZ undo, as they must be
             param_grads[layer, :, 0] = _y_overlaps(psi, lam, n).sum(axis=0)
-            for q in range(n):
-                _ry_inplace(both, n, q, -params.angles[layer, q, 0])
+            both = _ry_sublayer(both, n, -params.angles[layer, :, 0])
     # both is back at the folded encoding RY(pi x_q + theta_q), so one read
     # gives layer 1's RY gradients and, times pi, the input gradients
     overlaps = _y_overlaps(both[:batch], both[batch:], n)

@@ -10,7 +10,7 @@ formatting, no timestamps.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 WIDTH, HEIGHT = 860, 420
 MARGIN_LEFT, MARGIN_RIGHT = 70, 20
@@ -28,7 +28,7 @@ class SvgCanvas:
             f'height="{height}" viewBox="0 0 {width} {height}">\n'
         ]
         if comment:
-            self._parts.append(f"<!-- {escape(comment)} -->\n")
+            self._parts.append(f"<!-- {escape(comment, quote=False)} -->\n")
         self._parts.append(
             f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
         )
@@ -63,7 +63,7 @@ class SvgCanvas:
         self._parts.append(
             f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" fill="{color}" '
             f'font-family="sans-serif" text-anchor="{anchor}"{transform}>'
-            f"{escape(str(content))}</text>\n"
+            f"{escape(str(content), quote=False)}</text>\n"
         )
 
     def to_string(self) -> str:

@@ -28,7 +28,7 @@ from quantrl.a3c import (
 )
 from quantrl.diffnet import SgdOptimizer
 from quantrl.errors import ConfigError, GradientRejected, TrainingError
-from quantrl.qsim import MAX_QUBITS
+from quantrl.qsim import BLOCK_MAX_QUBITS, MAX_QUBITS
 from quantrl.tradeenv import BUY, HOLD, SELL, EnvConfig, MarketSeries, TradingEnv, zscore
 
 
@@ -429,8 +429,12 @@ def test_uniform_policy_evaluates_to_flat_asset():
       "e407ca437a1e1544057fe6b6e9990c108779568168dad988fd8f1bb87ca6cbb2")),
     (dict(max_episodes=3, head_kind="quantum", latent_dim=4, vqc_depth=2),
      ("d6417d600b09ac8cbe2b29e3076e3a145bc786222212437a0fa11d2fd8bb80bc",
-      "3d9019e3dd31e23cdbee5ca7d52acda7064c95ffe94d83b7b2d3a440cd008402")),
-], ids=["classical", "quantum"])
+      "e2767af5de055670757a03e2206af4b16358974cb23f51c6cb4d3495e38d78b5")),
+    (dict(max_episodes=2, head_kind="quantum", latent_dim=BLOCK_MAX_QUBITS + 1,
+          vqc_depth=2),
+     ("d2692752f2480cbc872a19aab85c7824fc8f26cc504aae3ff09891b4c5287a1d",
+      "046c04efe7d9fd30574e263e98cec46b0344054d98c53a79eacb749c9c4c86e3")),
+], ids=["classical", "quantum", "quantum-gates"])
 def test_seeded_training_is_pinned(head, digests):
     # c06's sawtooth and hyperparameters, one worker: a change that claims
     # identical results must leave every reward and final parameter bit

@@ -393,6 +393,26 @@ def test_svg_stamp_comment_embedded():
     assert "<!-- config_hash=abc seed=1 -->" in svg
 
 
+def test_svg_escapes_markup_only():
+    # only &, < and > are escaped, in text content and in the stamp comment
+    svg = equity_curve_svg([1.0, 2.0], title="&<>\"'", stamp="&<>\"'")
+    assert svg.count("&amp;&lt;&gt;\"'") == 2
+    ET.fromstring(svg)
+
+
+def test_import_loads_no_network_or_xml_modules():
+    # importing the package must not pull in the stdlib's network stack
+    heavy = ("xml.sax", "urllib.request", "http.client", "email", "ssl")
+    code = f"import sys, quantrl; print([m for m in {heavy!r} if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -113,6 +113,29 @@ def test_gate_kernels_match_dense_matrices(gate, wires):
             assert np.max(np.abs(got[row] - want)) < 1e-14
 
 
+@pytest.mark.parametrize("batch", [1, 20])
+@pytest.mark.parametrize("n", range(1, qsim.BLOCK_MAX_QUBITS + 2))
+def test_ry_sublayer_matches_dense_matrices(n, batch):
+    # one real matrix up to the cutoff, the per-qubit kernel above it
+    rng = np.random.default_rng(100 + n)
+    amps = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
+    alternating = rng.uniform(0.1, np.pi, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    for thetas in (alternating, -alternating):
+        got = qsim._ry_sublayer(amps.copy(), n, thetas)
+        oracle = np.eye(1 << n)
+        for q in range(n):
+            oracle = _embed_single(_ry_matrix(thetas[q]), q, n) @ oracle
+        for row in range(batch):
+            assert np.max(np.abs(got[row] - oracle @ amps[row])) < 1e-14
+        if n > qsim.BLOCK_MAX_QUBITS:
+            chained = amps.copy()
+            for q in range(n):
+                qsim._ry_inplace(chained, n, q, thetas[q])
+            assert np.array_equal(got, chained)
+        undone = qsim._ry_sublayer(got.copy(), n, -thetas)
+        assert np.max(np.abs(undone - amps)) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # run_vqc_batch
 # ---------------------------------------------------------------------------
