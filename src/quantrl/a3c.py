@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -450,11 +451,12 @@ def _replay(dates, actions, prices, assets):
 
 def greedy_action(probs: np.ndarray) -> int:
     """argmax with ties broken toward the lowest action index; ValueError
-    on a non-finite entry, which argmax would otherwise read as hold."""
-    p = np.asarray(probs)
-    if not np.isfinite(p).all():
+    on a non-finite entry, which argmax would otherwise read as hold. Picked
+    from the Python floats of the vector, cheaper than numpy on a few."""
+    p = np.asarray(probs, dtype=np.float64).tolist()
+    if not all(map(math.isfinite, p)):
         raise ValueError(f"non-finite action probabilities {p}")
-    return int(p.argmax())
+    return p.index(max(p))
 
 
 def _rollout(env: TradingEnv, pick_action) -> EvaluationRun:

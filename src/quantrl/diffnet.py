@@ -32,6 +32,8 @@ from __future__ import annotations
 import json
 import math
 import struct
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -274,9 +276,11 @@ class Tape:
 
 
 def _sigmoid(v):
-    e = np.exp(-np.abs(v))  # never overflows
-    d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
+    # with e = exp(-|v|), each entry is exactly 1/(1 + e) (v >= 0) or
+    # e/(1 + e), and neither exp can overflow. fmin, unlike minimum, drops a
+    # NaN, so a NaN reaches the result through the denominator alone, with
+    # the sign bit those two forms give it
+    return np.exp(np.fmin(v, 0.0)) / (1.0 + np.exp(-np.abs(v)))
 
 
 def softmax(v) -> np.ndarray:
@@ -341,13 +345,23 @@ class LstmCell:
 
 
 def categorical_sample(probs, rng: np.random.Generator) -> int:
-    """Sample an index from a probability vector; deterministic given rng state."""
+    """Sample an index from a probability vector with one ``rng.random()``
+    draw u: the first index whose running sum exceeds u, or the last index
+    if rounding leaves the total at or below u. ValueError unless ``probs``
+    is a nonempty, nonnegative 1-D vector summing to 1 within 1e-9.
+
+    The entries are summed and searched as Python floats, cheaper than
+    numpy calls on a few entries. ``accumulate`` adds in ``cumsum``'s
+    left-to-right order and ``bisect_right`` returns
+    ``searchsorted(side="right")``'s index, so the draws are numpy's.
+    """
     p = np.asarray(probs, dtype=np.float64)
-    c = p.cumsum()
-    # written so that a NaN anywhere fails the check
-    if not (p.ndim == 1 and p.min() >= 0 and abs(c[-1] - 1.0) <= 1e-9):
+    ps = p.tolist() if p.ndim == 1 else []
+    c = list(accumulate(ps))
+    # written so that a NaN anywhere fails the check: it makes the sum NaN
+    if not (c and min(ps) >= 0 and abs(c[-1] - 1.0) <= 1e-9):
         raise ValueError("probs must be a nonnegative vector summing to 1")
-    return int(min(c.searchsorted(rng.random(), side="right"), p.size - 1))
+    return min(bisect_right(c, rng.random()), len(c) - 1)
 
 
 # -- parameter plumbing -----------------------------------------------------

@@ -70,6 +70,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "exactly one data source required: a CSV path or a synthetic spec"
             )
+        if self.data is not None:
+            # the hash, the config.ini snapshot and a rerun from another
+            # directory then all name the same file
+            self.data = str(Path(self.data).absolute())
         if self.strategy == "random" and self.use_forecast:
             raise ConfigError("the random strategy reads no forecast; "
                               "drop use_forecast")

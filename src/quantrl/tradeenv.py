@@ -273,7 +273,10 @@ class TradingEnv:
             cols.append(np.zeros((len(series), 2)))
         self._obs_rows = np.hstack(cols)
         self._state = EnvState(initial_cash=self.config.initial_cash)
-        self._close = series.close
+        # a step's prices, rewards and asset value are Python floats: the
+        # same IEEE arithmetic as numpy scalars, without their overhead
+        self._close = series.close.tolist()
+        self._last = len(series) - 1
 
     def __len__(self) -> int:
         return len(self.series)
@@ -331,7 +334,7 @@ class TradingEnv:
             executed = SELL
 
         position_after_action = s.position
-        done = t == len(self) - 1
+        done = t == self._last
         liquidated = done and s.position == LONG
         if liquidated:
             reward += self._close_position(price)
@@ -346,5 +349,5 @@ class TradingEnv:
             "liquidated": liquidated,
         }
         s.done = done
-        s.t = min(t + 1, len(self) - 1)
+        s.t = min(t + 1, self._last)
         return self._observe(s.t), reward, done, info

@@ -426,24 +426,36 @@ def test_uniform_policy_evaluates_to_flat_asset():
 @pytest.mark.parametrize("head, digests", [
     (dict(max_episodes=20),
      ("13ff7f22b490529c784d4d87fd2425cb20ee9ab5b5104cd1e36862e9ea20ea18",
-      "e407ca437a1e1544057fe6b6e9990c108779568168dad988fd8f1bb87ca6cbb2")),
+      "e407ca437a1e1544057fe6b6e9990c108779568168dad988fd8f1bb87ca6cbb2",
+      "578efa2f6cfa244185f4eb49f90ba1dcb80423e14bfd506a568d7e22978b49f7")),
     (dict(max_episodes=3, head_kind="quantum", latent_dim=4, vqc_depth=2),
      ("d6417d600b09ac8cbe2b29e3076e3a145bc786222212437a0fa11d2fd8bb80bc",
-      "e2767af5de055670757a03e2206af4b16358974cb23f51c6cb4d3495e38d78b5")),
+      "e2767af5de055670757a03e2206af4b16358974cb23f51c6cb4d3495e38d78b5",
+      "899f3e562cc2ab4e211e028fcda7f72bac1edabc591fbe4e7277200707d1a50e")),
     (dict(max_episodes=2, head_kind="quantum", latent_dim=BLOCK_MAX_QUBITS + 1,
           vqc_depth=2),
      ("d2692752f2480cbc872a19aab85c7824fc8f26cc504aae3ff09891b4c5287a1d",
-      "046c04efe7d9fd30574e263e98cec46b0344054d98c53a79eacb749c9c4c86e3")),
+      "046c04efe7d9fd30574e263e98cec46b0344054d98c53a79eacb749c9c4c86e3",
+      "7ded7bdfe30f8636eef8ab170eb4714c900d0ef129a02cc9d0842d344e0796a2")),
 ], ids=["classical", "quantum", "quantum-gates"])
 def test_seeded_training_is_pinned(head, digests):
     # c06's sawtooth and hyperparameters, one worker: a change that claims
-    # identical results must leave every reward and final parameter bit
-    # for bit as it was
+    # identical results must leave every reward, final parameter and step
+    # of the trained net's greedy evaluation bit for bit as it was
     config = dict(n_workers=1, seed=0, gamma=0.95, learning_rate=1e-3,
                   entropy_coeff=0.01, latent_dim=8, update_every=20)
-    history = train(TrainConfig(**{**config, **head}), lambda: sawtooth_env(n=120))
+    config = TrainConfig(**{**config, **head})
+    history = train(config, lambda: sawtooth_env(n=120))
+    env = sawtooth_env(n=120)
+    net = config.build_net(env.observation_dim)
+    net.set_flat(history.final_theta)
+    run = evaluate_policy(net, env)
     got = (hashlib.sha256(np.asarray(history.rewards, np.float64).tobytes()).hexdigest(),
-           hashlib.sha256(history.final_theta.tobytes()).hexdigest())
+           hashlib.sha256(history.final_theta.tobytes()).hexdigest(),
+           hashlib.sha256(np.asarray(run.actions, np.int64).tobytes()
+                          + np.asarray(run.prices, np.float64).tobytes()
+                          + np.asarray(run.asset_values, np.float64).tobytes()
+                          ).hexdigest())
     assert got == digests
 
 
@@ -452,12 +464,39 @@ def test_greedy_tie_break_lowest_index():
     assert greedy_action(np.array([0.2, 0.4, 0.4])) == 1
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def argmax_action(probs):
+    """The numpy choice greedy_action must match."""
+    p = np.asarray(probs)
+    if not np.isfinite(p).all():
+        raise ValueError(f"non-finite action probabilities {p}")
+    return int(p.argmax())
+
+
+def test_greedy_matches_argmax_on_random_sparse_and_tied_vectors():
+    rng = np.random.default_rng(4)
+    vectors = [[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [0.5, 0.5], [1.0]]
+    for _ in range(2000):
+        p = rng.dirichlet(np.ones(N_ACTIONS))
+        vectors += [p, p * (rng.random(N_ACTIONS) < 0.5), np.round(p, 1),
+                    p[rng.integers(0, N_ACTIONS, N_ACTIONS)]]  # repeats make ties
+    for p in vectors:
+        got = greedy_action(np.asarray(p))
+        assert type(got) is int and got == argmax_action(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_greedy_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         greedy_action(np.array([bad, bad, bad]))
     with pytest.raises(ValueError):
         greedy_action(np.array([0.2, bad, 0.4]))
+
+
+def test_greedy_rejects_an_empty_vector():
+    with pytest.raises(ValueError):
+        argmax_action(np.zeros(0))
+    with pytest.raises(ValueError):
+        greedy_action(np.zeros(0))
 
 
 def test_hand_built_buy_sell_net_logs_one_trade():

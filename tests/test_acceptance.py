@@ -308,6 +308,7 @@ def test_c05_return_recursion():
 # 6. learning at desk scale
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_c06_desk_scale_learning():
     closes = sawtooth_closes()
     optimum = optimal_profit(closes)
@@ -497,6 +498,7 @@ def test_c10_artifacts_are_pinned(tmp_path, monkeypatch):
 # 11. end-to-end matrix
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_c11_full_strategy_matrix(tmp_path):
     start = time.monotonic()
     config = ExperimentConfig(

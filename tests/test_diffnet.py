@@ -1,6 +1,8 @@
 """Gradient-tape tests. Every differentiable op is cross-checked against
 central finite differences computed through the forward pass alone."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -186,16 +188,85 @@ def test_sample_empirical_distribution_close():
     assert np.max(np.abs(emp - p)) < 0.01
 
 
+def searchsorted_sample(probs, rng):
+    """The numpy sampler categorical_sample must match draw for draw."""
+    p = np.asarray(probs, dtype=np.float64)
+    c = p.cumsum()
+    if not (p.ndim == 1 and p.min() >= 0 and abs(c[-1] - 1.0) <= 1e-9):
+        raise ValueError("probs must be a nonnegative vector summing to 1")
+    return int(min(c.searchsorted(rng.random(), side="right"), p.size - 1))
+
+
+def probability_vectors(rng, count=2000):
+    """Random, sparse (zero entries anywhere) and tied vectors of 1 to 6
+    entries."""
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        p = rng.dirichlet(np.ones(n))
+        yield p
+        sparse = p * (rng.random(n) < 0.5)
+        if sparse.sum() > 0:
+            yield sparse / sparse.sum()
+        yield np.full(n, 1.0 / n)
+        tied = np.round(p, 1)
+        if tied.sum() > 0:
+            yield tied / tied.sum()
+
+
+def test_sample_matches_searchsorted_draw_for_draw():
+    vectors = list(probability_vectors(np.random.default_rng(5)))
+    ours, oracle = np.random.default_rng(11), np.random.default_rng(11)
+    for p in vectors:
+        got = categorical_sample(p, ours)
+        assert type(got) is int and got == searchsorted_sample(p, oracle)
+    assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+def test_sample_draw_on_a_running_sum_picks_the_next_index():
+    # u equal to a running sum picks the entry after it, as
+    # searchsorted(side="right") does; a zero entry in between is skipped
+    rng = np.random.default_rng(3)
+    shapes = (lambda u: [u, 1.0 - u], lambda u: [0.0, u, 0.0, 1.0 - u],
+              lambda u: [u / 2, u / 2, 1.0 - u])
+    for _ in range(200):
+        for shape in shapes:
+            oracle = copy.deepcopy(rng)
+            p = shape(copy.deepcopy(rng).random())  # the draw to come
+            want = searchsorted_sample(p, oracle)
+            assert categorical_sample(p, rng) == want == len(p) - 1
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+class FixedDraw:
+    """A generator stand-in whose random() returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sample_draw_past_a_short_total_picks_the_last_index():
+    # rounding may leave the total just under the draw; the last index is
+    # taken then, a zero entry included
+    for p in ([0.5, 0.5 - 5e-10], [0.5, 0.5 - 5e-10, 0.0]):
+        u = FixedDraw(1.0 - 2.0 ** -53)  # the largest Generator.random()
+        assert categorical_sample(p, u) == searchsorted_sample(p, u) == len(p) - 1
+
+
 def test_sample_invalid_distribution():
+    # each raises in the numpy oracle too, and before any draw
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        categorical_sample([0.5, 0.6], rng)
-    with pytest.raises(ValueError):
-        categorical_sample([-0.1, 1.1], rng)
-    with pytest.raises(ValueError):
-        categorical_sample([np.nan, np.nan, np.nan], rng)
-    with pytest.raises(ValueError):
-        categorical_sample([[0.5, 0.5]], rng)
+    state = rng.bit_generator.state
+    for bad in ([0.5, 0.6], [-0.1, 1.1], [np.nan] * 3, [[0.5, 0.5]], [],
+                np.float64(1.0), [1.0 + 2e-9], [0.5, np.nan, 0.5], [np.inf, 0.0],
+                [-np.inf, 1.0, 1.0]):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            searchsorted_sample(bad, rng)
+        with pytest.raises(ValueError):
+            categorical_sample(bad, rng)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +509,24 @@ def test_pack_unpack_roundtrip():
 def test_unpack_rejects_bad_magic():
     with pytest.raises(ValueError):
         unpack_arrays(b"XXXX" + b"\x00" * 16)
+
+
+def picking_sigmoid(v):
+    """The np.where form _sigmoid must match bit for bit."""
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
+
+
+def test_sigmoid_is_bit_identical_to_the_picking_form():
+    nan = np.float64(np.nan)
+    special = np.array([[0.0, -0.0, np.inf, -np.inf, nan, -nan, 800.0, -800.0,
+                         1e-300, -1e-300]])
+    rng = np.random.default_rng(0)
+    for v in [special] + [scale * rng.standard_normal((410, 32))
+                          for scale in (0.1, 1.0, 10.0, 100.0, 1000.0)]:
+        assert np.array_equal(_sigmoid(v).view(np.int64),
+                              picking_sigmoid(v).view(np.int64))
 
 
 @pytest.mark.filterwarnings("error")

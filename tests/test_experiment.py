@@ -187,6 +187,22 @@ def test_cli_snapshot_reruns_with_another_seed(tmp_path):
     assert snapshot.count("seed = 7") == 4 and "seed = 3" not in snapshot
 
 
+def test_cli_snapshot_of_a_relative_data_path_reruns_elsewhere(tmp_path, monkeypatch):
+    # the config holds the CSV's absolute path, so its snapshot names the
+    # same file, and hashes the same, from any working directory
+    monkeypatch.chdir(tmp_path)
+    generate(SyntheticSpec("trend", 20), "d.csv")
+    assert ExperimentConfig(data="d.csv").data == str(tmp_path / "d.csv")
+    assert main(["train", "--data", "d.csv", "--strategy", "random",
+                 "--out", "run"]) == 0
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    assert main(["train", "--config", "../run/config.ini", "--out", "r2"]) == 0
+    # same rows, and the same config hash in the stamp
+    assert ((tmp_path / "sub" / "r2" / "evaluation.csv").read_bytes()
+            == (tmp_path / "run" / "evaluation.csv").read_bytes())
+
+
 def test_random_strategy_takes_no_forecast(tmp_path, capsys):
     with pytest.raises(ConfigError, match="random"):
         tiny_config(tmp_path, strategy="random", use_forecast=True)
