@@ -52,7 +52,7 @@ xs = rng.normal(size=(4, 1, 2))  # four steps of a one-row batch
 def run_sequence(tape):
     h, c = cell.initial_state(1)
     for step in xs:
-        h, c = tape.lstm(cell, Node(step), (h, c))
+        h, c = tape.lstm(cell, step, (h, c))
     return tape.sum(tape.pick(h, [0]))  # scalar: first hidden unit after the sequence
 
 

@@ -63,10 +63,10 @@ class Node:
 Param = Node  # the name for a trainable leaf
 
 
-def _check_batch(op: str, x: Node, width: int) -> None:
-    if x.value.ndim != 2 or x.value.shape[1] != width:
+def _check_batch(op: str, x: np.ndarray, width: int) -> None:
+    if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(
-            f"{op} expects a [batch, {width}] input, got shape {x.value.shape}"
+            f"{op} expects a [batch, {width}] input, got shape {x.shape}"
         )
 
 
@@ -107,7 +107,7 @@ class Tape:
     # -- ops ---------------------------------------------------------------
 
     def dense(self, layer: "Dense", x: Node) -> Node:
-        _check_batch("dense", x, layer.w.value.shape[1])
+        _check_batch("dense", x.value, layer.w.value.shape[1])
         out = self._output(x.value @ layer.w.value.T + layer.b.value)
 
         def vjp():
@@ -218,11 +218,13 @@ class Tape:
         self._push(vjp)
         return out
 
-    def lstm(self, cell: "LstmCell", x: Node, state) -> tuple[Node, Node]:
-        """One LSTM step over a batch; returns (hidden, cell_state) nodes."""
+    def lstm(self, cell: "LstmCell", x: np.ndarray, state) -> tuple[Node, Node]:
+        """One LSTM step over a batch; returns (hidden, cell_state) nodes.
+        The step's input ``x`` is a plain [batch, input_size] array: it is
+        data, so no gradient is taken for it."""
         h, c = state
         _check_batch("lstm", x, cell.input_size)
-        z = np.concatenate([x.value, h.value], axis=-1)
+        z = np.concatenate([x, h.value], axis=-1)
         gi = _sigmoid(z @ cell.w_i.value.T + cell.b_i.value)
         gf = _sigmoid(z @ cell.w_f.value.T + cell.b_f.value)
         go = _sigmoid(z @ cell.w_o.value.T + cell.b_o.value)
@@ -239,11 +241,15 @@ class Tape:
             dgf = dc * c.value * gf * (1.0 - gf)
             dgg = dc * gi * (1.0 - gg * gg)
             c.grad += dc * gf
-            dz = (
-                dgi @ cell.w_i.value
-                + dgf @ cell.w_f.value
-                + dgo @ cell.w_o.value
-                + dgg @ cell.w_g.value
+            # only the hidden-state columns of dz = dg @ w, since the input
+            # takes no gradient. BLAS may round a narrower product in the
+            # last bit unlike the full one sliced, for some shapes
+            d = cell.input_size
+            h.grad += (
+                dgi @ cell.w_i.value[:, d:]
+                + dgf @ cell.w_f.value[:, d:]
+                + dgo @ cell.w_o.value[:, d:]
+                + dgg @ cell.w_g.value[:, d:]
             )
             for param_w, param_b, dg in (
                 (cell.w_i, cell.b_i, dgi),
@@ -253,9 +259,6 @@ class Tape:
             ):
                 param_w.grad += dg.T @ z
                 param_b.grad += dg.sum(axis=0)
-            d = cell.input_size
-            x.grad += dz[:, :d]
-            h.grad += dz[:, d:]
 
         self._push(vjp)
         return h_new, c_new

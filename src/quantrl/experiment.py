@@ -125,12 +125,34 @@ def config_to_ini(config: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    text = "\n".join(
-        line for line in config_to_ini(config).splitlines()
-        if not line.startswith("out_dir = ")
-    )
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+def config_hash(config: ExperimentConfig,
+                series: tradeenv.MarketSeries | None = None) -> str:
+    """The first 12 hex digits of the SHA-256 of the config's INI text
+    without ``out_dir``. A CSV run's ``data`` line names the SHA-256 of
+    ``series``, the series ingested from that file, in place of its path:
+    one CSV copied into two directories hashes alike, and an edited CSV at
+    the same path hashes anew. A synthetic run's spec is its data."""
+    lines = []
+    for line in config_to_ini(config).splitlines():
+        if line.startswith("out_dir = "):
+            continue
+        if line.startswith("data = "):
+            if series is None:
+                raise ValueError("a CSV run's hash needs its ingested series")
+            line = f"data = sha256:{_series_sha256(series)}"
+        lines.append(line)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
+
+
+def _series_sha256(series: tradeenv.MarketSeries) -> str:
+    """SHA-256 of what ingest read: the dates, the raw features and the
+    forecast column, if any."""
+    digest = hashlib.sha256(",".join(d.isoformat() for d in series.dates).encode())
+    digest.update(series.features.tobytes())  # float64, C order
+    if series.forecast is not None:
+        digest.update(b"forecast")
+        digest.update(series.forecast.tobytes())
+    return digest.hexdigest()
 
 
 def _coerce(dc_type, section) -> dict:
@@ -336,11 +358,11 @@ def export_forecast(data, out_dir, config: ForecastConfig):
     return validation, run.written
 
 
-def run_experiment(config: ExperimentConfig) -> RunArtifacts:
-    """Execute the full pipeline and emit the artifact set."""
+def run_experiment(config: ExperimentConfig, fit=fit_forecast) -> RunArtifacts:
+    """Execute the full pipeline and emit the artifact set. ``fit`` is
+    ``fit_forecast`` or a stand-in with its signature and result, such as
+    the one ``run_matrix`` shares between its columns."""
     out = Path(config.out_dir)
-    digest = config_hash(config)
-    stamp = f"config_hash={digest} seed={config.seed}"
     with Stages("ingest") as run:
         out.mkdir(parents=True, exist_ok=True)
         data = config.data
@@ -348,11 +370,13 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
             data = run.write(out / "data.csv",
                              partial(synthetic.generate_synthetic, config.synthetic))
         series = load_series(data, config.train_fraction)
+        digest = config_hash(config, series)
+        stamp = f"config_hash={digest} seed={config.seed}"
 
         if config.use_forecast:
             run.stage = "forecast"
             log.info("training forecaster (%d epochs)", config.forecast.epochs)
-            _, _, vector = fit_forecast(series, config.forecast)
+            _, _, vector = fit(series, config.forecast)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
                 series = tradeenv.attach_forecast(series, vector)
@@ -458,6 +482,21 @@ def run_matrix(config: ExperimentConfig,
         raise ConfigError("matrix needs at least one strategy")
     out = Path(config.out_dir)
     reports, failures, runs = {}, {}, {}
+    # every column reads the same data with the same seed and forecast
+    # settings, so the +lstm columns share one forecaster fit: its result,
+    # or the error that failed it
+    fitted = []
+
+    def fit_once(series, forecast_config):
+        if not fitted:
+            try:
+                fitted.append(fit_forecast(series, forecast_config))
+            except Exception as exc:  # noqa: BLE001 - every +lstm column fails with it
+                fitted.append(exc)
+        if isinstance(fitted[0], Exception):
+            raise fitted[0]
+        return fitted[0]
+
     with Stages("ingest") as run:
         out.mkdir(parents=True, exist_ok=True)
         # one shared dataset: materialize a synthetic spec once up front
@@ -474,7 +513,7 @@ def run_matrix(config: ExperimentConfig,
                 sub = replace(base, strategy=strategy, use_forecast=use_forecast,
                               out_dir=str(sub_dir))
                 log.info("matrix: running %s", label)
-                result = run_experiment(sub)
+                result = run_experiment(sub, fit=fit_once)
                 reports[label] = result.report
                 runs[label] = result
             except Exception as exc:  # noqa: BLE001 - isolate column failures

@@ -126,7 +126,7 @@ class ForecastModel:
     def _forward(self, tape: Tape, windows: np.ndarray) -> Node:
         h, c = self.cell.initial_state(windows.shape[0])
         for t in range(windows.shape[1]):
-            h, c = tape.lstm(self.cell, Node(windows[:, t, :]), (h, c))
+            h, c = tape.lstm(self.cell, windows[:, t, :], (h, c))
         return tape.dense(self.head, h)  # [batch, 1]
 
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:

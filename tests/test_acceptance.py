@@ -223,7 +223,7 @@ def test_c03_differentiable_layers():
     def bptt(t):
         h, c = cell.initial_state(1)
         for x in xs:
-            h, c = t.lstm(cell, Node(x), (h, c))
+            h, c = t.lstm(cell, x, (h, c))
         return t.sum(t.pick(t.dense(head, h), [0]))
 
     grads, fds = _grad_and_fd(bptt, cell.parameters() + head.parameters())

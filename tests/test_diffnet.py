@@ -104,7 +104,7 @@ def _apply_op(op, x):
         return Tape().dense(Dense(3, 2, rng), x)
     if op == "lstm":
         state = (Node(np.zeros(lead + (2,))), Node(np.zeros(lead + (2,))))
-        return Tape().lstm(LstmCell(3, 2, rng), x, state)[0]
+        return Tape().lstm(LstmCell(3, 2, rng), x.value, state)[0]
     if op == "vqc":
         angles = Param(rng.uniform(-0.5, 0.5, (1, 3, 2)))
         return Tape().vqc(angles, VqcParams(3, 1, angles.value), x)
@@ -279,7 +279,7 @@ def test_lstm_zero_parameters_zero_hidden():
         p.value[...] = 0.0
     tape = Tape()
     h, c = cell.initial_state(1)
-    h1, c1 = tape.lstm(cell, Node(np.array([[5.0, -2.0, 1.0]])), (h, c))
+    h1, c1 = tape.lstm(cell, np.array([[5.0, -2.0, 1.0]]), (h, c))
     assert np.all(h1.value == 0.0)
     assert np.all(c1.value == 0.0)
 
@@ -294,7 +294,7 @@ def test_lstm_saturated_forget_gate_preserves_cell():
     h = Node(np.zeros((1, 3)))
     c = Node(np.array([[0.7, -0.4, 1.2]]))
     for _ in range(5):
-        h, c = tape.lstm(cell, Node(np.ones((1, 2))), (h, c))
+        h, c = tape.lstm(cell, np.ones((1, 2)), (h, c))
     assert np.allclose(c.value, [[0.7, -0.4, 1.2]], atol=1e-3)
 
 
@@ -309,13 +309,13 @@ def test_lstm_bptt_matches_finite_differences():
         t = Tape()
         h, c = cell.initial_state(1)
         for x in xs:
-            h, c = t.lstm(cell, Node(x), (h, c))
+            h, c = t.lstm(cell, x, (h, c))
         return float(t.dense(head, h).value[0, 0])
 
     def on_tape(t):
         h, c = cell.initial_state(1)
         for x in xs:
-            h, c = t.lstm(cell, Node(x), (h, c))
+            h, c = t.lstm(cell, x, (h, c))
         return t.sum(t.pick(t.dense(head, h), [0]))
 
     got = tape_gradient(on_tape, params)
@@ -331,10 +331,10 @@ def test_lstm_batched_equals_loop():
     xs = rng.normal(size=(4, 2))
     tape = Tape()
     hb, cb = cell.initial_state(4)
-    hb, cb = tape.lstm(cell, Node(xs), (hb, cb))
+    hb, cb = tape.lstm(cell, xs, (hb, cb))
     for i in range(4):
         h, c = cell.initial_state(1)
-        h, c = tape.lstm(cell, Node(xs[i:i + 1]), (h, c))
+        h, c = tape.lstm(cell, xs[i:i + 1], (h, c))
         assert np.allclose(hb.value[i], h.value[0], atol=1e-14)
 
 

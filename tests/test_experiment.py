@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quantrl import tradeenv
+from quantrl import forecaster, tradeenv
 from quantrl.a3c import ActorCriticNet, save_checkpoint
 from quantrl.cli import main
-from quantrl.errors import ConfigError, StageError
+from quantrl.errors import ConfigError, StageError, TrainingError
 from quantrl.experiment import (
     ExperimentConfig,
     config_hash,
@@ -220,6 +220,30 @@ def test_config_hash_ignores_out_dir(tmp_path):
     assert config_hash(c) != config_hash(a)
 
 
+def _random_run(data, out_dir):
+    return run_experiment(ExperimentConfig(data=str(data), strategy="random",
+                                           out_dir=str(out_dir)))
+
+
+def test_config_hash_of_a_csv_run_names_its_content_not_its_path(tmp_path):
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        data = generate(SyntheticSpec("trend", 20), tmp_path / name / "d.csv")
+        runs.append(_random_run(data, tmp_path / name / "run"))
+    assert runs[0].config_hash == runs[1].config_hash
+    stamps = [run.files["evaluation.csv"].read_text().splitlines()[0] for run in runs]
+    assert stamps[0] == stamps[1] == f"# config_hash={runs[0].config_hash} seed=0"
+
+
+def test_config_hash_changes_with_the_csv_at_one_path(tmp_path):
+    data = tmp_path / "d.csv"
+    generate(SyntheticSpec("trend", 20), data)
+    first = _random_run(data, tmp_path / "run")
+    generate(SyntheticSpec("trend", 20, slope=0.02), data)
+    assert _random_run(data, tmp_path / "run").config_hash != first.config_hash
+
+
 def test_parse_strategy_labels():
     assert parse_strategy_label("classical") == ("classical", False)
     assert parse_strategy_label("quantum+lstm") == ("quantum", True)
@@ -326,6 +350,11 @@ def test_missing_data_file_is_ingest_stage_failure(tmp_path):
         run_experiment(config)
 
 
+def test_unreadable_data_file_is_ingest_stage_failure(tmp_path):
+    with pytest.raises(StageError, match="stage 'ingest' failed: .*bin.csv"):
+        _random_run(_binary(tmp_path), tmp_path / "run")
+
+
 # ---------------------------------------------------------------------------
 # matrix
 # ---------------------------------------------------------------------------
@@ -348,6 +377,38 @@ def test_matrix_failure_isolation(tmp_path):
     assert "failed" in table
     csv_text = result.table_csv.read_text()
     assert csv_text.splitlines()[0] == "metric,random,warp-drive"
+
+
+def _count_fits(monkeypatch, fit):
+    calls = []
+
+    def counted(dataset, config):
+        calls.append(config)
+        return fit(dataset, config)
+
+    monkeypatch.setattr(forecaster, "train_forecaster", counted)
+    return calls
+
+
+def test_matrix_fits_the_forecaster_once(tmp_path, monkeypatch):
+    fits = _count_fits(monkeypatch, forecaster.train_forecaster)
+    config = tiny_config(tmp_path / "m", strategy="classical", episodes=2, length=40)
+    result = run_matrix(config, ("classical+lstm", "quantum+lstm"))
+    assert result.failures == {}
+    assert len(fits) == 1
+
+
+def test_matrix_failed_fit_fails_every_lstm_column(tmp_path, monkeypatch):
+    def diverge(dataset, config):
+        raise TrainingError("forecaster diverged")
+
+    fits = _count_fits(monkeypatch, diverge)
+    config = tiny_config(tmp_path / "m", strategy="classical", episodes=2, length=40)
+    result = run_matrix(config, ("classical+lstm", "random", "quantum+lstm"))
+    assert list(result.reports) == ["random"]
+    message = "stage 'forecast' failed: forecaster diverged"
+    assert result.failures == {"classical+lstm": message, "quantum+lstm": message}
+    assert len(fits) == 1
 
 
 def test_matrix_shares_one_dataset(tmp_path):
