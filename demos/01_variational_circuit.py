@@ -48,6 +48,7 @@ for label, value in (("adjoint", param_grads[idx]), ("parameter shift", shift_gr
     print(f"  {label:<16}: {value:+.8f} (off by {abs(value - fd):.1e})")
 worst = np.max(np.abs(param_grads - shift_grads))
 print(f"adjoint vs parameter shift, every angle: {worst:.1e}")
+assert worst < 1e-12, "the two exact gradient methods disagree"
 
 # both methods are exact for rotation gates: a single RY(theta) on |0>
 # has <Z> = cos(theta), so the derivative at pi/2 is exactly -1

@@ -5,7 +5,7 @@ Subcommands: generate, forecast, train, evaluate, report, matrix.
 Exit codes, for every subcommand: 0 success, 1 configuration error,
 2 any other failure (a failed stage, or an unreadable model or evaluation
 file), reported as one line on stderr.
-Set QUANTRL_LOG=debug|info|warning to control verbosity.
+Set QUANTRL_LOG=debug|info|warning to control verbosity; others mean warning.
 """
 
 from __future__ import annotations
@@ -176,8 +176,8 @@ _COMMANDS = {"generate": cmd_generate, "forecast": cmd_forecast, "train": cmd_tr
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("QUANTRL_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    level = getattr(logging, os.environ.get("QUANTRL_LOG", "warning").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -210,11 +210,6 @@ def read_config_ini(path=None) -> dict:
         raise ConfigError(f"bad config file {path}: {detail}") from exc
 
 
-def load_config_ini(path) -> ExperimentConfig:
-    """The ExperimentConfig an INI file describes."""
-    return ExperimentConfig(**read_config_ini(path))
-
-
 class Stages(contextlib.AbstractContextManager):
     """Context manager around a pipeline: ``stage`` names the running stage
     and ``write`` records each file before writing it. On a failure the
@@ -251,16 +246,6 @@ class RunArtifacts:
     history: a3c.TrainingHistory | None
     evaluation: a3c.EvaluationRun
     config_hash: str
-
-
-def expected_artifacts(config: ExperimentConfig) -> list[str]:
-    names = ["config.ini", "evaluation.csv", "metrics.txt", "metrics.csv",
-             "action_timeline.svg", "equity_curve.svg"]
-    if config.synthetic is not None:
-        names.append("data.csv")
-    if config.strategy != "random":
-        names += ["training_history.csv", "reward_curve.svg", "checkpoint.qnet"]
-    return sorted(names)
 
 
 def load_series(path, train_fraction: float) -> tradeenv.MarketSeries:

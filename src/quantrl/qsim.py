@@ -31,12 +31,15 @@ gives every parameter and input gradient, exact and in O(B * P * 2**n).
 It stops after undoing layer 1's RZ phases, where one read gives both
 layer 1's RY gradients and the input gradients. The parameter-shift rule
 (Schuld et al. 2019), which is what quantum hardware can run, is kept as
-the reference implementation and test oracle.
+the reference implementation and test oracle. It runs the forward above
+twice per angle, at the angle shifted by +-pi/2, and uses nothing of the
+adjoint sweep.
 
 ``VqcParams`` keeps the angle array it is given, so a caller may build it
 once and write the angles in place. Angles are checked for finiteness
 where they enter the circuit: when a block matrix is built (a failed build
-is not cached), on the gate path and in the parameter-shift oracle.
+is not cached) and on the gate path. The parameter-shift oracle inherits
+the check from the forward it runs.
 
 Apart from one cache, everything here is stateless. The block matrices
 live in an ``lru_cache`` of ``BLOCK_CACHE_SIZE`` entries keyed on the
@@ -106,46 +109,17 @@ def _z_signs(n_qubits: int) -> np.ndarray:
     return (1.0 - 2.0 * _basis_bits(n_qubits)).astype(np.float64)
 
 
-@lru_cache(maxsize=None)
-def _cnot_perm(n_qubits: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits)
-    flipped = idx ^ (1 << target)
-    control_set = (idx >> control) & 1 == 1
-    return np.where(control_set, flipped, idx)
-
-
-# Batched in-place kernels. `amps` has shape [batch, 2**n]; `theta` is a
-# scalar or a length-batch vector of per-row angles.
-
-def _ry_inplace(amps: np.ndarray, n: int, qubit: int, theta) -> None:
+def _ry_inplace(amps: np.ndarray, n: int, qubit: int, theta: float) -> None:
+    """RY(theta) on one qubit of every row of ``amps`` [batch, 2**n], in place."""
     hi = 1 << (n - 1 - qubit)
     lo = 1 << qubit
     a = amps.reshape(amps.shape[0], hi, 2, lo)
-    half = 0.5 * np.asarray(theta, dtype=np.float64)
+    half = 0.5 * theta
     c, s = np.cos(half), np.sin(half)
-    if c.ndim:
-        c = c.reshape(-1, 1, 1)
-        s = s.reshape(-1, 1, 1)
     a0 = a[:, :, 0, :].copy()
     a1 = a[:, :, 1, :]
     a[:, :, 0, :] = c * a0 - s * a1
     a[:, :, 1, :] = s * a0 + c * a1
-
-
-def _rz_inplace(amps: np.ndarray, n: int, qubit: int, theta) -> None:
-    hi = 1 << (n - 1 - qubit)
-    lo = 1 << qubit
-    a = amps.reshape(amps.shape[0], hi, 2, lo)
-    half = 0.5 * np.asarray(theta, dtype=np.float64)
-    phase = np.exp(1j * half)
-    if phase.ndim:
-        phase = phase.reshape(-1, 1, 1)
-    a[:, :, 0, :] *= np.conj(phase)
-    a[:, :, 1, :] *= phase
-
-
-def _cnot_inplace(amps: np.ndarray, n: int, control: int, target: int) -> None:
-    amps[:, :] = amps[:, _cnot_perm(n, control, target)]
 
 
 @lru_cache(maxsize=None)
@@ -218,10 +192,13 @@ def _block_matrix(n: int, depth: int, angle_bytes: bytes) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _ring_perm(n_qubits: int) -> np.ndarray:
-    """Column permutation of the whole CNOT ring: ``amps[:, perm]``."""
-    perm = np.arange(1 << n_qubits)
+    """Column permutation of the whole CNOT ring: ``amps[:, perm]``. CNOT(q, t)
+    swaps columns i and i ^ 2**t where bit q of i is set; t = (q + 1) mod n."""
+    idx = np.arange(1 << n_qubits)
+    perm = idx
     for q in range(n_qubits):
-        perm = perm[_cnot_perm(n_qubits, q, (q + 1) % n_qubits)]
+        flipped = idx ^ (1 << ((q + 1) % n_qubits))
+        perm = perm[np.where((idx >> q) & 1 == 1, flipped, idx)]
     return perm
 
 
@@ -361,51 +338,24 @@ def parameter_shift_gradients_batch(
     """Parameter-shift gradients of sum_b upstream[b] . <Z>(inputs[b]).
 
     The hardware-faithful reference for :func:`vqc_gradients_batch`, with the
-    same arguments and return values. Every shifted circuit for every batch
-    row is evaluated in a single vectorized pass: row layout is
-    (batch, parameter, +/-) with parameters ordered encoding-first. Costs
-    O(B * P**2 * 2**n) for P rotation angles.
+    same arguments and return values. Each angle a enters exactly one
+    rotation exp(-i a P / 2), so d<Z>/da = [<Z>(a + pi/2) - <Z>(a - pi/2)] / 2
+    (Schuld et al. 2019), two runs of :func:`run_vqc_batch` per angle. An
+    encoding angle is ``ENCODING_SCALE * x_q``, so it is shifted through
+    x_q and its gradient takes that factor. Costs 2 * (n + P) forwards of
+    the batch for P variational angles.
     """
     x, up = _check_gradient_args(inputs, params, upstream)
-    _check_finite(params.angles)
-    n = params.n_qubits
-    depth = params.depth
-    batch = x.shape[0]
-    n_params = n + depth * n * 2  # encoding angles first, then (layer, qubit, kind)
-    rows = batch * n_params * 2
+    angles = params.angles
 
-    row_batch = np.repeat(np.arange(batch), n_params * 2)
-    row_param = np.tile(np.repeat(np.arange(n_params), 2), batch)
-    row_shift = np.tile(np.array([np.pi / 2, -np.pi / 2]), batch * n_params)
+    def shift_rule(x_shift, angle_shift) -> np.ndarray:
+        """Per row, upstream . d<Z> for one angle shifted through x or the angles."""
+        plus, minus = (run_vqc_batch(x + sign * x_shift, VqcParams(
+            params.n_qubits, params.depth, angles + sign * angle_shift)) for sign in (1, -1))
+        return 0.5 * ((plus - minus) * up).sum(axis=1)
 
-    amps = np.zeros((rows, 1 << n), dtype=np.complex128)
-    amps[:, 0] = 1.0
-
-    def encoding(q):
-        base = ENCODING_SCALE * x[row_batch, q]
-        return base + np.where(row_param == q, row_shift, 0.0)
-
-    for q in range(n):
-        _ry_inplace(amps, n, q, encoding(q))
-    for layer in range(depth):
-        for kind, op in ((0, _ry_inplace), (1, _rz_inplace)):
-            for q in range(n):
-                pidx = n + (layer * n + q) * 2 + kind
-                theta = params.angles[layer, q, kind] + np.where(
-                    row_param == pidx, row_shift, 0.0
-                )
-                op(amps, n, q, theta)
-        if n > 1:
-            for q in range(n):
-                _cnot_inplace(amps, n, q, (q + 1) % n)
-
-    probs = np.abs(amps) ** 2
-    expect = probs @ _z_signs(n).T                      # [rows, n]
-    expect = expect.reshape(batch, n_params, 2, n)
-    dexp = 0.5 * (expect[:, :, 0, :] - expect[:, :, 1, :])  # [B, P, n]
-
-    # contract each parameter's Z-derivatives with that row's upstream
-    grads = np.einsum("bpn,bn->bp", dexp, up)           # [B, P]
-    input_grads = ENCODING_SCALE * grads[:, :n]
-    param_grads = grads[:, n:].sum(axis=0).reshape(depth, n, 2)
+    x_units = 0.5 * np.pi / ENCODING_SCALE * np.eye(params.n_qubits)
+    input_grads = ENCODING_SCALE * np.stack([shift_rule(u, 0.0) for u in x_units], axis=1)
+    units = 0.5 * np.pi * np.eye(angles.size).reshape(angles.size, *angles.shape)
+    param_grads = np.array([shift_rule(0.0, u).sum() for u in units]).reshape(angles.shape)
     return param_grads, input_grads

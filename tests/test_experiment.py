@@ -4,6 +4,7 @@ Training runs in here are deliberately tiny (tens of episodes); the
 full-scale learning runs live in test_acceptance.py."""
 
 import csv
+import logging
 import os
 import re
 import subprocess
@@ -24,11 +25,10 @@ from quantrl.experiment import (
     ExperimentConfig,
     config_hash,
     config_to_ini,
-    expected_artifacts,
     generate,
-    load_config_ini,
     load_series,
     parse_strategy_label,
+    read_config_ini,
     run_experiment,
     run_matrix,
 )
@@ -38,6 +38,21 @@ from quantrl.svgplot import action_timeline_svg, equity_curve_svg, reward_curve_
 from quantrl.synthetic import SyntheticSpec
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_config_ini(path) -> ExperimentConfig:
+    """The ExperimentConfig an INI file describes."""
+    return ExperimentConfig(**read_config_ini(path))
+
+
+def expected_artifacts(config: ExperimentConfig) -> list[str]:
+    names = ["config.ini", "evaluation.csv", "metrics.txt", "metrics.csv",
+             "action_timeline.svg", "equity_curve.svg"]
+    if config.synthetic is not None:
+        names.append("data.csv")
+    if config.strategy != "random":
+        names += ["training_history.csv", "reward_curve.svg", "checkpoint.qnet"]
+    return sorted(names)
 
 
 def tiny_config(out_dir, strategy="random", episodes=8, length=24, **kwargs):
@@ -511,6 +526,16 @@ def test_cli_generate_determinism(tmp_path):
     main(["generate", "--kind", "ar1", "--length", "30", "--seed", "7",
           "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_log_variable_naming_no_level_falls_back_to_warning(tmp_path, monkeypatch):
+    # basic_format names a logging attribute that is a string, not a level
+    monkeypatch.setenv("QUANTRL_LOG", "basic_format")
+    monkeypatch.setattr(logging.root, "handlers", [])  # so basicConfig configures
+    monkeypatch.setattr(logging.root, "level", logging.root.level)
+    assert main(["generate", "--kind", "ar1", "--length", "30",
+                 "--out", str(tmp_path / "a.csv")]) == 0
+    assert logging.root.level == logging.WARNING
 
 
 def test_cli_config_error_exit_code(tmp_path):
