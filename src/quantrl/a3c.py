@@ -5,7 +5,14 @@ Both heads share one layout: dense in -> tanh -> encoder -> tanh -> dense
 out (softmax over {hold, buy, sell} for the policy, a scalar for the
 value). The encoder is either a variational quantum circuit on
 ``latent_dim`` qubits or a same-width dense layer, so the two modes are
-drop-in replacements for each other.
+drop-in replacements for each other. Each net keeps its parameters and
+their grads in one ``diffnet.FlatStore``, so the flat vectors a worker
+pushes and pulls are one numpy call each way.
+
+One taped forward gives the policy logits. Training applies the tape's
+softmax to them; a decision (``policy_probs``) normalises its one row
+with ``diffnet.softmax_row`` instead, the same bits with no tape op after
+the logits, and its input leaf takes no gradient.
 
 Workers own a private environment and network copy. Every ``update_every``
 steps (or at episode end) a worker computes n-step returns, pushes
@@ -120,8 +127,9 @@ class ActorCriticNet:
         self.value_in = Dense(obs_dim, latent_dim, rng)
         self.value_encoder = encoder()
         self.value_out = Dense(latent_dim, 1, rng)
-        # one circuit per quantum encoder, built once and sharing its angle
-        # array, so set_flat and checkpoint loads reach it
+        self._store = diffnet.FlatStore(self.parameters())
+        # one circuit per quantum encoder, built once on the store's view of
+        # its angles, so set_flat and checkpoint loads reach it
         self.policy_circuit, self.value_circuit = (
             qsim.VqcParams(latent_dim, vqc_depth, e.value) if head_kind == "quantum" else None
             for e in (self.policy_encoder, self.value_encoder))
@@ -149,12 +157,11 @@ class ActorCriticNet:
             return tape.dense(encoder, z)
         return tape.vqc(encoder, circuit, z)
 
-    def forward_policy(self, tape: Tape, s: Node) -> tuple[Node, Node]:
-        """(action distributions, logits) for a [batch, obs_dim] batch."""
+    def policy_logits(self, tape: Tape, s: Node) -> Node:
+        """Action logits for a [batch, obs_dim] batch."""
         z = tape.tanh(tape.dense(self.policy_in, s))
         q = self._encode(tape, self.policy_encoder, self.policy_circuit, z)
-        logits = tape.dense(self.policy_out, tape.tanh(q))
-        return tape.softmax(logits), logits
+        return tape.dense(self.policy_out, tape.tanh(q))
 
     def forward_value(self, tape: Tape, s: Node) -> Node:
         z = tape.tanh(tape.dense(self.value_in, s))
@@ -162,39 +169,42 @@ class ActorCriticNet:
         return tape.dense(self.value_out, tape.tanh(q))  # [batch, 1]
 
     def policy_probs(self, obs: np.ndarray) -> np.ndarray:
-        """Action distribution for one observation, run as a batch of one."""
-        probs, _ = self.forward_policy(Tape(), Node(obs[None, :]))
-        return probs.value[0]
+        """Action distribution for one observation: the logits of a batch of
+        one, then ``softmax_row``, the bits of ``softmax`` with no tape op."""
+        s = Node(obs[None, :], requires_grad=False)
+        return diffnet.softmax_row(self.policy_logits(Tape(), s).value[0])
 
     def value(self, obs: np.ndarray) -> float:
-        return float(self.forward_value(Tape(), Node(obs[None, :])).value[0, 0])
+        s = Node(obs[None, :], requires_grad=False)
+        return float(self.forward_value(Tape(), s).value[0, 0])
 
-    # flat parameter plumbing
+    # flat parameter plumbing: each is one numpy call on the store
     def get_flat(self) -> np.ndarray:
-        return diffnet.flatten_params(self.parameters())
+        return self._store.get()
 
     def set_flat(self, theta: np.ndarray) -> None:
-        diffnet.set_flat_params(self.parameters(), theta)
+        self._store.set(theta)
 
     def flat_grads(self) -> np.ndarray:
-        return diffnet.flatten_grads(self.parameters())
+        return self._store.get_grads()
 
     def zero_grads(self) -> None:
-        diffnet.zero_grads(self.parameters())
+        self._store.zero_grads()
 
 
 def n_step_returns(rewards, bootstrap: float, gamma: float) -> np.ndarray:
     """Discounted returns by backward recursion R_t = r_t + gamma R_{t+1},
     seeded with the bootstrap value (0 at terminal states)."""
-    r = np.asarray(rewards, dtype=np.float64)
-    if r.size == 0:
+    r = np.asarray(rewards, dtype=np.float64).tolist()
+    if not r:
         raise ValueError("rewards must be nonempty")
-    out = np.empty_like(r)
+    # on Python floats: the same IEEE operations as on numpy scalars, cheaper
+    out = r[:]
     acc = float(bootstrap)
-    for i in range(r.size - 1, -1, -1):
+    for i in range(len(r) - 1, -1, -1):
         acc = r[i] + gamma * acc
         out[i] = acc
-    return out
+    return np.array(out)
 
 
 def compute_loss_and_grads(
@@ -219,7 +229,7 @@ def compute_loss_and_grads(
     net.zero_grads()
     tape = Tape()
     s = Node(states)
-    probs, _ = net.forward_policy(tape, s)
+    probs = tape.softmax(net.policy_logits(tape, s))
     v = net.forward_value(tape, s)                 # [K, 1]
     advantage = returns - v.value[:, 0]            # detached
 

@@ -48,16 +48,19 @@ class Node:
     A leaf or ``Param`` built with ``Node(...)`` allocates its zero grad at
     once. A tape op's output starts with ``grad = None`` and gets its zero
     grad from ``Tape.backward``, so a forward pass that is never
-    differentiated, such as one decision, allocates no grad for it.
+    differentiated, such as one decision, allocates no grad for it. Nor
+    does a decision's input, built with ``requires_grad=False``: no
+    backward runs through it, and a backward that reached it would fail on
+    the missing grad rather than fill one nobody reads.
     """
 
     __slots__ = ("value", "grad")
 
-    def __init__(self, value):
+    def __init__(self, value, requires_grad: bool = True):
         self.value = np.asarray(value, dtype=np.float64)
         # np.zeros takes about a third of np.zeros_like's time on arrays this
         # small
-        self.grad = np.zeros(self.value.shape)
+        self.grad = np.zeros(self.value.shape) if requires_grad else None
 
 
 Param = Node  # the name for a trainable leaf
@@ -108,7 +111,10 @@ class Tape:
 
     def dense(self, layer: "Dense", x: Node) -> Node:
         _check_batch("dense", x.value, layer.w.value.shape[1])
-        out = self._output(x.value @ layer.w.value.T + layer.b.value)
+        # np.dot, then the bias in place: the bits of x @ w.T + b with one
+        # temporary fewer
+        out = self._output(np.dot(x.value, layer.w.value.T))
+        out.value += layer.b.value
 
         def vjp():
             g = out.grad
@@ -294,6 +300,21 @@ def softmax(v) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def softmax_row(v: np.ndarray) -> np.ndarray:
+    """``softmax`` of one 1-D row of fewer than 8 entries, bit for bit, in
+    fewer numpy calls. The shift and the sum are the same IEEE operations
+    on Python floats: numpy sums a row that short left to right. The exp
+    is one numpy call, and the division one in-place divide by the sum."""
+    row = v.tolist()
+    top = max(row)
+    e = np.exp([x - top for x in row])
+    total = 0.0
+    for x in e.tolist():
+        total += x
+    e /= total
+    return e
+
+
 class Dense:
     """Affine layer y = W x + b with uniform(-1/sqrt(fan_in), ..) init."""
 
@@ -381,14 +402,57 @@ def flatten_grads(params: list[Param]) -> np.ndarray:
     return np.concatenate([p.grad.ravel() for p in params])
 
 
+def _check_flat_size(theta: np.ndarray, size: int) -> None:
+    if np.shape(theta) != (size,):
+        raise ValueError(f"flat vector has shape {np.shape(theta)}, params need ({size},)")
+
+
 def set_flat_params(params: list[Param], theta: np.ndarray) -> None:
+    """Write ``theta`` into ``params`` in order; a vector of the wrong size
+    raises ValueError before anything is written."""
+    _check_flat_size(theta, sum(p.value.size for p in params))
     offset = 0
     for p in params:
         size = p.value.size
         p.value[...] = theta[offset:offset + size].reshape(p.value.shape)
         offset += size
-    if offset != theta.size:
-        raise ValueError(f"flat vector has {theta.size} entries, params need {offset}")
+
+
+class FlatStore:
+    """One flat value array and one flat grad array for ``params``, in list
+    order. Every parameter's value and grad become views of them, so
+    reading or writing the whole vector is one numpy call. The values are
+    kept and the grads start at zero.
+
+    The views hold only while nothing rebinds a parameter's ``value`` or
+    ``grad``: tape ops accumulate into grads in place, and every other
+    write goes through ``value[...]``.
+    """
+
+    def __init__(self, params: list[Param]):
+        self.values = flatten_params(params)
+        self.grads = np.zeros(self.values.size)
+        offset = 0
+        for p in params:
+            end = offset + p.value.size
+            p.value = self.values[offset:end].reshape(p.value.shape)
+            p.grad = self.grads[offset:end].reshape(p.value.shape)
+            offset = end
+
+    def get(self) -> np.ndarray:
+        return self.values.copy()
+
+    def set(self, theta: np.ndarray) -> None:
+        """Write every parameter; a vector of the wrong size raises
+        ValueError before anything is written."""
+        _check_flat_size(theta, self.values.size)
+        self.values[...] = theta
+
+    def get_grads(self) -> np.ndarray:
+        return self.grads.copy()
+
+    def zero_grads(self) -> None:
+        self.grads.fill(0.0)
 
 
 def zero_grads(params: list[Param]) -> None:

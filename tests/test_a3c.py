@@ -26,7 +26,7 @@ from quantrl.a3c import (
     save_checkpoint,
     train,
 )
-from quantrl.diffnet import SgdOptimizer
+from quantrl.diffnet import Node, SgdOptimizer, Tape, flatten_grads, flatten_params, softmax
 from quantrl.errors import ConfigError, GradientRejected, TrainingError
 from quantrl.qsim import BLOCK_MAX_QUBITS, MAX_QUBITS
 from quantrl.tradeenv import BUY, HOLD, SELL, EnvConfig, MarketSeries, TradingEnv, zscore
@@ -85,6 +85,30 @@ def test_returns_recursion_and_direct_sum(rewards, bootstrap, gamma):
         assert out[t] == pytest.approx(direct, abs=1e-9 * max(1.0, abs(direct)))
 
 
+def numpy_returns(rewards, bootstrap, gamma):
+    """The recursion on numpy scalars, the bits n_step_returns keeps."""
+    r = np.asarray(rewards, dtype=np.float64)
+    out = np.empty_like(r)
+    acc = float(bootstrap)
+    for i in range(r.size - 1, -1, -1):
+        acc = r[i] + gamma * acc
+        out[i] = acc
+    return out
+
+
+def test_returns_match_numpy_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        k = int(rng.integers(1, 30))
+        rewards = rng.normal(size=k) * 10.0 ** rng.uniform(-8, 4)
+        bootstrap = float(rng.normal(scale=100.0))
+        gamma = float(rng.uniform(0.01, 0.999))
+        want = numpy_returns(rewards, bootstrap, gamma)
+        for given_rewards in (rewards, rewards.tolist()):
+            got = n_step_returns(given_rewards, bootstrap, gamma)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
 def test_returns_empty_rejected():
     with pytest.raises(ValueError):
         n_step_returns([], 0.0, 0.9)
@@ -121,12 +145,62 @@ def test_policy_simplex_on_random_nets():
         assert abs(probs.sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("head_kind", ["classical", "quantum"])
+def test_policy_probs_is_softmax_of_logits_bit_for_bit(head_kind):
+    net = ActorCriticNet(obs_dim=6, head_kind=head_kind, latent_dim=4, seed=2)
+    for obs in np.random.default_rng(3).normal(scale=3.0, size=(100, 6)):
+        logits = net.policy_logits(Tape(), Node(obs[None, :])).value
+        assert np.array_equal(net.policy_probs(obs), softmax(logits)[0])
+
+
+@pytest.mark.parametrize("head_kind", ["classical", "quantum"])
+def test_parameters_are_views_of_one_flat_store(head_kind):
+    net = ActorCriticNet(obs_dim=5, head_kind=head_kind, latent_dim=3, seed=4)
+    params = net.parameters()
+    theta = net.get_flat()
+    assert np.array_equal(theta, flatten_params(params))
+    theta += 1.0  # a copy: the net keeps its parameters
+    assert np.array_equal(net.get_flat(), flatten_params(params))
+    assert not np.array_equal(net.get_flat(), theta)
+
+    net.set_flat(theta)  # one write reaches every parameter and circuit
+    assert np.array_equal(flatten_params(params), theta)
+    if head_kind == "quantum":
+        for encoder, circuit in ((net.policy_encoder, net.policy_circuit),
+                                 (net.value_encoder, net.value_circuit)):
+            assert circuit.angles is encoder.value
+    value_base, grad_base = params[0].value.base, params[0].grad.base
+    assert value_base is not None and grad_base is not None
+    assert all(p.value.base is value_base and p.grad.base is grad_base for p in params)
+
+    rng = np.random.default_rng(5)
+    _, grads = compute_loss_and_grads(net, rng.normal(size=(4, 5)), [0, 1, 2, 1],
+                                      rng.normal(size=4))
+    assert np.any(grads != 0.0) and np.array_equal(grads, flatten_grads(params))
+    grads[...] = 0.0  # a copy too
+    assert np.array_equal(net.flat_grads(), flatten_grads(params))
+    assert np.any(net.flat_grads() != 0.0)
+    net.zero_grads()
+    assert all(np.all(p.grad == 0.0) for p in params)
+
+
+@pytest.mark.parametrize("extra", [3, -3])
+def test_set_flat_of_wrong_size_writes_nothing(extra):
+    net = ActorCriticNet(obs_dim=5, head_kind="quantum", latent_dim=3, seed=4)
+    theta = net.get_flat()
+    angles = net.policy_circuit.angles.copy()
+    with pytest.raises(ValueError, match="flat vector"):
+        net.set_flat(np.ones(theta.size + extra))
+    assert np.array_equal(net.get_flat(), theta)
+    assert np.array_equal(net.policy_circuit.angles, angles)
+
+
 def test_batched_forward_matches_single():
     net = ActorCriticNet(obs_dim=4, head_kind="quantum", latent_dim=3, seed=0)
     rng = np.random.default_rng(1)
     states = rng.normal(size=(5, 4))
-    from quantrl.diffnet import Node, Tape
-    probs, _ = net.forward_policy(Tape(), Node(states))
+    tape = Tape()
+    probs = tape.softmax(net.policy_logits(tape, Node(states)))
     values = net.forward_value(Tape(), Node(states))
     for i in range(5):
         assert np.allclose(probs.value[i], net.policy_probs(states[i]), atol=1e-14)

@@ -23,6 +23,7 @@ from quantrl.diffnet import (
     pack_arrays,
     set_flat_params,
     softmax,
+    softmax_row,
     unpack_arrays,
     zero_grads,
 )
@@ -149,6 +150,21 @@ def test_softmax_simplex_property(logits):
     s = softmax(np.array(logits))
     assert abs(s.sum() - 1.0) < 1e-12
     assert np.all(s >= 0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 7])
+def test_softmax_row_matches_softmax_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    rows = [rng.normal(scale=scale, size=width)
+            for scale in (1e-6, 1.0, 10.0, 300.0) for _ in range(400)]
+    rows += [np.zeros(width), np.full(width, -2.5),                  # ties
+             np.array([1.0, 1.0, -3.0, 0.5, 1.0, 0.0, 1.0])[:width]]
+    if width > 1:  # one probability underflows to 0
+        underflow = np.append(rng.normal(size=width - 1), -800.0)
+        assert softmax(underflow)[-1] == 0.0
+        rows.append(underflow)
+    for row in rows:
+        assert np.array_equal(softmax_row(row), softmax(row[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +503,10 @@ def test_flat_roundtrip():
     assert np.allclose(flatten_params(params), theta * 2.0)
     zero_grads(params)
     assert np.all(flatten_grads(params) == 0.0)
-    with pytest.raises(ValueError):
-        set_flat_params(params, theta[:-1])
+    for wrong in (theta[:-3], np.append(theta, [1.0, 2.0, 3.0])):
+        with pytest.raises(ValueError, match="flat vector"):
+            set_flat_params(params, wrong)
+        assert np.array_equal(flatten_params(params), theta * 2.0)  # nothing written
 
 
 # ---------------------------------------------------------------------------
