@@ -8,17 +8,7 @@ updates cheap; a single input is a batch of one row.
 
 import numpy as np
 
-from quantrl.diffnet import (
-    AdamOptimizer,
-    Dense,
-    LstmCell,
-    Node,
-    Tape,
-    flatten_grads,
-    flatten_params,
-    set_flat_params,
-    zero_grads,
-)
+from quantrl.diffnet import AdamOptimizer, Dense, FlatStore, LstmCell, Node, Tape
 
 rng = np.random.default_rng(1)
 
@@ -28,19 +18,17 @@ x = rng.normal(size=(16, 3))            # a whole batch at once
 target = np.tanh(x @ truth.w.value.T + truth.b.value)
 layer = Dense(3, 2, rng)                # freshly initialized student
 
-params = layer.parameters()
-theta = flatten_params(params)
-optimizer = AdamOptimizer(theta.size, 0.05)
+store = FlatStore(layer.parameters())  # the weights and grads as two flat vectors
+optimizer = AdamOptimizer(store.values.size, 0.05)
 
 for step in range(200):
-    zero_grads(params)
+    store.zero_grads()
     tape = Tape()
     pred = tape.tanh(tape.dense(layer, Node(x)))
     err = tape.add_const(pred, -target)
     loss = tape.scale(tape.sum(tape.square(err)), 1.0 / len(x))
     tape.backward(loss)
-    theta = optimizer.step(theta, flatten_grads(params))
-    set_flat_params(params, theta)
+    optimizer.step(store.values, store.grads)  # updates the layer in place
     if step % 50 == 0:
         print(f"step {step:3d}  loss {float(loss.value):.5f}")
 
@@ -56,8 +44,7 @@ def run_sequence(tape):
     return tape.sum(tape.pick(h, [0]))  # scalar: first hidden unit after the sequence
 
 
-zero_grads(cell.parameters())
-tape = Tape()
+tape = Tape()  # a fresh cell's grads start at zero
 out = run_sequence(tape)
 tape.backward(out)
 analytic = cell.w_f.grad[0, 0]

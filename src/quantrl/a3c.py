@@ -12,7 +12,8 @@ pushes and pulls are one numpy call each way.
 One taped forward gives the policy logits. Training applies the tape's
 softmax to them; a decision (``policy_probs``) normalises its one row
 with ``diffnet.softmax_row`` instead, the same bits with no tape op after
-the logits, and its input leaf takes no gradient.
+the logits. Neither a decision's input nor a trajectory's states take a
+gradient.
 
 Workers own a private environment and network copy. Every ``update_every``
 steps (or at episode end) a worker computes n-step returns, pushes
@@ -228,7 +229,7 @@ def compute_loss_and_grads(
 
     net.zero_grads()
     tape = Tape()
-    s = Node(states)
+    s = Node(states, requires_grad=False)
     probs = tape.softmax(net.policy_logits(tape, s))
     v = net.forward_value(tape, s)                 # [K, 1]
     advantage = returns - v.value[:, 0]            # detached
@@ -249,8 +250,9 @@ def compute_loss_and_grads(
 class GlobalParams:
     """The flat parameter vector all workers share and its optimizer state.
 
-    push_and_pull applies one optimizer step and returns a copy of the
-    post-update parameters; a rejected gradient leaves them untouched.
+    push_and_pull checks the gradient, has the optimizer step the vector in
+    place and returns a copy of the post-update parameters; a rejected
+    gradient leaves them untouched.
     """
 
     def __init__(self, theta: np.ndarray, optimizer):
@@ -264,7 +266,7 @@ class GlobalParams:
             )
         if not np.all(np.isfinite(grads)):
             raise GradientRejected("non-finite gradient rejected")
-        self._theta = self._optimizer.step(self._theta, grads)
+        self._optimizer.step(self._theta, grads)
         return self._theta.copy()
 
     def pull(self) -> np.ndarray:

@@ -49,9 +49,10 @@ class Node:
     once. A tape op's output starts with ``grad = None`` and gets its zero
     grad from ``Tape.backward``, so a forward pass that is never
     differentiated, such as one decision, allocates no grad for it. Nor
-    does a decision's input, built with ``requires_grad=False``: no
-    backward runs through it, and a backward that reached it would fail on
-    the missing grad rather than fill one nobody reads.
+    does an input built with ``requires_grad=False``, such as a decision's
+    observation or a trajectory's states: ``Tape.dense`` skips the input
+    grad of such a node rather than fill one nobody reads. Any other op
+    that a backward reaches through it fails on the missing grad.
     """
 
     __slots__ = ("value", "grad")
@@ -120,7 +121,8 @@ class Tape:
             g = out.grad
             layer.w.grad += g.T @ x.value
             layer.b.grad += g.sum(axis=0)
-            x.grad += g @ layer.w.value
+            if x.grad is not None:
+                x.grad += g @ layer.w.value
 
         self._push(vjp)
         return out
@@ -388,49 +390,23 @@ def categorical_sample(probs, rng: np.random.Generator) -> int:
     return min(bisect_right(c, rng.random()), len(c) - 1)
 
 
-# -- parameter plumbing -----------------------------------------------------
-
-def flatten_params(params: list[Param]) -> np.ndarray:
-    if not params:
-        return np.zeros(0)
-    return np.concatenate([p.value.ravel() for p in params])
-
-
-def flatten_grads(params: list[Param]) -> np.ndarray:
-    if not params:
-        return np.zeros(0)
-    return np.concatenate([p.grad.ravel() for p in params])
-
-
-def _check_flat_size(theta: np.ndarray, size: int) -> None:
-    if np.shape(theta) != (size,):
-        raise ValueError(f"flat vector has shape {np.shape(theta)}, params need ({size},)")
-
-
-def set_flat_params(params: list[Param], theta: np.ndarray) -> None:
-    """Write ``theta`` into ``params`` in order; a vector of the wrong size
-    raises ValueError before anything is written."""
-    _check_flat_size(theta, sum(p.value.size for p in params))
-    offset = 0
-    for p in params:
-        size = p.value.size
-        p.value[...] = theta[offset:offset + size].reshape(p.value.shape)
-        offset += size
-
+# -- parameter store --------------------------------------------------------
 
 class FlatStore:
     """One flat value array and one flat grad array for ``params``, in list
-    order. Every parameter's value and grad become views of them, so
-    reading or writing the whole vector is one numpy call. The values are
+    order: the one place where a model, the agent's ``ActorCriticNet`` or
+    the ``ForecastModel``, holds its parameters. Every parameter's value
+    and grad become views of them, so reading, writing, zeroing or
+    optimizer-stepping the whole vector is one numpy call. The values are
     kept and the grads start at zero.
 
     The views hold only while nothing rebinds a parameter's ``value`` or
-    ``grad``: tape ops accumulate into grads in place, and every other
-    write goes through ``value[...]``.
+    ``grad``: tape ops accumulate into grads in place, optimizers step
+    ``values`` in place, and every other write goes through ``value[...]``.
     """
 
     def __init__(self, params: list[Param]):
-        self.values = flatten_params(params)
+        self.values = np.concatenate([p.value.ravel() for p in params])
         self.grads = np.zeros(self.values.size)
         offset = 0
         for p in params:
@@ -445,7 +421,9 @@ class FlatStore:
     def set(self, theta: np.ndarray) -> None:
         """Write every parameter; a vector of the wrong size raises
         ValueError before anything is written."""
-        _check_flat_size(theta, self.values.size)
+        if np.shape(theta) != self.values.shape:
+            raise ValueError(f"flat vector has shape {np.shape(theta)}, "
+                             f"params need {self.values.shape}")
         self.values[...] = theta
 
     def get_grads(self) -> np.ndarray:
@@ -453,11 +431,6 @@ class FlatStore:
 
     def zero_grads(self) -> None:
         self.grads.fill(0.0)
-
-
-def zero_grads(params: list[Param]) -> None:
-    for p in params:
-        p.grad[...] = 0.0
 
 
 def clip_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
@@ -468,16 +441,19 @@ def clip_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
 
 
 class SgdOptimizer:
-    """Plain theta <- theta - lr * grad."""
+    """Plain theta <- theta - lr * grad, written into ``theta``."""
 
     def __init__(self, size: int, learning_rate: float):
         self.learning_rate = learning_rate
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return theta - self.learning_rate * grad
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        theta -= self.learning_rate * grad
 
 
 class AdamOptimizer:
+    """Adam; ``step`` writes the update into ``theta`` with the IEEE
+    operations of ``theta - lr * m_hat / (sqrt(v_hat) + eps)``."""
+
     def __init__(self, size: int, learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.learning_rate = learning_rate
@@ -486,13 +462,13 @@ class AdamOptimizer:
         self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
         m_hat = self.m / (1.0 - self.beta1 ** self.t)
         v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return theta - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        theta -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def make_optimizer(kind: str, size: int, learning_rate: float):

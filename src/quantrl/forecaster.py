@@ -103,7 +103,8 @@ def build_windows(
 
 
 class ForecastModel:
-    """LstmCell over the window plus a scalar dense head on the final hidden."""
+    """LstmCell over the window plus a scalar dense head on the final hidden.
+    The parameters and their grads live in one ``diffnet.FlatStore``."""
 
     def __init__(self, n_features: int, hidden: int, lookback: int, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -112,6 +113,7 @@ class ForecastModel:
         self.lookback = lookback
         self.cell = LstmCell(n_features, hidden, rng)
         self.head = Dense(hidden, 1, rng)
+        self.store = diffnet.FlatStore(self.parameters())
         self.loss_history: list[float] = []
 
     def parameters(self):
@@ -151,14 +153,13 @@ def train_forecaster(dataset: ForecastDataset, config: ForecastConfig) -> Foreca
     model = ForecastModel(
         inputs.shape[2], config.hidden, config.lookback, seed=config.seed
     )
-    params = model.parameters()
-    theta = diffnet.flatten_params(params)
-    opt = diffnet.AdamOptimizer(theta.size, config.learning_rate)
+    store = model.store
+    opt = diffnet.AdamOptimizer(store.values.size, config.learning_rate)
     batch = inputs.shape[0]
     target_col = targets[:, None]
 
     for epoch in range(config.epochs):
-        diffnet.zero_grads(params)
+        store.zero_grads()
         tape = Tape()
         pred = model._forward(tape, inputs)
         err = tape.add_const(pred, -target_col)
@@ -169,8 +170,7 @@ def train_forecaster(dataset: ForecastDataset, config: ForecastConfig) -> Foreca
             )
         model.loss_history.append(float(loss.value))
         tape.backward(loss)
-        theta = opt.step(theta, diffnet.flatten_grads(params))
-        diffnet.set_flat_params(params, theta)
+        opt.step(store.values, store.grads)
     return model
 
 

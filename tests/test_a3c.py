@@ -26,7 +26,7 @@ from quantrl.a3c import (
     save_checkpoint,
     train,
 )
-from quantrl.diffnet import Node, SgdOptimizer, Tape, flatten_grads, flatten_params, softmax
+from quantrl.diffnet import Node, SgdOptimizer, Tape, softmax
 from quantrl.errors import ConfigError, GradientRejected, TrainingError
 from quantrl.qsim import BLOCK_MAX_QUBITS, MAX_QUBITS
 from quantrl.tradeenv import BUY, HOLD, SELL, EnvConfig, MarketSeries, TradingEnv, zscore
@@ -157,14 +157,18 @@ def test_policy_probs_is_softmax_of_logits_bit_for_bit(head_kind):
 def test_parameters_are_views_of_one_flat_store(head_kind):
     net = ActorCriticNet(obs_dim=5, head_kind=head_kind, latent_dim=3, seed=4)
     params = net.parameters()
+
+    def flat(attr):  # the per-parameter arrays, concatenated in order
+        return np.concatenate([getattr(p, attr).ravel() for p in params])
+
     theta = net.get_flat()
-    assert np.array_equal(theta, flatten_params(params))
+    assert np.array_equal(theta, flat("value"))
     theta += 1.0  # a copy: the net keeps its parameters
-    assert np.array_equal(net.get_flat(), flatten_params(params))
+    assert np.array_equal(net.get_flat(), flat("value"))
     assert not np.array_equal(net.get_flat(), theta)
 
     net.set_flat(theta)  # one write reaches every parameter and circuit
-    assert np.array_equal(flatten_params(params), theta)
+    assert np.array_equal(flat("value"), theta)
     if head_kind == "quantum":
         for encoder, circuit in ((net.policy_encoder, net.policy_circuit),
                                  (net.value_encoder, net.value_circuit)):
@@ -176,9 +180,9 @@ def test_parameters_are_views_of_one_flat_store(head_kind):
     rng = np.random.default_rng(5)
     _, grads = compute_loss_and_grads(net, rng.normal(size=(4, 5)), [0, 1, 2, 1],
                                       rng.normal(size=4))
-    assert np.any(grads != 0.0) and np.array_equal(grads, flatten_grads(params))
+    assert np.any(grads != 0.0) and np.array_equal(grads, flat("grad"))
     grads[...] = 0.0  # a copy too
-    assert np.array_equal(net.flat_grads(), flatten_grads(params))
+    assert np.array_equal(net.flat_grads(), flat("grad"))
     assert np.any(net.flat_grads() != 0.0)
     net.zero_grads()
     assert all(np.all(p.grad == 0.0) for p in params)

@@ -173,7 +173,7 @@ def test_c02_statevector_integrity():
 # ---------------------------------------------------------------------------
 
 def _grad_and_fd(build_on_tape, params, h=1e-5):
-    diffnet.zero_grads(params)
+    diffnet.FlatStore(params).zero_grads()
     tape = Tape()
     loss = build_on_tape(tape)
     tape.backward(loss)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from quantrl.diffnet import (
     AdamOptimizer,
     Dense,
+    FlatStore,
     LstmCell,
     Node,
     Param,
@@ -18,14 +19,10 @@ from quantrl.diffnet import (
     Tape,
     categorical_sample,
     clip_global_norm,
-    flatten_grads,
-    flatten_params,
     pack_arrays,
-    set_flat_params,
     softmax,
     softmax_row,
     unpack_arrays,
-    zero_grads,
 )
 from quantrl.diffnet import _sigmoid
 from quantrl.qsim import VqcParams
@@ -50,7 +47,7 @@ def finite_difference(build_loss, params, h=1e-5):
 
 
 def tape_gradient(build_loss_on_tape, params):
-    zero_grads(params)
+    FlatStore(params).zero_grads()
     tape = Tape()
     loss = build_loss_on_tape(tape)
     tape.backward(loss)
@@ -398,6 +395,22 @@ def test_backward_without_forward_raises():
         Tape().backward(Node(np.zeros(())))
 
 
+def test_dense_over_no_grad_input_gives_the_same_parameter_grads():
+    rng = np.random.default_rng(14)
+    layer = Dense(4, 3, rng)
+    x = rng.normal(size=(5, 4))
+    store = FlatStore(layer.parameters())
+    grads = []
+    for leaf in (Node(x), Node(x, requires_grad=False)):
+        store.zero_grads()
+        tape = Tape()
+        loss = tape.sum(tape.square(tape.tanh(tape.dense(layer, leaf))))
+        tape.backward(loss)
+        grads.append(store.get_grads())
+    assert np.any(grads[0] != 0.0)
+    assert np.array_equal(grads[0], grads[1])
+
+
 def test_hybrid_head_matches_finite_differences():
     # dense -> tanh -> VQC -> tanh -> dense, the agent's quantum pathway
     rng = np.random.default_rng(21)
@@ -460,30 +473,50 @@ def test_randomized_op_gradient_checks():
 
 def test_sgd_zero_gradient_bit_identical():
     theta = np.array([0.1, -2.5, 3.75])
-    out = SgdOptimizer(3, 0.05).step(theta, np.zeros(3))
+    out = theta.copy()
+    assert SgdOptimizer(3, 0.05).step(out, np.zeros(3)) is None  # steps in place
     assert np.array_equal(out, theta)
 
 
 def test_adam_zero_gradient_bit_identical():
     theta = np.array([0.1, -2.5, 3.75])
     opt = AdamOptimizer(3, 0.05)
-    out = theta
+    out = theta.copy()
     for _ in range(3):
-        out = opt.step(out, np.zeros(3))
+        assert opt.step(out, np.zeros(3)) is None
     assert np.array_equal(out, theta)
 
 
 def test_sgd_worked_example():
-    out = SgdOptimizer(1, 0.1).step(np.array([1.0]), np.array([0.5]))
+    out = np.array([1.0])
+    SgdOptimizer(1, 0.1).step(out, np.array([0.5]))
     assert out[0] == pytest.approx(0.95)
 
 
 def test_adam_first_step_direction():
     opt = AdamOptimizer(2, 0.01)
-    theta = opt.step(np.zeros(2), np.array([1.0, -1.0]))
+    theta = np.zeros(2)
+    opt.step(theta, np.array([1.0, -1.0]))
     # first Adam step has magnitude ~ lr regardless of gradient scale
     assert theta[0] == pytest.approx(-0.01, rel=1e-6)
     assert theta[1] == pytest.approx(0.01, rel=1e-6)
+
+
+def test_adam_in_place_step_matches_out_of_place_formula():
+    rng = np.random.default_rng(12)
+    lr, b1, b2, eps = 0.03, 0.9, 0.999, 1e-8
+    theta = rng.normal(size=6)
+    want = theta.copy()
+    m, v = np.zeros(6), np.zeros(6)
+    opt = AdamOptimizer(6, lr)
+    for t in range(1, 6):
+        grad = rng.normal(size=6)
+        opt.step(theta, grad)
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        m_hat, v_hat = m / (1.0 - b1 ** t), v / (1.0 - b2 ** t)
+        want = want - lr * m_hat / (np.sqrt(v_hat) + eps)
+    assert np.array_equal(theta, want)
 
 
 def test_clip_global_norm():
@@ -498,15 +531,21 @@ def test_flat_roundtrip():
     layer = Dense(3, 2, rng)
     cell = LstmCell(2, 2, rng)
     params = layer.parameters() + cell.parameters()
-    theta = flatten_params(params)
-    set_flat_params(params, theta * 2.0)
-    assert np.allclose(flatten_params(params), theta * 2.0)
-    zero_grads(params)
-    assert np.all(flatten_grads(params) == 0.0)
+    before = [p.value.copy() for p in params]
+    store = FlatStore(params)
+    theta = store.get()
+    assert np.array_equal(theta, np.concatenate([b.ravel() for b in before]))
+    store.set(theta * 2.0)
+    assert all(np.array_equal(p.value, 2.0 * b) for p, b in zip(params, before))
+    for p in params:
+        p.grad += 1.0
+    assert np.all(store.get_grads() == 1.0)
+    store.zero_grads()
+    assert all(np.all(p.grad == 0.0) for p in params)
     for wrong in (theta[:-3], np.append(theta, [1.0, 2.0, 3.0])):
         with pytest.raises(ValueError, match="flat vector"):
-            set_flat_params(params, wrong)
-        assert np.array_equal(flatten_params(params), theta * 2.0)  # nothing written
+            store.set(wrong)
+        assert np.array_equal(store.get(), theta * 2.0)  # nothing written
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from quantrl import diffnet
 from quantrl.diffnet import Tape
 from quantrl.errors import ConfigError, EvaluationError, TrainingError
 from quantrl.forecaster import (
@@ -108,14 +107,39 @@ def test_window_contents_match_rows():
 # training
 # ---------------------------------------------------------------------------
 
+def test_forecaster_parameters_are_views_of_one_flat_store():
+    model = ForecastModel(n_features=3, hidden=4, lookback=5, seed=2)
+    params, store = model.parameters(), model.store
+
+    def flat(attr):  # the per-parameter arrays, concatenated in order
+        return np.concatenate([getattr(p, attr).ravel() for p in params])
+
+    assert np.array_equal(store.values, flat("value"))
+    assert all(p.value.base is store.values and p.grad.base is store.grads
+               for p in params)
+    store.set(store.get() + 1.0)  # one write reaches every parameter
+    assert np.array_equal(flat("value"), store.values)
+
+    tape = Tape()
+    pred = model._forward(tape, np.random.default_rng(6).normal(size=(2, 5, 3)))
+    tape.backward(tape.sum(tape.square(pred)))
+    assert np.any(store.grads != 0.0) and np.array_equal(store.grads, flat("grad"))
+    store.zero_grads()
+    assert all(np.all(p.grad == 0.0) for p in params)
+
+    # training steps the store in place, so the parameters stay its views
+    trained = train_forecaster(build_windows(sine_series(n=30), lookback=5),
+                               ForecastConfig(lookback=5, hidden=4, epochs=3))
+    assert all(p.value.base is trained.store.values for p in trained.parameters())
+    assert not np.array_equal(trained.store.values, ForecastModel(3, 4, 5).store.values)
+
+
 def test_training_is_deterministic():
     ds = build_windows(sine_series(n=60), lookback=8)
     cfg = ForecastConfig(epochs=10, seed=7, hidden=8)
     m1 = train_forecaster(ds, cfg)
     m2 = train_forecaster(ds, cfg)
-    t1 = diffnet.flatten_params(m1.parameters())
-    t2 = diffnet.flatten_params(m2.parameters())
-    assert np.array_equal(t1, t2)
+    assert np.array_equal(m1.store.values, m2.store.values)
     assert m1.loss_history == m2.loss_history
 
 
@@ -259,7 +283,7 @@ def test_forecaster_gradients_match_finite_differences():
         err = tape.add_const(pred, -targets)
         return float(tape.scale(tape.sum(tape.square(err)), 0.5).value)
 
-    diffnet.zero_grads(params)
+    model.store.zero_grads()
     tape = Tape()
     pred = model._forward(tape, windows)
     err = tape.add_const(pred, -targets)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from quantrl.a3c import ActorCriticNet, load_checkpoint, save_checkpoint
 from quantrl.cli import main
-from quantrl.diffnet import flatten_params, pack_arrays, set_flat_params
+from quantrl.diffnet import pack_arrays, unpack_arrays
 from quantrl.errors import ModelFileError
 from quantrl.forecaster import ForecastModel, load_forecaster, save_forecaster
 
@@ -29,9 +29,13 @@ def small_net():
 
 def small_forecaster():
     model = ForecastModel(n_features=6, hidden=4, lookback=3, seed=2)
-    params = model.parameters()
-    set_flat_params(params, np.linspace(-1.0, 1.0, flatten_params(params).size))
+    model.store.set(np.linspace(-1.0, 1.0, model.store.values.size))
     return model
+
+
+def same_parameters(a, b) -> bool:
+    return all(np.array_equal(p.value, q.value)
+               for p, q in zip(a.parameters(), b.parameters(), strict=True))
 
 
 # magic, model factory, writer, reader, SHA-256 of the file the writer made
@@ -78,8 +82,17 @@ def test_layout_pinned_and_roundtrips(tmp_path, fmt):
     path = tmp_path / "model"
     path.write_bytes(raw)
     back = load(path)
-    assert np.array_equal(flatten_params(back.parameters()),
-                          flatten_params(make().parameters()))
+    assert same_parameters(back, make())
+
+
+def test_loaded_forecaster_store_holds_the_file_arrays(tmp_path):
+    raw = written_bytes("qlstm")
+    path = tmp_path / "model.qlstm"
+    path.write_bytes(raw)
+    _, blob = header_and_blob(b"QLSTM", raw)
+    arrays = unpack_arrays(blob)
+    assert np.array_equal(load_forecaster(path).store.values,
+                          np.concatenate([a.ravel() for a in arrays]))
 
 
 @st.composite
@@ -165,8 +178,7 @@ def test_forecaster_lookback_sets_no_shape(tmp_path):
     path.write_bytes(with_header("qlstm", lookback=10**13))
     model = load_forecaster(path)
     assert model.lookback == 10**13
-    assert np.array_equal(flatten_params(model.parameters()),
-                          flatten_params(small_forecaster().parameters()))
+    assert same_parameters(model, small_forecaster())
 
 
 def test_cli_evaluate_oversized_checkpoint_exit_code(tmp_path, capsys):
