@@ -406,7 +406,8 @@ class EvaluationRun:
     def from_csv(path) -> "EvaluationRun":
         """Rebuild a run (including flags and trades) by replaying the log.
         An unreadable file, a missing column or a row that does not parse
-        is an IngestionError naming the file (and the row)."""
+        or holds a non-finite number is an IngestionError naming the file
+        (and the row)."""
         dates, actions, prices, assets = [], [], [], []
         reader = csv.DictReader(
             line for line in read_text_lines(path) if not line.startswith("#"))
@@ -419,8 +420,10 @@ class EvaluationRun:
                     raise ValueError(f"unknown action {record['action']!r}")
                 dates.append(dt.date.fromisoformat(record["date"]))
                 actions.append(_NAME_TO_ACTION[record["action"]])
-                prices.append(float(record["price"]))
-                assets.append(float(record["asset_value"]))
+                for column, values in (("price", prices), ("asset_value", assets)):
+                    values.append(float(record[column]))
+                    if not math.isfinite(values[-1]):
+                        raise ValueError(f"{column}={record[column]!r} is not finite")
             except (TypeError, ValueError) as exc:
                 raise IngestionError(f"{path}: row {row}: {exc}") from exc
         flags, trades = _replay(dates, actions, prices, assets)

@@ -462,9 +462,13 @@ def run_matrix(config: ExperimentConfig,
                strategies=DEFAULT_MATRIX) -> MatrixResult:
     """Run each strategy over a shared data/seed base and emit the merged
     comparison table. Per-run failures mark their column and the rest
-    continue."""
+    continue; a repeated label, which would share a column, is a
+    ConfigError before any runs."""
     if not strategies:
         raise ConfigError("matrix needs at least one strategy")
+    repeated = sorted({s for s in strategies if strategies.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"matrix strategies repeat {', '.join(repeated)}")
     out = Path(config.out_dir)
     reports, failures, runs = {}, {}, {}
     # every column reads the same data with the same seed and forecast

@@ -20,11 +20,12 @@ then reused, so a forward runs in real arithmetic: ``y = encoded @ block``
 and <Z> = ``(y * y) @ Z_pairs``. Larger circuits apply the phases, the
 ring and layers 2..depth to the batch directly.
 
-Each RZ sublayer is one diagonal and each CNOT ring one permutation. Up
-to ``BLOCK_MAX_QUBITS`` qubits, each RY sublayer is one real 2**n x 2**n
-matrix, the Kronecker product of its 2x2 rotations, gathered from the
-angles' cos and sin like the encoded state; larger sublayers are applied
-qubit by qubit. Block builds and the adjoint sweep share this kernel.
+Each RZ sublayer is one diagonal and each CNOT ring one permutation. Each
+RY sublayer is the Kronecker product of its 2x2 rotations, one real
+matrix gathered from the angles' cos and sin like the encoded state. Up
+to ``BLOCK_MAX_QUBITS`` qubits it is applied whole; larger sublayers
+apply it as two half-width factors, one from each side of the row viewed
+as a matrix. Block builds and the adjoint sweep share this kernel.
 
 Gradients use the adjoint method (Jones & Gacon 2020): one reverse sweep
 gives every parameter and input gradient, exact and in O(B * P * 2**n).
@@ -63,9 +64,10 @@ ENCODING_SCALE = np.pi  # post-tanh latents in (-1, 1) map to angles in (-pi, pi
 # episode on a 120-row sawtooth took 43 ms with the matrix and 58 ms with
 # the gates at n=7, but 131 ms against 85 ms at n=8 (2-core x86 host), so
 # larger circuits apply the gates to each batch instead. The same cutoff
-# picks the RY sublayer kernel: one dense real matrix against n per-qubit
-# rotations took 448 against 623 us for 128 rows at n=7, but 1590 against
-# 586 us for 40 rows at n=8.
+# picks how an RY sublayer's matrix is applied: whole or as two half-width
+# factors. Whole against split took 1197 against 59 us for 40 rows at n=8,
+# 412 against 74 at n=7 (128 rows), 13 against 20 at n=4 (40 rows; timeit
+# minima). Whole matrices up to the cutoff keep block circuits' bits.
 BLOCK_MAX_QUBITS = 7
 BLOCK_CACHE_SIZE = 8    # angle vectors: the policy and value circuits of a few nets
 
@@ -109,19 +111,6 @@ def _z_signs(n_qubits: int) -> np.ndarray:
     return (1.0 - 2.0 * _basis_bits(n_qubits)).astype(np.float64)
 
 
-def _ry_inplace(amps: np.ndarray, n: int, qubit: int, theta: float) -> None:
-    """RY(theta) on one qubit of every row of ``amps`` [batch, 2**n], in place."""
-    hi = 1 << (n - 1 - qubit)
-    lo = 1 << qubit
-    a = amps.reshape(amps.shape[0], hi, 2, lo)
-    half = 0.5 * theta
-    c, s = np.cos(half), np.sin(half)
-    a0 = a[:, :, 0, :].copy()
-    a1 = a[:, :, 1, :]
-    a[:, :, 0, :] = c * a0 - s * a1
-    a[:, :, 1, :] = s * a0 + c * a1
-
-
 @lru_cache(maxsize=None)
 def _sublayer_index(n_qubits: int) -> np.ndarray:
     """index[q, i, j] = q + n * (2 bit_q(i) + bit_q(j)): the column of RY(theta_q)'s
@@ -131,22 +120,31 @@ def _sublayer_index(n_qubits: int) -> np.ndarray:
             + n_qubits * (2 * bits[:, :, None] + bits[:, None, :]))
 
 
-def _ry_sublayer(amps: np.ndarray, n: int, thetas: np.ndarray) -> np.ndarray:
-    """Rows after RY(thetas[q]) on every qubit q; use the returned array.
-
-    Up to ``BLOCK_MAX_QUBITS`` qubits the sublayer is one real matrix
-    K = R_(n-1) x ... x R_0, built with one gather and one product like
-    the folded encoding, and a new ``amps @ K.T`` is returned. Larger
-    sublayers are applied qubit by qubit to amps in place.
-    """
-    if n > BLOCK_MAX_QUBITS:
-        for q in range(n):
-            _ry_inplace(amps, n, q, thetas[q])
-        return amps
+def _ry_kron(thetas: np.ndarray) -> np.ndarray:
+    """K = R_(k-1) x ... x R_0 with R_q = RY(thetas[q]) for k angles, one real
+    2**k x 2**k matrix built with one gather and one product like the
+    folded encoding."""
     half = 0.5 * thetas
     c, s = np.cos(half), np.sin(half)
     entries = np.concatenate((c, -s, s, c))
-    return amps @ np.multiply.reduce(entries.take(_sublayer_index(n)), axis=0).T
+    return np.multiply.reduce(entries.take(_sublayer_index(len(thetas))), axis=0)
+
+
+def _ry_sublayer(amps: np.ndarray, n: int, thetas: np.ndarray) -> np.ndarray:
+    """New complex rows ``amps @ K.T`` after RY(thetas[q]) on every qubit q.
+
+    K is one :func:`_ry_kron` matrix up to ``BLOCK_MAX_QUBITS`` qubits. Above
+    it, K = K_hi x K_lo with lo = n // 2, and a row viewed as X[i_hi, i_lo]
+    (qubits 0..lo-1 low) maps to K_hi @ X @ K_lo.T (Van Loan 2000): 2**n *
+    (2**lo + 2**(n-lo)) multiply-adds a row instead of 4**n. X @ K_lo.T is
+    one product over all rows; the real K_hi then acts on its (re, im) pairs.
+    """
+    if n <= BLOCK_MAX_QUBITS:
+        return amps @ _ry_kron(thetas).T
+    lo = n // 2
+    right = amps.reshape(-1, 1 << lo) @ _ry_kron(thetas[:lo]).T
+    pairs = right.view(np.float64).reshape(-1, 1 << (n - lo), 2 << lo)
+    return (_ry_kron(thetas[lo:]) @ pairs).view(np.complex128).reshape(amps.shape)
 
 
 def _apply_after_fold(amps: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:

@@ -52,6 +52,17 @@ class SyntheticSpec:
             raise ConfigError("sawtooth period must be >= 2")
         if not -1 < self.phi < 1:
             raise ConfigError("ar1 phi must be in (-1, 1)")
+        if not self.sigma >= 0:
+            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        # ingest rejects a close that is written as 0 with 8 decimals or is
+        # not finite; an overflow shows up as inf and is reported here
+        with np.errstate(all="ignore"):
+            closes = synthetic_closes(self)
+        valid = np.isfinite(closes) & (closes >= 1e-8)
+        if not valid.all():
+            bad = int(np.argmin(valid))
+            raise ConfigError(f"{self.kind} spec gives close {closes[bad]} at row "
+                              f"{bad}; closes must be finite and at least 1e-8")
 
 
 def synthetic_closes(spec: SyntheticSpec) -> np.ndarray:

@@ -78,11 +78,14 @@ class MarketSeries:
 
 def _parse_float(text: str, column: str, row_number: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise IngestionError(
             f"row {row_number}: cannot parse {column}={text!r} as a number"
         ) from None
+    if not math.isfinite(value):
+        raise IngestionError(f"row {row_number}: {column}={text!r} is not finite")
+    return value
 
 
 def read_text_lines(path) -> list[str]:
@@ -101,8 +104,8 @@ def load_market_csv(path) -> MarketSeries:
     """Read the weekly schema, sort by date, forward-fill gaps.
 
     Raises IngestionError (naming the file, or the offending row number)
-    on an unreadable or non-text file, unparseable content, duplicate
-    dates or an empty result.
+    on an unreadable or non-text file, unparseable content, a non-finite
+    number, duplicate dates or an empty result.
     """
     reader = csv.DictReader(read_text_lines(path))
     if reader.fieldnames is None:

@@ -513,7 +513,7 @@ def test_uniform_policy_evaluates_to_flat_asset():
     (dict(max_episodes=2, head_kind="quantum", latent_dim=BLOCK_MAX_QUBITS + 1,
           vqc_depth=2),
      ("d2692752f2480cbc872a19aab85c7824fc8f26cc504aae3ff09891b4c5287a1d",
-      "046c04efe7d9fd30574e263e98cec46b0344054d98c53a79eacb749c9c4c86e3",
+      "4bb0ece64b5718bd866038fd31a5cfc60da8c152c2d8469ec4f512daeb651fcb",
       "7ded7bdfe30f8636eef8ab170eb4714c900d0ef129a02cc9d0842d344e0796a2")),
 ], ids=["classical", "quantum", "quantum-gates"])
 def test_seeded_training_is_pinned(head, digests):

@@ -383,6 +383,14 @@ def test_matrix_single_strategy(tmp_path):
     assert "random" in table.splitlines()[0]
 
 
+def test_matrix_rejects_repeated_strategy(tmp_path):
+    # two runs of one label would share a directory and a table column
+    config = tiny_config(tmp_path / "m")
+    with pytest.raises(ConfigError, match="repeat random"):
+        run_matrix(config, ("random", "classical", "random"))
+    assert not (tmp_path / "m").exists()
+
+
 def test_matrix_failure_isolation(tmp_path):
     config = tiny_config(tmp_path / "m")
     result = run_matrix(config, ("random", "warp-drive"))
@@ -570,10 +578,12 @@ _EVALUATION = ("date,action,price,asset_value\n"
     ("date,action,price\n2022-01-07,buy,100\n", "missing column(s) asset_value"),
     (_EVALUATION.replace("2022-01-14", "2022-13-14"), "row 2: "),
     (_EVALUATION.replace("101,", "1o1,"), "row 2: "),
+    (_EVALUATION.replace("101,", "nan,"), "row 2: price='nan' is not finite"),
+    (_EVALUATION.replace("1010", "inf"), "row 2: asset_value='inf' is not finite"),
     (None, "No such file"),
     (b"date,action\n\x89PNG\n", "not a text file"),
-], ids=["unknown-action", "missing-column", "bad-date", "bad-number", "missing-file",
-        "binary"])
+], ids=["unknown-action", "missing-column", "bad-date", "bad-number", "nan-price",
+        "inf-asset", "missing-file", "binary"])
 def test_cli_report_malformed_evaluation_exit_code(tmp_path, capsys, text, detail):
     path = tmp_path / "evaluation.csv"
     if text is not None:
@@ -585,9 +595,16 @@ def test_cli_report_malformed_evaluation_exit_code(tmp_path, capsys, text, detai
     assert detail in err[0]
 
 
-def test_cli_generate_rejects_bad_spec(tmp_path):
-    assert main(["generate", "--kind", "sawtooth", "--length", "3",
-                 "--out", str(tmp_path / "x.csv")]) == 1
+@pytest.mark.parametrize("args", [
+    ["--kind", "sawtooth", "--length", "3"],
+    ["--kind", "trend", "--slope", "-0.1", "--length", "20"],
+    ["--kind", "ar1", "--sigma", "-1", "--length", "20"],
+    ["--kind", "white-noise", "--sigma", "1e300", "--length", "20"],
+], ids=["short", "negative-close", "negative-sigma", "overflow"])
+def test_cli_generate_rejects_bad_spec(tmp_path, args):
+    out = tmp_path / "x.csv"
+    assert main(["generate", *args, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_cli_report_and_evaluate(tmp_path, capsys):

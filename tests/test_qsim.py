@@ -52,20 +52,20 @@ def _cnot_matrix(control, target, n):
 
 
 def dense_oracle_expectations(x, params):
-    """Simulate the full circuit with explicit matrix products."""
+    """Simulate the full circuit with explicit matrix products: each gate's
+    full 2^n x 2^n matrix applied to the statevector of |0...0>."""
     n = params.n_qubits
-    unitary = np.eye(1 << n, dtype=complex)
+    psi = np.eye(1 << n, dtype=complex)[0]
     for q in range(n):
-        unitary = _embed_single(_ry_matrix(np.pi * x[q]), q, n) @ unitary
+        psi = _embed_single(_ry_matrix(np.pi * x[q]), q, n) @ psi
     for layer in range(params.depth):
         for q in range(n):
-            unitary = _embed_single(_ry_matrix(params.angles[layer, q, 0]), q, n) @ unitary
+            psi = _embed_single(_ry_matrix(params.angles[layer, q, 0]), q, n) @ psi
         for q in range(n):
-            unitary = _embed_single(_rz_matrix(params.angles[layer, q, 1]), q, n) @ unitary
+            psi = _embed_single(_rz_matrix(params.angles[layer, q, 1]), q, n) @ psi
         if n > 1:
             for q in range(n):
-                unitary = _cnot_matrix(q, (q + 1) % n, n) @ unitary
-    psi = unitary[:, 0]
+                psi = _cnot_matrix(q, (q + 1) % n, n) @ psi
     probs = np.abs(psi) ** 2
     out = np.empty(n)
     for q in range(n):
@@ -90,40 +90,25 @@ def test_vqc_params_qubit_count_out_of_range(bad):
         VqcParams(bad, 1)
 
 
-@pytest.mark.parametrize("qubit", range(3), ids=lambda q: f"ry-{q}")
-def test_gate_kernels_match_dense_matrices(qubit):
-    # every batch row is a random complex vector, so the kernel is checked
-    # as a linear map, not only on normalized states
-    n, batch = 3, 5
-    rng = np.random.default_rng(5)
-    amps = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
-    theta = rng.uniform(-np.pi, np.pi)
-    got = amps.copy()
-    qsim._ry_inplace(got, n, qubit, theta)
-    want = amps @ _embed_single(_ry_matrix(theta), qubit, n).T
-    assert np.max(np.abs(got - want)) < 1e-14
-
-
 @pytest.mark.parametrize("batch", [1, 20])
-@pytest.mark.parametrize("n", range(1, qsim.BLOCK_MAX_QUBITS + 2))
+@pytest.mark.parametrize("n", range(1, qsim.BLOCK_MAX_QUBITS + 3))
 def test_ry_sublayer_matches_dense_matrices(n, batch):
-    # one real matrix up to the cutoff, the per-qubit kernel above it
+    # one real matrix up to the cutoff, two half-width factors above it: an
+    # even and an odd split. Every row is a random complex vector, so the
+    # kernel is checked as a linear map, not only on normalized states
     rng = np.random.default_rng(100 + n)
     amps = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
+    before = amps.copy()
     alternating = rng.uniform(0.1, np.pi, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
     for thetas in (alternating, -alternating):
-        got = qsim._ry_sublayer(amps.copy(), n, thetas)
+        got = qsim._ry_sublayer(amps, n, thetas)
+        assert np.array_equal(amps, before)
         oracle = np.eye(1 << n)
         for q in range(n):
             oracle = _embed_single(_ry_matrix(thetas[q]), q, n) @ oracle
         for row in range(batch):
             assert np.max(np.abs(got[row] - oracle @ amps[row])) < 1e-14
-        if n > qsim.BLOCK_MAX_QUBITS:
-            chained = amps.copy()
-            for q in range(n):
-                qsim._ry_inplace(chained, n, q, thetas[q])
-            assert np.array_equal(got, chained)
-        undone = qsim._ry_sublayer(got.copy(), n, -thetas)
+        undone = qsim._ry_sublayer(got, n, -thetas)
         assert np.max(np.abs(undone - amps)) < 1e-14
 
 
@@ -155,9 +140,10 @@ def test_vqc_input_length_validation():
 
 def test_vqc_matches_dense_unitary_oracle():
     rng = np.random.default_rng(11)
-    # the last two n are the largest circuit with a block matrix and the
-    # smallest without; depths 1 and 3 check the fold of layer 1 on both paths
-    edges = (qsim.BLOCK_MAX_QUBITS, qsim.BLOCK_MAX_QUBITS + 1)
+    # the edges are the largest circuit with a block matrix and the two
+    # smallest without, an even and an odd split of the RY sublayers; depths
+    # 1 and 3 check the fold of layer 1 on both paths
+    edges = (qsim.BLOCK_MAX_QUBITS, qsim.BLOCK_MAX_QUBITS + 1, qsim.BLOCK_MAX_QUBITS + 2)
     for n, depth in [(n, 2) for n in (1, 2, 3, 4, *edges)] + [
             (n, depth) for depth in (1, 3) for n in edges]:
         for _ in range(5):
@@ -340,7 +326,8 @@ def test_parameter_shift_matches_finite_differences():
 # without; at depth 0 nothing is folded into the encoding
 @pytest.mark.parametrize("batch", [1, 20])
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, qsim.BLOCK_MAX_QUBITS, qsim.BLOCK_MAX_QUBITS + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, qsim.BLOCK_MAX_QUBITS, qsim.BLOCK_MAX_QUBITS + 1,
+                               qsim.BLOCK_MAX_QUBITS + 2])
 def test_adjoint_matches_parameter_shift(n, depth, batch):
     rng = np.random.default_rng(1000 * n + 10 * depth + batch)
     params = VqcParams(n, depth, rng.uniform(-np.pi, np.pi, (depth, n, 2)))

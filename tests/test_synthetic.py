@@ -67,3 +67,14 @@ def test_spec_validation():
         SyntheticSpec("ar1", 100, phi=1.5)
     with pytest.raises(ConfigError):
         SyntheticSpec("sawtooth", 100, period=1)
+    # closes that ingest would reject, and a negative noise scale
+    for bad in [dict(kind="trend", slope=-0.1, length=20),
+                dict(kind="sawtooth", base=-100.0, length=20),
+                dict(kind="sawtooth", base=float("nan"), length=20),
+                dict(kind="white-noise", mu=-5.0, sigma=0.0, length=20),
+                dict(kind="white-noise", sigma=1e300, length=20)]:
+        with pytest.raises(ConfigError, match="closes must be finite"):
+            SyntheticSpec(**bad)
+    for kind in ("white-noise", "ar1"):
+        with pytest.raises(ConfigError, match="sigma"):
+            SyntheticSpec(kind, 20, sigma=-1.0)

@@ -118,6 +118,14 @@ def test_bad_number_reports_row(tmp_path):
     )
     with pytest.raises(IngestionError, match="row 3"):
         load_market_csv(path)
+    # a non-finite number parses as a float but is no price, level or forecast
+    for column, row in [("close", "2022-01-14,nan,22,0.1,1.1,1.9,3.2,0.0"),
+                        ("vix", "2022-01-14,4510,inf,0.1,1.1,1.9,3.2,0.0"),
+                        ("forecast", "2022-01-14,4510,22,0.1,1.1,1.9,3.2,-inf")]:
+        path = write_csv(tmp_path / "m.csv", ["2022-01-07,4500,20,0.1,1.0,1.8,3.0,0.0", row],
+                         header=HEADER + ",forecast")
+        with pytest.raises(IngestionError, match=f"row 3: {column}='.*' is not finite"):
+            load_market_csv(path)
 
 
 def test_bad_date_reports_row(tmp_path):
