@@ -26,7 +26,7 @@ for step in range(200):
     tape = Tape()
     pred = tape.tanh(tape.dense(layer, Node(x)))
     err = tape.add_const(pred, -target)
-    loss = tape.scale(tape.sum(tape.square(err)), 1.0 / len(x))
+    loss = tape.scale(tape.sum(tape.mul(err, err)), 1.0 / len(x))
     tape.backward(loss)
     optimizer.step(store.values, store.grads)  # updates the layer in place
     if step % 50 == 0:

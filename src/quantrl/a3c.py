@@ -1,15 +1,16 @@
 """Asynchronous advantage actor-critic trainer with pluggable classical or
 hybrid-quantum policy/value heads.
 
-Both heads share one layout: dense in -> tanh -> encoder -> tanh -> dense
-out (softmax over {hold, buy, sell} for the policy, a scalar for the
-value). The encoder is either a variational quantum circuit on
+The policy and the value net are two ``Head`` objects of one layout:
+dense in -> tanh -> encoder -> tanh -> dense out (logits over {hold, buy,
+sell} for the policy, a scalar for the value), with one taped
+``Head.forward``. The encoder is either a variational quantum circuit on
 ``latent_dim`` qubits or a same-width dense layer, so the two modes are
-drop-in replacements for each other. Each net keeps its parameters and
-their grads in one ``diffnet.FlatStore``, so the flat vectors a worker
-pushes and pulls are one numpy call each way.
+drop-in replacements for each other. An ``ActorCriticNet`` keeps both
+heads' parameters and their grads in one ``diffnet.FlatStore``, so the
+flat vectors a worker pushes and pulls are one numpy call each way.
 
-One taped forward gives the policy logits. Training applies the tape's
+The policy head's forward gives the logits. Training applies the tape's
 softmax to them; a decision (``policy_probs``) normalises its one row
 with ``diffnet.softmax_row`` instead, the same bits with no tape op after
 the logits. Neither a decision's input nor a trajectory's states take a
@@ -85,8 +86,11 @@ class TrainConfig:
                               f"{qsim.MAX_QUBITS}, got {self.latent_dim}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not math.isfinite(self.entropy_coeff):
+            raise ConfigError(f"entropy_coeff must be finite, got {self.entropy_coeff}")
         if self.vqc_depth < 1:
             raise ConfigError(f"vqc_depth must be >= 1, got {self.vqc_depth}")
         if self.clip_norm is not None and not self.clip_norm > 0:
@@ -99,13 +103,37 @@ class TrainConfig:
                               vqc_depth=self.vqc_depth, seed=self.seed)
 
 
-class ActorCriticNet:
-    """Policy and value heads over a shared input dimension.
+class Head:
+    """One net: dense in -> tanh -> encoder -> tanh -> dense out. The encoder
+    is a same-width ``Dense`` or, given ``vqc_depth``, circuit angles, run by
+    the ``qsim.VqcParams`` that the owning net puts in ``circuit``."""
 
-    Policy and value use separate encoders (two circuits in quantum mode);
-    parameter order is fixed so flat vectors are interchangeable between
-    identically-configured nets.
-    """
+    def __init__(self, obs_dim: int, latent_dim: int, n_out: int,
+                 vqc_depth: int | None, rng: np.random.Generator):
+        self.dense_in = Dense(obs_dim, latent_dim, rng)
+        self.encoder = (Dense(latent_dim, latent_dim, rng) if vqc_depth is None
+                        else Param(rng.uniform(-0.1, 0.1, (vqc_depth, latent_dim, 2))))
+        self.dense_out = Dense(latent_dim, n_out, rng)
+        self.circuit = None
+
+    def parameters(self) -> list[Param]:
+        quantum = isinstance(self.encoder, Param)
+        encoder = [self.encoder] if quantum else self.encoder.parameters()
+        return self.dense_in.parameters() + encoder + self.dense_out.parameters()
+
+    def forward(self, tape: Tape, s: Node) -> Node:
+        """[batch, n_out] outputs for a [batch, obs_dim] batch."""
+        z = tape.tanh(tape.dense(self.dense_in, s))
+        q = (tape.dense(self.encoder, z) if self.circuit is None
+             else tape.vqc(self.encoder, self.circuit, z))
+        return tape.dense(self.dense_out, tape.tanh(q))
+
+
+class ActorCriticNet:
+    """A policy head (``policy``, action logits) and a value head
+    (``critic``), built in that order over one input dimension with separate
+    encoders (two circuits in quantum mode). Parameter order is fixed so flat
+    vectors are interchangeable between identically-configured nets."""
 
     def __init__(self, obs_dim: int, head_kind: str = "classical",
                  latent_dim: int = 8, vqc_depth: int = 2, seed: int = 0):
@@ -116,24 +144,14 @@ class ActorCriticNet:
         self.latent_dim = latent_dim
         self.vqc_depth = vqc_depth
         rng = np.random.default_rng(seed)
-
-        def encoder():
-            if head_kind == "quantum":
-                return Param(rng.uniform(-0.1, 0.1, (vqc_depth, latent_dim, 2)))
-            return Dense(latent_dim, latent_dim, rng)
-
-        self.policy_in = Dense(obs_dim, latent_dim, rng)
-        self.policy_encoder = encoder()
-        self.policy_out = Dense(latent_dim, N_ACTIONS, rng)
-        self.value_in = Dense(obs_dim, latent_dim, rng)
-        self.value_encoder = encoder()
-        self.value_out = Dense(latent_dim, 1, rng)
+        depth = vqc_depth if head_kind == "quantum" else None
+        self.policy = Head(obs_dim, latent_dim, N_ACTIONS, depth, rng)
+        self.critic = Head(obs_dim, latent_dim, 1, depth, rng)
         self._store = diffnet.FlatStore(self.parameters())
         # one circuit per quantum encoder, built once on the store's view of
         # its angles, so set_flat and checkpoint loads reach it
-        self.policy_circuit, self.value_circuit = (
-            qsim.VqcParams(latent_dim, vqc_depth, e.value) if head_kind == "quantum" else None
-            for e in (self.policy_encoder, self.value_encoder))
+        for head in (self.policy, self.critic) if depth else ():
+            head.circuit = qsim.VqcParams(latent_dim, vqc_depth, head.encoder.value)
 
     @staticmethod
     def parameter_shapes(obs_dim: int, head_kind: str, latent_dim: int,
@@ -141,43 +159,22 @@ class ActorCriticNet:
         """Shapes of parameters() for this architecture, without building."""
         encoder = ([(vqc_depth, latent_dim, 2)] if head_kind == "quantum"
                    else Dense.parameter_shapes(latent_dim, latent_dim))
-        head_in = Dense.parameter_shapes(obs_dim, latent_dim)
-        return (head_in + encoder + Dense.parameter_shapes(latent_dim, N_ACTIONS)
-                + head_in + encoder + Dense.parameter_shapes(latent_dim, 1))
+        return [shape for n_out in (N_ACTIONS, 1)
+                for shape in Dense.parameter_shapes(obs_dim, latent_dim) + encoder
+                + Dense.parameter_shapes(latent_dim, n_out)]
 
     def parameters(self) -> list[Param]:
-        params = []
-        for part in (self.policy_in, self.policy_encoder, self.policy_out,
-                     self.value_in, self.value_encoder, self.value_out):
-            params.extend([part] if isinstance(part, Param) else part.parameters())
-        return params
-
-    @staticmethod
-    def _encode(tape: Tape, encoder, circuit, z: Node) -> Node:
-        if circuit is None:
-            return tape.dense(encoder, z)
-        return tape.vqc(encoder, circuit, z)
-
-    def policy_logits(self, tape: Tape, s: Node) -> Node:
-        """Action logits for a [batch, obs_dim] batch."""
-        z = tape.tanh(tape.dense(self.policy_in, s))
-        q = self._encode(tape, self.policy_encoder, self.policy_circuit, z)
-        return tape.dense(self.policy_out, tape.tanh(q))
-
-    def forward_value(self, tape: Tape, s: Node) -> Node:
-        z = tape.tanh(tape.dense(self.value_in, s))
-        q = self._encode(tape, self.value_encoder, self.value_circuit, z)
-        return tape.dense(self.value_out, tape.tanh(q))  # [batch, 1]
+        return self.policy.parameters() + self.critic.parameters()
 
     def policy_probs(self, obs: np.ndarray) -> np.ndarray:
         """Action distribution for one observation: the logits of a batch of
         one, then ``softmax_row``, the bits of ``softmax`` with no tape op."""
         s = Node(obs[None, :], requires_grad=False)
-        return diffnet.softmax_row(self.policy_logits(Tape(), s).value[0])
+        return diffnet.softmax_row(self.policy.forward(Tape(), s).value[0])
 
     def value(self, obs: np.ndarray) -> float:
         s = Node(obs[None, :], requires_grad=False)
-        return float(self.forward_value(Tape(), s).value[0, 0])
+        return float(self.critic.forward(Tape(), s).value[0, 0])
 
     # flat parameter plumbing: each is one numpy call on the store
     def get_flat(self) -> np.ndarray:
@@ -230,15 +227,15 @@ def compute_loss_and_grads(
     net.zero_grads()
     tape = Tape()
     s = Node(states, requires_grad=False)
-    probs = tape.softmax(net.policy_logits(tape, s))
-    v = net.forward_value(tape, s)                 # [K, 1]
+    probs = tape.softmax(net.policy.forward(tape, s))
+    v = net.critic.forward(tape, s)                # [K, 1]
     advantage = returns - v.value[:, 0]            # detached
 
     logp = tape.log(probs)
     logp_taken = tape.pick(logp, actions)
     policy_term = tape.sum(tape.scale(logp_taken, -advantage))
     value_err = tape.add_const(v, -returns[:, None])
-    value_term = tape.scale(tape.sum(tape.square(value_err)), 0.5)
+    value_term = tape.scale(tape.sum(tape.mul(value_err, value_err)), 0.5)
     loss = tape.add(value_term, policy_term)
     if entropy_coeff:
         negative_entropy = tape.sum(tape.mul(probs, logp))
@@ -405,9 +402,9 @@ class EvaluationRun:
     @staticmethod
     def from_csv(path) -> "EvaluationRun":
         """Rebuild a run (including flags and trades) by replaying the log.
-        An unreadable file, a missing column or a row that does not parse
-        or holds a non-finite number is an IngestionError naming the file
-        (and the row)."""
+        An unreadable file, a missing column or a row that does not parse,
+        holds a non-finite number or has a date that does not follow the
+        row before it is an IngestionError naming the file (and the row)."""
         dates, actions, prices, assets = [], [], [], []
         reader = csv.DictReader(
             line for line in read_text_lines(path) if not line.startswith("#"))
@@ -418,7 +415,10 @@ class EvaluationRun:
             try:
                 if record["action"] not in _NAME_TO_ACTION:
                     raise ValueError(f"unknown action {record['action']!r}")
-                dates.append(dt.date.fromisoformat(record["date"]))
+                date = dt.date.fromisoformat(record["date"])
+                if dates and date <= dates[-1]:
+                    raise ValueError(f"date {date} does not follow {dates[-1]}")
+                dates.append(date)
                 actions.append(_NAME_TO_ACTION[record["action"]])
                 for column, values in (("price", prices), ("asset_value", assets)):
                     values.append(float(record[column]))
@@ -510,8 +510,7 @@ _CKPT_FIELDS = {"obs_dim": int, "head_kind": str, "latent_dim": int, "vqc_depth"
 
 def save_checkpoint(net: ActorCriticNet, path) -> None:
     """Architecture header + parameters in the diffnet model-file format."""
-    header = {key: getattr(net, key) for key in _CKPT_FIELDS}
-    diffnet.save_model(path, _CKPT_MAGIC, header, net.parameters())
+    diffnet.save_model(path, _CKPT_MAGIC, _CKPT_FIELDS, net)
 
 
 def load_checkpoint(path) -> ActorCriticNet:

@@ -208,15 +208,6 @@ class Tape:
         self._push(vjp)
         return out
 
-    def square(self, x: Node) -> Node:
-        out = self._output(x.value * x.value)
-
-        def vjp():
-            x.grad += 2.0 * x.value * out.grad
-
-        self._push(vjp)
-        return out
-
     def sum(self, x: Node) -> Node:
         out = self._output(np.asarray(x.value.sum()))
 
@@ -523,10 +514,12 @@ def unpack_arrays(blob: bytes) -> list[np.ndarray]:
     return arrays
 
 
-def save_model(path, magic: bytes, header: dict, params: list[Param]) -> None:
-    """Write a model file: magic, header length, JSON header, DNP1 blob."""
-    meta = json.dumps(header, sort_keys=True).encode()
-    blob = pack_arrays([p.value for p in params])
+def save_model(path, magic: bytes, fields: dict, model) -> None:
+    """Write a model file: magic, header length, a JSON header of the
+    model's values of ``fields`` (what ``load_model`` reads back), then
+    its parameters() as a DNP1 blob."""
+    meta = json.dumps({key: getattr(model, key) for key in fields}, sort_keys=True).encode()
+    blob = pack_arrays([p.value for p in model.parameters()])
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack("<I", len(meta)) + meta + blob)
 

@@ -163,7 +163,7 @@ def train_forecaster(dataset: ForecastDataset, config: ForecastConfig) -> Foreca
         tape = Tape()
         pred = model._forward(tape, inputs)
         err = tape.add_const(pred, -target_col)
-        loss = tape.scale(tape.sum(tape.square(err)), 1.0 / batch)
+        loss = tape.scale(tape.sum(tape.mul(err, err)), 1.0 / batch)
         if not np.isfinite(loss.value):
             raise TrainingError(
                 f"forecaster loss became non-finite at epoch {epoch}"
@@ -199,8 +199,7 @@ _CKPT_FIELDS = {"n_features": int, "hidden": int, "lookback": int}
 
 def save_forecaster(model: ForecastModel, path) -> None:
     """Shape header + parameters in the diffnet model-file format."""
-    header = {key: getattr(model, key) for key in _CKPT_FIELDS}
-    diffnet.save_model(path, _CKPT_MAGIC, header, model.parameters())
+    diffnet.save_model(path, _CKPT_MAGIC, _CKPT_FIELDS, model)
 
 
 def load_forecaster(path) -> ForecastModel:

@@ -231,6 +231,8 @@ class EnvConfig:
             raise ConfigError(
                 f"trade_cost_rate must be in [0, 1), got {self.trade_cost_rate}"
             )
+        if not (math.isfinite(self.initial_cash) and self.initial_cash > 0):
+            raise ConfigError(f"initial_cash must be finite and > 0, got {self.initial_cash}")
 
 
 @dataclass

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantrl import a3c
 from quantrl.a3c import (
     N_ACTIONS,
     ActorCriticNet,
@@ -120,8 +121,8 @@ def test_returns_empty_rejected():
 
 def test_zero_logit_layer_gives_uniform_policy():
     net = ActorCriticNet(obs_dim=5, seed=3)
-    net.policy_out.w.value[...] = 0.0
-    net.policy_out.b.value[...] = 0.0
+    net.policy.dense_out.w.value[...] = 0.0
+    net.policy.dense_out.b.value[...] = 0.0
     probs = net.policy_probs(np.random.default_rng(0).normal(size=5))
     assert np.allclose(probs, [1 / 3] * 3, atol=1e-15)
 
@@ -149,7 +150,7 @@ def test_policy_simplex_on_random_nets():
 def test_policy_probs_is_softmax_of_logits_bit_for_bit(head_kind):
     net = ActorCriticNet(obs_dim=6, head_kind=head_kind, latent_dim=4, seed=2)
     for obs in np.random.default_rng(3).normal(scale=3.0, size=(100, 6)):
-        logits = net.policy_logits(Tape(), Node(obs[None, :])).value
+        logits = net.policy.forward(Tape(), Node(obs[None, :])).value
         assert np.array_equal(net.policy_probs(obs), softmax(logits)[0])
 
 
@@ -170,9 +171,8 @@ def test_parameters_are_views_of_one_flat_store(head_kind):
     net.set_flat(theta)  # one write reaches every parameter and circuit
     assert np.array_equal(flat("value"), theta)
     if head_kind == "quantum":
-        for encoder, circuit in ((net.policy_encoder, net.policy_circuit),
-                                 (net.value_encoder, net.value_circuit)):
-            assert circuit.angles is encoder.value
+        for head in (net.policy, net.critic):
+            assert head.circuit.angles is head.encoder.value
     value_base, grad_base = params[0].value.base, params[0].grad.base
     assert value_base is not None and grad_base is not None
     assert all(p.value.base is value_base and p.grad.base is grad_base for p in params)
@@ -192,11 +192,11 @@ def test_parameters_are_views_of_one_flat_store(head_kind):
 def test_set_flat_of_wrong_size_writes_nothing(extra):
     net = ActorCriticNet(obs_dim=5, head_kind="quantum", latent_dim=3, seed=4)
     theta = net.get_flat()
-    angles = net.policy_circuit.angles.copy()
+    angles = net.policy.circuit.angles.copy()
     with pytest.raises(ValueError, match="flat vector"):
         net.set_flat(np.ones(theta.size + extra))
     assert np.array_equal(net.get_flat(), theta)
-    assert np.array_equal(net.policy_circuit.angles, angles)
+    assert np.array_equal(net.policy.circuit.angles, angles)
 
 
 def test_batched_forward_matches_single():
@@ -204,8 +204,8 @@ def test_batched_forward_matches_single():
     rng = np.random.default_rng(1)
     states = rng.normal(size=(5, 4))
     tape = Tape()
-    probs = tape.softmax(net.policy_logits(tape, Node(states)))
-    values = net.forward_value(Tape(), Node(states))
+    probs = tape.softmax(net.policy.forward(tape, Node(states)))
+    values = net.critic.forward(Tape(), Node(states))
     for i in range(5):
         assert np.allclose(probs.value[i], net.policy_probs(states[i]), atol=1e-14)
         assert values.value[i, 0] == pytest.approx(net.value(states[i]), abs=1e-14)
@@ -218,11 +218,11 @@ def test_batched_forward_matches_single():
 def crafted_net(value: float, prob_taken: float, obs_dim: int = 4):
     """Net with V(s) = value and pi(action 0 | s) = prob_taken for all s."""
     net = ActorCriticNet(obs_dim=obs_dim, seed=0)
-    net.value_out.w.value[...] = 0.0
-    net.value_out.b.value[...] = value
-    net.policy_out.w.value[...] = 0.0
+    net.critic.dense_out.w.value[...] = 0.0
+    net.critic.dense_out.b.value[...] = value
+    net.policy.dense_out.w.value[...] = 0.0
     rest = (1.0 - prob_taken) / 2.0
-    net.policy_out.b.value[...] = np.log([prob_taken, rest, rest])
+    net.policy.dense_out.b.value[...] = np.log([prob_taken, rest, rest])
     return net
 
 
@@ -410,6 +410,39 @@ def test_workers_take_turns_one_push_each():
     assert steps == ([0] * 3 + [1] * 3) * 4
 
 
+def test_rejected_gradient_resyncs_the_worker_to_the_global_parameters(monkeypatch):
+    computed_on = []  # (net, its parameters) at each loss and gradient
+    accepted = []     # the global parameters after each accepted push
+
+    def loss_and_grads(net, *args, **kwargs):
+        computed_on.append((net, net.get_flat()))
+        loss, grads = compute_loss_and_grads(net, *args, **kwargs)
+        if len(computed_on) == 3:  # worker 0's second push
+            grads[0] = np.nan
+        return loss, grads
+
+    push = GlobalParams.push_and_pull
+
+    def recorded_push(self, grads):
+        accepted.append(push(self, grads))
+        return accepted[-1]
+
+    monkeypatch.setattr(a3c, "compute_loss_and_grads", loss_and_grads)
+    monkeypatch.setattr(GlobalParams, "push_and_pull", recorded_push)
+    config = TrainConfig(max_episodes=4, n_workers=2, update_every=4, seed=0)
+    history = train(config, lambda: sawtooth_env(n=16))
+    assert len(history.rewards) == 4
+    assert len(accepted) == len(computed_on) - 1
+    assert np.array_equal(history.final_theta, accepted[-1])
+    # pushes alternate: worker 0, worker 1, worker 0 (rejected), worker 1,
+    # worker 0 again, which computes on what it pulled at the rejection
+    (net0, _), (net1, _), (rejected, before), _, (resynced, after) = computed_on[:5]
+    assert net0 is not net1 and rejected is net0 and resynced is net0
+    assert np.array_equal(before, accepted[0])
+    assert np.array_equal(after, accepted[1])
+    assert not np.array_equal(after, before)
+
+
 def test_train_quantum_mode_smoke():
     config = TrainConfig(max_episodes=2, n_workers=1, seed=0,
                          head_kind="quantum", latent_dim=3, vqc_depth=1)
@@ -457,8 +490,9 @@ def test_train_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("learning_rate", 0.0), ("learning_rate", -1e-3), ("vqc_depth", 0),
-    ("vqc_depth", -1), ("clip_norm", 0.0), ("clip_norm", -40.0),
+    ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", np.inf),
+    ("learning_rate", np.nan), ("entropy_coeff", np.nan), ("entropy_coeff", -np.inf),
+    ("vqc_depth", 0), ("vqc_depth", -1), ("clip_norm", 0.0), ("clip_norm", -40.0),
 ])
 def test_train_config_bounds(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -492,8 +526,8 @@ def test_moving_average_trailing_window():
 
 def test_uniform_policy_evaluates_to_flat_asset():
     net = ActorCriticNet(obs_dim=8, seed=0)
-    net.policy_out.w.value[...] = 0.0
-    net.policy_out.b.value[...] = 0.0  # uniform -> argmax tie -> hold
+    net.policy.dense_out.w.value[...] = 0.0
+    net.policy.dense_out.b.value[...] = 0.0  # uniform -> argmax tie -> hold
     env = sawtooth_env()
     run = evaluate_policy(net, env)
     assert all(a == HOLD for a in run.actions)

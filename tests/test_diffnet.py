@@ -318,7 +318,7 @@ def test_lstm_bptt_matches_finite_differences():
     xs = rng.normal(size=(6, 1, 3))  # six steps of a one-row batch
     params = cell.parameters() + head.parameters()
 
-    def forward_value():
+    def loss_value():
         t = Tape()
         h, c = cell.initial_state(1)
         for x in xs:
@@ -332,7 +332,7 @@ def test_lstm_bptt_matches_finite_differences():
         return t.sum(t.pick(t.dense(head, h), [0]))
 
     got = tape_gradient(on_tape, params)
-    want = finite_difference(lambda: forward_value(), params)
+    want = finite_difference(lambda: loss_value(), params)
     for g, w in zip(got, want):
         denom = np.maximum(np.abs(w), 1e-6)
         assert np.max(np.abs(g - w) / denom) < 1e-4
@@ -366,7 +366,7 @@ def test_backward_at_minimum_gives_zero_grads():
     tape = Tape()
     out = tape.dense(layer, Node(x))
     err = tape.add_const(out, -x)
-    loss = tape.scale(tape.sum(tape.square(err)), 0.5)
+    loss = tape.scale(tape.sum(tape.mul(err, err)), 0.5)
     tape.backward(loss)
     assert loss.value == pytest.approx(0.0, abs=1e-30)
     assert np.allclose(layer.w.grad, 0.0, atol=1e-15)
@@ -404,7 +404,8 @@ def test_dense_over_no_grad_input_gives_the_same_parameter_grads():
     for leaf in (Node(x), Node(x, requires_grad=False)):
         store.zero_grads()
         tape = Tape()
-        loss = tape.sum(tape.square(tape.tanh(tape.dense(layer, leaf))))
+        hidden = tape.tanh(tape.dense(layer, leaf))
+        loss = tape.sum(tape.mul(hidden, hidden))
         tape.backward(loss)
         grads.append(store.get_grads())
     assert np.any(grads[0] != 0.0)
@@ -428,14 +429,39 @@ def test_hybrid_head_matches_finite_differences():
         out = t.dense(back, t.tanh(q))
         return t.sum(t.scale(out, u))
 
-    def forward_value():
+    def loss_value():
         t = Tape()
         return float(on_tape(t).value)
 
     got = tape_gradient(on_tape, params)
-    want = finite_difference(forward_value, params)
+    want = finite_difference(loss_value, params)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) < 1e-5
+
+
+def test_mul_of_a_node_by_itself_matches_finite_differences():
+    # mul(h, h) sends h * g into h's grad once per side; h also feeds a
+    # second op, so the two adds land on a grad that is already nonzero
+    rng = np.random.default_rng(23)
+    layer = Dense(3, 4, rng)
+    x = rng.normal(size=(2, 3))
+    u = rng.normal(size=(2, 4))
+    params = layer.parameters()
+
+    def on_tape(t):
+        h = t.tanh(t.dense(layer, Node(x)))
+        return t.add(t.sum(t.scale(t.mul(h, h), u)), t.sum(t.scale(h, u)))
+
+    got = tape_gradient(on_tape, params)
+    want = finite_difference(lambda: float(on_tape(Tape()).value), params)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) < 1e-6
+
+    # on a grad that starts at zero, the two adds give 2 x g bit for bit
+    tape = Tape()
+    err = tape.add_const(Node(x), -1.0)
+    tape.backward(tape.sum(tape.scale(tape.mul(err, err), 0.37)))
+    assert np.array_equal(err.grad, 2.0 * err.value * 0.37)
 
 
 def test_randomized_op_gradient_checks():
@@ -454,15 +480,15 @@ def test_randomized_op_gradient_checks():
             hid = t.tanh(t.dense(layer1, Node(x)))
             probs = t.softmax(t.dense(layer2, hid))
             picked = t.sum(t.log(t.pick(probs, [action])))
-            penalty = t.scale(t.sum(t.square(hid)), 0.5)
+            penalty = t.scale(t.sum(t.mul(hid, hid)), 0.5)
             return t.add(picked, penalty)
 
-        def forward_value():
+        def loss_value():
             t = Tape()
             return float(on_tape(t).value)
 
         got = tape_gradient(on_tape, params)
-        want = finite_difference(forward_value, params)
+        want = finite_difference(loss_value, params)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < 1e-5, f"trial {trial}"
 

@@ -191,6 +191,22 @@ def test_config_ini_derived_key_must_agree_with_experiment(tmp_path, text, keys)
     assert all(key in str(info.value) for key in keys)
 
 
+@pytest.mark.parametrize("section, line", [
+    ("env", "initial_cash = nan"),
+    ("env", "initial_cash = -5"),
+    ("train", "entropy_coeff = nan"),
+    ("train", "learning_rate = inf"),
+])
+def test_cli_config_range_error_exit_code(tmp_path, capsys, section, line):
+    path = tmp_path / "c.ini"
+    path.write_text("[experiment]\nstrategy = classical\n"
+                    f"[synthetic]\nkind = sawtooth\nlength = 20\n[{section}]\n{line}\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and line.split()[0] in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_cli_snapshot_reruns_with_another_seed(tmp_path):
     first, second = tmp_path / "a", tmp_path / "b"
     assert main(["train", "--synthetic-kind", "sawtooth", "--synthetic-length", "16",
@@ -257,6 +273,18 @@ def test_config_hash_changes_with_the_csv_at_one_path(tmp_path):
     first = _random_run(data, tmp_path / "run")
     generate(SyntheticSpec("trend", 20, slope=0.02), data)
     assert _random_run(data, tmp_path / "run").config_hash != first.config_hash
+
+
+def test_config_hash_changes_with_the_forecast_column(tmp_path):
+    data = tmp_path / "d.csv"
+    header, *rows = generate(SyntheticSpec("trend", 20), data).read_text().splitlines()
+    hashes = []
+    for forecasts in (None, [0.0] * 20, [0.0] * 19 + [0.5]):
+        lines = [header] + rows if forecasts is None else [header + ",forecast"] + [
+            f"{row},{value}" for row, value in zip(rows, forecasts)]
+        data.write_text("\n".join(lines) + "\n")
+        hashes.append(_random_run(data, tmp_path / "run").config_hash)
+    assert len(set(hashes)) == 3
 
 
 def test_parse_strategy_labels():
@@ -580,10 +608,14 @@ _EVALUATION = ("date,action,price,asset_value\n"
     (_EVALUATION.replace("101,", "1o1,"), "row 2: "),
     (_EVALUATION.replace("101,", "nan,"), "row 2: price='nan' is not finite"),
     (_EVALUATION.replace("1010", "inf"), "row 2: asset_value='inf' is not finite"),
+    (_EVALUATION.replace("2022-01-14", "2022-01-07"),
+     "row 2: date 2022-01-07 does not follow 2022-01-07"),
+    (_EVALUATION.replace("2022-01-14", "2021-12-31"),
+     "row 2: date 2021-12-31 does not follow 2022-01-07"),
     (None, "No such file"),
     (b"date,action\n\x89PNG\n", "not a text file"),
 ], ids=["unknown-action", "missing-column", "bad-date", "bad-number", "nan-price",
-        "inf-asset", "missing-file", "binary"])
+        "inf-asset", "repeated-date", "earlier-date", "missing-file", "binary"])
 def test_cli_report_malformed_evaluation_exit_code(tmp_path, capsys, text, detail):
     path = tmp_path / "evaluation.csv"
     if text is not None:

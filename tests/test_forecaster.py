@@ -122,7 +122,7 @@ def test_forecaster_parameters_are_views_of_one_flat_store():
 
     tape = Tape()
     pred = model._forward(tape, np.random.default_rng(6).normal(size=(2, 5, 3)))
-    tape.backward(tape.sum(tape.square(pred)))
+    tape.backward(tape.sum(tape.mul(pred, pred)))
     assert np.any(store.grads != 0.0) and np.array_equal(store.grads, flat("grad"))
     store.zero_grads()
     assert all(np.all(p.grad == 0.0) for p in params)
@@ -281,13 +281,13 @@ def test_forecaster_gradients_match_finite_differences():
         tape = Tape()
         pred = model._forward(tape, windows)
         err = tape.add_const(pred, -targets)
-        return float(tape.scale(tape.sum(tape.square(err)), 0.5).value)
+        return float(tape.scale(tape.sum(tape.mul(err, err)), 0.5).value)
 
     model.store.zero_grads()
     tape = Tape()
     pred = model._forward(tape, windows)
     err = tape.add_const(pred, -targets)
-    loss = tape.scale(tape.sum(tape.square(err)), 0.5)
+    loss = tape.scale(tape.sum(tape.mul(err, err)), 0.5)
     tape.backward(loss)
     got = [p.grad.copy() for p in params]
 

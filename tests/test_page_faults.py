@@ -82,12 +82,14 @@ dates, features = synthetic.synthetic_series_rows(synthetic.SyntheticSpec("sawto
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
     series = tradeenv.zscore(tradeenv.MarketSeries(tuple(dates), features))
-config = a3c.TrainConfig(head_kind="quantum", max_episodes=4, n_workers=1, seed=0,
+config = a3c.TrainConfig(head_kind="quantum", max_episodes=6, n_workers=1, seed=0,
                          gamma=0.95, learning_rate=1e-3, entropy_coeff=0.01,
                          update_every=20)
 assert config.latent_dim == 8
 count_faults_at(tradeenv.TradingEnv, "reset")  # once per episode
 a3c.train(config, lambda: tradeenv.TradingEnv(series, tradeenv.EnvConfig()))
+# the heap may grow for the first 3 episodes, depending on where its
+# allocations fall, so only the last 2 of 6 count
 report(keep=2)
 """
 

@@ -189,12 +189,12 @@ def test_forward_follows_set_flat():
     x = rng.uniform(-1, 1, 3)
 
     def encoder_readout():
-        return Tape().vqc(net.policy_encoder, net.policy_circuit, Node(x[None, :])).value[0]
+        return Tape().vqc(net.policy.encoder, net.policy.circuit, Node(x[None, :])).value[0]
 
     encoder_readout()  # fills the cache for the current angles
     for _ in range(3):
         net.set_flat(rng.uniform(-np.pi, np.pi, net.get_flat().size))
-        want = dense_oracle_expectations(x, VqcParams(3, 2, net.policy_encoder.value))
+        want = dense_oracle_expectations(x, VqcParams(3, 2, net.policy.encoder.value))
         assert np.max(np.abs(encoder_readout() - want)) < 1e-12
 
 
@@ -244,7 +244,7 @@ def test_non_finite_angles_raise(n):
     net = ActorCriticNet(obs_dim=5, head_kind="quantum", latent_dim=n,
                          vqc_depth=2, seed=3)
     params = net.parameters()
-    offset = sum(p.value.size for p in params[:params.index(net.policy_encoder)])
+    offset = sum(p.value.size for p in params[:params.index(net.policy.encoder)])
     theta = net.get_flat()
     theta[offset + 3] = np.nan  # a layer-1 RZ angle of the policy circuit
     net.set_flat(theta)
@@ -252,7 +252,7 @@ def test_non_finite_angles_raise(n):
         with pytest.raises(ValueError, match="finite"):
             net.policy_probs(np.zeros(5))
     with pytest.raises(ValueError, match="finite"):
-        parameter_shift_gradients_batch(np.zeros((1, n)), net.policy_circuit,
+        parameter_shift_gradients_batch(np.zeros((1, n)), net.policy.circuit,
                                         np.ones((1, n)))
 
 

@@ -370,6 +370,9 @@ def test_env_config_validation():
         EnvConfig(trade_cost_rate=1.0)
     with pytest.raises(ConfigError):
         EnvConfig(trade_cost_rate=-0.1)
+    for cash in (0.0, -5.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="initial_cash"):
+            EnvConfig(initial_cash=cash)
 
 
 # ---------------------------------------------------------------------------
