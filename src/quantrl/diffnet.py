@@ -50,9 +50,10 @@ class Node:
     grad from ``Tape.backward``, so a forward pass that is never
     differentiated, such as one decision, allocates no grad for it. Nor
     does an input built with ``requires_grad=False``, such as a decision's
-    observation or a trajectory's states: ``Tape.dense`` skips the input
-    grad of such a node rather than fill one nobody reads. Any other op
-    that a backward reaches through it fails on the missing grad.
+    observation, a trajectory's states or an LSTM's zero initial state:
+    ``Tape.dense`` skips the input grad of such a node, and ``Tape.lstm``
+    the state grads, rather than fill one nobody reads. Any other op that a
+    backward reaches through it fails on the missing grad.
     """
 
     __slots__ = ("value", "grad")
@@ -239,17 +240,20 @@ class Tape:
             dgi = dc * gg * gi * (1.0 - gi)
             dgf = dc * c.value * gf * (1.0 - gf)
             dgg = dc * gi * (1.0 - gg * gg)
-            c.grad += dc * gf
-            # only the hidden-state columns of dz = dg @ w, since the input
-            # takes no gradient. BLAS may round a narrower product in the
-            # last bit unlike the full one sliced, for some shapes
-            d = cell.input_size
-            h.grad += (
-                dgi @ cell.w_i.value[:, d:]
-                + dgf @ cell.w_f.value[:, d:]
-                + dgo @ cell.w_o.value[:, d:]
-                + dgg @ cell.w_g.value[:, d:]
-            )
+            # the zero initial state takes no grad
+            if c.grad is not None:
+                c.grad += dc * gf
+            if h.grad is not None:
+                # only the hidden-state columns of dz = dg @ w, since the
+                # input takes no gradient. BLAS may round a narrower product
+                # in the last bit unlike the full one sliced, for some shapes
+                d = cell.input_size
+                h.grad += (
+                    dgi @ cell.w_i.value[:, d:]
+                    + dgf @ cell.w_f.value[:, d:]
+                    + dgo @ cell.w_o.value[:, d:]
+                    + dgg @ cell.w_g.value[:, d:]
+                )
             for param_w, param_b, dg in (
                 (cell.w_i, cell.b_i, dgi),
                 (cell.w_f, cell.b_f, dgf),
@@ -264,12 +268,14 @@ class Tape:
 
     def vqc(self, angles: Param, circuit: qsim.VqcParams, x: Node) -> Node:
         """Variational-circuit encoder over a batch; backward runs the
-        adjoint method. ``circuit`` must hold ``angles.value`` itself, so
-        that in-place parameter writes reach it."""
-        out = self._output(qsim.run_vqc_batch(x.value, circuit))
+        adjoint method from the forward's final states. ``circuit`` must
+        hold ``angles.value`` itself, so that in-place parameter writes
+        reach it, and its angles must not change before the backward."""
+        value, states = qsim.run_vqc_batch(x.value, circuit, keep_states=True)
+        out = self._output(value)
 
         def vjp():
-            pg, ig = qsim.vqc_gradients_batch(x.value, circuit, out.grad)
+            pg, ig = qsim.vqc_gradients_batch(x.value, circuit, out.grad, states=states)
             angles.grad += pg
             x.grad += ig
 
@@ -357,8 +363,10 @@ class LstmCell:
         return 4 * [(hidden_size, input_size + hidden_size), (hidden_size,)]
 
     def initial_state(self, batch: int) -> tuple[Node, Node]:
+        """Zero (hidden, cell_state) nodes, which take no gradient."""
         shape = (batch, self.hidden_size)
-        return Node(np.zeros(shape)), Node(np.zeros(shape))
+        return (Node(np.zeros(shape), requires_grad=False),
+                Node(np.zeros(shape), requires_grad=False))
 
 
 def categorical_sample(probs, rng: np.random.Generator) -> int:

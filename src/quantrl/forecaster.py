@@ -14,6 +14,7 @@ complete lookback window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,9 @@ class ForecastConfig:
             raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 < self.train_fraction <= 1:
             raise ConfigError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
 

@@ -14,44 +14,47 @@ encoding: RY(theta)·RY(pi x) = RY(pi x + theta), so the state after them
 is still a real product state, built directly as a Kronecker product of
 (cos, sin) pairs. Up to ``BLOCK_MAX_QUBITS`` qubits, the rest of the
 circuit (layer 1's RZ phases and CNOT ring, then layers 2..depth) is one
-matrix that depends only on the angles, stored as a real [2**n, 2 * 2**n]
-array of (re, im) pairs. It is built once per distinct angle vector and
-then reused, so a forward runs in real arithmetic: ``y = encoded @ block``
-and <Z> = ``(y * y) @ Z_pairs``. Larger circuits apply the phases, the
-ring and layers 2..depth to the batch directly.
+block matrix that depends only on the angles, stored as a real
+[2**n, 2 * 2**n] array of (re, im) pairs, so a forward runs in real
+arithmetic: ``y = encoded @ block`` and <Z> = ``(y * y) @ Z_pairs``.
+Larger circuits apply the phases, the ring and layers 2..depth to the
+batch directly.
 
 Each RZ sublayer is one diagonal and each CNOT ring one permutation. Each
 RY sublayer is the Kronecker product of its 2x2 rotations, one real
 matrix gathered from the angles' cos and sin like the encoded state. Up
 to ``BLOCK_MAX_QUBITS`` qubits it is applied whole; larger sublayers
 apply it as two half-width factors, one from each side of the row viewed
-as a matrix. Block builds and the adjoint sweep share this kernel.
+as a matrix.
 
 Gradients use the adjoint method (Jones & Gacon 2020): one reverse sweep
 gives every parameter and input gradient, exact and in O(B * P * 2**n).
-It stops after undoing layer 1's RZ phases, where one read gives both
-layer 1's RY gradients and the input gradients. The parameter-shift rule
-(Schuld et al. 2019), which is what quantum hardware can run, is kept as
-the reference implementation and test oracle. It runs the forward above
-twice per angle, at the angle shifted by +-pi/2, and uses nothing of the
-adjoint sweep.
+It starts from the forward's final states, which ``diffnet.Tape.vqc``
+hands over, and stops after undoing layer 1's RZ phases, where one read
+gives both layer 1's RY gradients and the input gradients. The
+parameter-shift rule (Schuld et al. 2019), which is what quantum hardware
+can run, is kept as the reference implementation and test oracle. It
+runs the forward above twice per angle, at the angle shifted by +-pi/2,
+and uses nothing of the adjoint sweep.
 
-``VqcParams`` keeps the angle array it is given, so a caller may build it
-once and write the angles in place. Angles are checked for finiteness
-where they enter the circuit: when a block matrix is built (a failed build
-is not cached) and on the gate path. The parameter-shift oracle inherits
-the check from the forward it runs.
-
-Apart from one cache, everything here is stateless. The block matrices
-live in an ``lru_cache`` of ``BLOCK_CACHE_SIZE`` entries keyed on the
-angle bytes. So an angle array overwritten in place gets a new key, not a
-stale matrix. The cached matrices are read-only.
+Apart from one cache, everything here is stateless. It holds compiled
+circuits: all that depends only on the angles (the encoding's offset,
+each layer's RY factors and RZ phases with their undo forms, and the
+block matrix), built once per angle vector and read by the forward, the
+gate path and the adjoint sweep. It is an ``lru_cache`` of
+``BLOCK_CACHE_SIZE`` entries keyed on the angle bytes, so an angle array
+that ``VqcParams`` keeps and a caller overwrites in place gets a new key,
+not a stale circuit. Every cached array is read-only. Angles are checked
+for finiteness once, when their circuit is compiled (a failed compile is
+not cached); the parameter-shift oracle inherits the check from the
+forward it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,62 +133,109 @@ def _ry_kron(thetas: np.ndarray) -> np.ndarray:
     return np.multiply.reduce(entries.take(_sublayer_index(len(thetas))), axis=0)
 
 
-def _ry_sublayer(amps: np.ndarray, n: int, thetas: np.ndarray) -> np.ndarray:
-    """New complex rows ``amps @ K.T`` after RY(thetas[q]) on every qubit q.
-
-    K is one :func:`_ry_kron` matrix up to ``BLOCK_MAX_QUBITS`` qubits. Above
-    it, K = K_hi x K_lo with lo = n // 2, and a row viewed as X[i_hi, i_lo]
-    (qubits 0..lo-1 low) maps to K_hi @ X @ K_lo.T (Van Loan 2000): 2**n *
-    (2**lo + 2**(n-lo)) multiply-adds a row instead of 4**n. X @ K_lo.T is
-    one product over all rows; the real K_hi then acts on its (re, im) pairs.
-    """
+def _ry_factors(n: int, thetas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """RY(thetas[q]) on every qubit q as the factors :func:`_ry_sublayer`
+    applies: (K,) up to ``BLOCK_MAX_QUBITS`` qubits, (K_lo, K_hi) above it,
+    with K = K_hi x K_lo split at lo = n // 2."""
     if n <= BLOCK_MAX_QUBITS:
-        return amps @ _ry_kron(thetas).T
+        return (_ry_kron(thetas),)
     lo = n // 2
-    right = amps.reshape(-1, 1 << lo) @ _ry_kron(thetas[:lo]).T
-    pairs = right.view(np.float64).reshape(-1, 1 << (n - lo), 2 << lo)
-    return (_ry_kron(thetas[lo:]) @ pairs).view(np.complex128).reshape(amps.shape)
+    return _ry_kron(thetas[:lo]), _ry_kron(thetas[lo:])
 
 
-def _apply_after_fold(amps: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
+def _ry_sublayer(amps: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """New complex rows ``amps @ K.T`` for an RY sublayer's :func:`_ry_factors`.
+
+    A whole K is applied as it is. A split K = K_hi x K_lo views a row as
+    X[i_hi, i_lo] (the low qubits least significant) and maps it to
+    K_hi @ X @ K_lo.T (Van Loan 2000): 2**n * (2**lo + 2**(n-lo))
+    multiply-adds a row instead of 4**n. X @ K_lo.T is one product over all
+    rows; the real K_hi then acts on its (re, im) pairs.
+    """
+    if len(factors) == 1:
+        return amps @ factors[0].T
+    k_lo, k_hi = factors
+    right = amps.reshape(-1, len(k_lo)) @ k_lo.T
+    pairs = right.view(np.float64).reshape(-1, len(k_hi), 2 * len(k_lo))
+    return (k_hi @ pairs).view(np.complex128).reshape(amps.shape)
+
+
+class _Circuit(NamedTuple):
+    """What a circuit computes from its angles alone, read-only: the
+    encoding's offset and, per layer, the RY factors (none for layer 1,
+    folded into the encoding) and RZ phases with their undo forms."""
+
+    offset: np.ndarray | None   # 0.5 * layer 1's RY angles; None at depth 0
+    ry: list
+    ry_undo: list               # K(-theta) = K(theta).T, C-ordered like _ry_kron(-theta)
+    rz: np.ndarray              # [depth, 2**n], a row per layer
+    rz_undo: np.ndarray         # conjugates: exp(+i a / 2) = conj(exp(-i a / 2))
+    # up to BLOCK_MAX_QUBITS, _block_rows as real [2**n, 2 * 2**n] (re, im)
+    # pairs, so a batch of real row states maps to ``states @ block``
+    block: np.ndarray | None
+
+
+def _apply_after_fold(amps: np.ndarray, n: int, ry: list, rz: np.ndarray) -> np.ndarray:
     """Complex rows after layer 1's RZ phases and CNOT ring, then layers 2..depth.
 
     amps holds rows (real or complex) after layer 1's RYs, which the
-    encoding has folded in; it is not modified. Each RZ sublayer is applied
-    as one diagonal and each CNOT ring as one permutation, equal to the
-    gate-by-gate products.
+    encoding has folded in; it is not modified. ``ry`` and ``rz`` are a
+    :class:`_Circuit`'s. Each RZ sublayer is applied as one diagonal and
+    each CNOT ring as one permutation, equal to the gate-by-gate products.
     """
-    signs = _z_signs(n)
     amps = amps.astype(np.complex128)
-    for layer, layer_angles in enumerate(angles):
-        if layer:
-            amps = _ry_sublayer(amps, n, layer_angles[:, 0])
-        amps *= np.exp(-0.5j * (layer_angles[:, 1] @ signs))
+    for factors, phases in zip(ry, rz):
+        if factors:
+            amps = _ry_sublayer(amps, factors)
+        amps *= phases
         if n > 1:  # a one-qubit ring would be a self-CNOT
             amps = amps.take(_ring_perm(n), axis=1)  # C-ordered, unlike amps[:, perm]
     return amps
 
 
-def _check_finite(angles: np.ndarray) -> None:
-    if not np.all(np.isfinite(angles)):
-        raise ValueError("angles must be finite")
-
-
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _block_matrix(n: int, depth: int, angle_bytes: bytes) -> np.ndarray:
-    """Circuit after the folded encoding as a read-only real [2**n, 2 * 2**n].
-
-    Row i is the image of basis state i under layer 1's RZ phases and ring
-    and layers 2..depth, stored as (re, im) pairs, so a batch of real row
-    states maps to ``states @ block`` in real arithmetic. Keyed on the
-    angle bytes, not on an array, because parameters are overwritten in
-    place between updates. Non-finite angles raise, and nothing is cached.
-    """
+def _compiled(n: int, depth: int, angle_bytes: bytes) -> _Circuit:
+    """The :class:`_Circuit` of one angle vector. Keyed on the angle bytes,
+    not on an array, because parameters are overwritten in place between
+    updates. Non-finite angles raise, and nothing is cached."""
     angles = np.frombuffer(angle_bytes).reshape(depth, n, 2)
-    _check_finite(angles)
-    block = _apply_after_fold(np.eye(1 << n), n, angles)
-    block.flags.writeable = False  # the real view below inherits this
-    return block.view(np.float64)
+    if not np.isfinite(angles).all():
+        raise ValueError("angles must be finite")
+    ry = [()] + [_ry_factors(n, a[:, 0]) for a in angles[1:]]
+    ry_undo = [tuple(np.ascontiguousarray(k.T) for k in f) for f in ry]
+    # each layer's [1, n] @ [n, 2**n] in one batched call: the bits of one
+    # vector product per layer, which one [depth, n] matrix product lacks
+    rz = np.exp(-0.5j * np.matmul(angles[:, None, :, 1], _z_signs(n))[:, 0])
+    rz_undo = rz.conj()
+    offset = 0.5 * angles[0, :, 0] if depth else None
+    for array in (offset, rz, rz_undo, *[k for f in ry + ry_undo for k in f]):
+        if array is not None:
+            array.flags.writeable = False
+    block = None
+    if n <= BLOCK_MAX_QUBITS:
+        block = _block_rows(n, ry, rz)
+        block.flags.writeable = False  # the real view below inherits this
+        block = block.view(np.float64)
+    return _Circuit(offset, ry, ry_undo, rz, rz_undo, block)
+
+
+def _block_rows(n: int, ry: list, rz: np.ndarray) -> np.ndarray:
+    """Complex images of the basis states under layer 1's RZ phases and ring
+    and layers 2..depth, shape [2**n, 2**n].
+
+    Layer 1 maps basis row i to the phase rz[0][i] in column inv[i], inv
+    being the ring's inverse permutation, so layer 2's RY product
+    ``rows @ K.T`` is that phase times row inv[i] of K.T: a gather in place
+    of a 2**n-cubed product. Each sum of that product adds exact zeros to
+    its one nonzero term, so the bits agree, except that where K holds an
+    exact zero (an angle of exactly 0) that zero may take the other sign.
+    """
+    if len(rz) < 2 or n == 1:  # no layer 2, or no ring
+        return _apply_after_fold(np.eye(1 << n), n, ry, rz)
+    rows = rz[0][:, None] * ry[1][0].T[_ring_inverse(n)]
+    rows *= rz[1]
+    rows = rows.take(_ring_perm(n), axis=1)
+    return _apply_after_fold(rows, n, ry[2:], rz[2:]) if len(rz) > 2 else rows
 
 
 @lru_cache(maxsize=None)
@@ -244,16 +294,15 @@ def _z_pairs(n_qubits: int) -> np.ndarray:
     return np.repeat(_z_signs(n_qubits).T, 2, axis=0)
 
 
-def _folded_encoding(x: np.ndarray, params: VqcParams) -> np.ndarray:
+def _folded_encoding(x: np.ndarray, n: int, offset: np.ndarray | None) -> np.ndarray:
     """Real product states after RY(pi x_q + theta_q), layer 1's RYs folded
-    into the encoding, shape [B, 2**n]."""
-    n = params.n_qubits
-    angles = ENCODING_SCALE * x
-    if params.depth:
-        angles = angles + params.angles[0, :, 0]
+    into the encoding, shape [B, 2**n]. ``offset`` is 0.5 * theta (None at
+    depth 0): x * (pi / 2) + 0.5 * theta has the bits of 0.5 * (pi x + theta)."""
+    half = x * (0.5 * ENCODING_SCALE)
+    if offset is not None:
+        half += offset
     # RY(a) on |0> is the real pair (cos, sin)(a / 2); the state is their
     # Kronecker product, qubit 0 least significant.
-    half = 0.5 * angles
     pairs = np.concatenate((np.cos(half), np.sin(half)), axis=1)  # [B, 2n]
     return np.multiply.reduce(pairs.take(_pair_index(n), axis=1), axis=1)
 
@@ -262,17 +311,24 @@ def _final_states(x: np.ndarray, params: VqcParams) -> np.ndarray:
     """Statevectors after the whole circuit as (re, im) pairs, shape
     [B, 2 * 2**n]; ``.view(np.complex128)`` gives the amplitudes."""
     n = params.n_qubits
-    encoded = _folded_encoding(x, params)
-    if n > BLOCK_MAX_QUBITS:
-        _check_finite(params.angles)
-        return _apply_after_fold(encoded, n, params.angles).view(np.float64)
-    return encoded @ _block_matrix(n, params.depth, params.angles.tobytes())
+    circuit = _compiled(n, params.depth, params.angles.tobytes())
+    encoded = _folded_encoding(x, n, circuit.offset)
+    if circuit.block is None:
+        return _apply_after_fold(encoded, n, circuit.ry, circuit.rz).view(np.float64)
+    return np.dot(encoded, circuit.block)
 
 
-def run_vqc_batch(inputs: np.ndarray, params: VqcParams) -> np.ndarray:
-    """Per-qubit Z expectations for a batch of input rows, shape [B, n]."""
+def run_vqc_batch(inputs: np.ndarray, params: VqcParams, *,
+                  keep_states: bool = False):
+    """Per-qubit Z expectations for a batch of input rows, shape [B, n].
+
+    With ``keep_states`` (internal: ``diffnet.Tape.vqc`` is its caller) it
+    returns (expectations, final states), the states being what
+    :func:`vqc_gradients_batch` takes for the same inputs and angles.
+    """
     y = _final_states(_check_batch(inputs, params), params)
-    return (y * y) @ _z_pairs(params.n_qubits)
+    z = np.dot(y * y, _z_pairs(params.n_qubits))
+    return (z, y) if keep_states else z
 
 
 def _y_overlaps(psi: np.ndarray, lam: np.ndarray, n: int) -> np.ndarray:
@@ -290,6 +346,8 @@ def vqc_gradients_batch(
     inputs: np.ndarray,
     params: VqcParams,
     upstream: np.ndarray,
+    *,
+    states: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint-method gradients of sum_b upstream[b] . <Z>(inputs[b]).
 
@@ -301,25 +359,32 @@ def vqc_gradients_batch(
     passes the gate. The gates of one rotation sublayer act on distinct
     qubits and commute with each other's generators, so all of a
     sublayer's derivatives are read at once. Costs O(B * P * 2**n).
+
+    ``states`` (internal: ``diffnet.Tape.vqc`` is its caller) are the final
+    states that ``run_vqc_batch(inputs, params, keep_states=True)`` returned
+    for these angles, so the sweep starts without running the circuit again.
     """
     x, up = _check_gradient_args(inputs, params, upstream)
     n = params.n_qubits
     batch = x.shape[0]
     signs = _z_signs(n)
-    psi = _final_states(x, params).view(np.complex128)
-    both = np.concatenate((psi, (up @ signs) * psi))    # rows: psi, then lam
+    circuit = _compiled(n, params.depth, params.angles.tobytes())
+    if states is None:
+        states = _final_states(x, params)
+    psi = states.view(np.complex128)
+    both = np.concatenate((psi, np.dot(up, signs) * psi))    # rows: psi, then lam
     param_grads = np.empty_like(params.angles)
     for layer in reversed(range(params.depth)):
         if n > 1:
             both = both.take(_ring_inverse(n), axis=1)
         psi, lam = both[:batch], both[batch:]
         param_grads[layer, :, 1] = signs @ (lam.conj() * psi).imag.sum(axis=0)
-        both *= np.exp(0.5j * (params.angles[layer, :, 1] @ signs))  # undo RZs
+        both *= circuit.rz_undo[layer]  # undo the RZs
         if layer:  # layer 1's RYs are folded into the encoding, read below
             # psi and lam are views of both, so the RY derivatives are read
             # after the RZ undo, as they must be
             param_grads[layer, :, 0] = _y_overlaps(psi, lam, n).sum(axis=0)
-            both = _ry_sublayer(both, n, -params.angles[layer, :, 0])
+            both = _ry_sublayer(both, circuit.ry_undo[layer])
     # both is back at the folded encoding RY(pi x_q + theta_q), so one read
     # gives layer 1's RY gradients and, times pi, the input gradients
     overlaps = _y_overlaps(both[:batch], both[batch:], n)

@@ -338,6 +338,37 @@ def test_lstm_bptt_matches_finite_differences():
         assert np.max(np.abs(g - w) / denom) < 1e-4
 
 
+def test_lstm_initial_state_takes_no_grad():
+    # the parameter grads are the bits of a backward that also fills grads
+    # for a zero initial state
+    rng = np.random.default_rng(13)
+    cell = LstmCell(3, 4, rng)
+    head = Dense(4, 1, rng)
+    xs = rng.normal(size=(5, 6, 3))
+    params = cell.parameters() + head.parameters()
+
+    def grads(state):
+        for p in params:
+            p.grad[...] = 0.0
+        t = Tape()
+        h, c = state
+        for x in xs:
+            h, c = t.lstm(cell, x, (h, c))
+        t.backward(t.sum(t.dense(head, h)))
+        return [p.grad.copy() for p in params]
+
+    h0, c0 = cell.initial_state(6)
+    assert h0.grad is None and c0.grad is None
+    assert np.all(h0.value == 0.0) and np.all(c0.value == 0.0)
+    got = grads((h0, c0))
+    assert h0.grad is None and c0.grad is None
+    with_grads = (Node(np.zeros((6, 4))), Node(np.zeros((6, 4))))
+    want = grads(with_grads)
+    assert not np.all(with_grads[0].grad == 0.0)  # that backward did fill them
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+
+
 def test_lstm_batched_equals_loop():
     rng = np.random.default_rng(11)
     cell = LstmCell(2, 3, rng)

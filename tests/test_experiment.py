@@ -687,6 +687,19 @@ def test_cli_forecast_exports_one_forecast_column(tmp_path, capsys):
     assert "validation rmse=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("lr", ["inf", "nan"])
+def test_cli_forecast_non_finite_learning_rate_exit_code(tmp_path, capsys, lr):
+    data = tmp_path / "m.csv"
+    assert main(["generate", "--kind", "ar1", "--length", "40", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["forecast", "--data", str(data), "--out", str(tmp_path / "fc"),
+                 "--epochs", "2", "--lr", lr]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert "learning_rate" in err[0]
+    assert not (tmp_path / "fc").exists()
+
+
 def _short_csv(tmp_path):
     path = tmp_path / "short.csv"
     main(["generate", "--kind", "ar1", "--length", "12", "--out", str(path)])

@@ -61,6 +61,7 @@ def sine_series(n=160, period=12, amplitude=2.0):
 @pytest.mark.parametrize("field, value", [
     ("lookback", 0), ("hidden", 0), ("train_fraction", 0.0), ("train_fraction", 1.5),
     ("epochs", 0), ("epochs", -3), ("learning_rate", 0.0), ("learning_rate", -0.01),
+    ("learning_rate", float("inf")), ("learning_rate", float("nan")),
 ])
 def test_forecast_config_bounds(field, value):
     with pytest.raises(ConfigError, match=field):

@@ -173,6 +173,21 @@ def test_oversized_header_rejected_before_building(tmp_path, fmt, key):
     assert str(path) in str(info.value)
 
 
+def test_unknown_head_kind_rejected(tmp_path):
+    # a classical net's arrays match the shapes any non-quantum head kind
+    # implies, so only the net's own head-kind check rejects the header
+    path = tmp_path / "classical.qnet"
+    save_checkpoint(ActorCriticNet(obs_dim=5, head_kind="classical", latent_dim=3, seed=9),
+                    path)
+    header, blob = header_and_blob(b"QNET", path.read_bytes())
+    assert header["head_kind"] == "classical"
+    header["head_kind"] = "foo"
+    path.write_bytes(assemble(b"QNET", json.dumps(header, sort_keys=True).encode(), blob))
+    with pytest.raises(ModelFileError, match="head_kind") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
 def test_forecaster_lookback_sets_no_shape(tmp_path):
     path = tmp_path / "long.qlstm"
     path.write_bytes(with_header("qlstm", lookback=10**13))

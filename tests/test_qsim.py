@@ -101,14 +101,14 @@ def test_ry_sublayer_matches_dense_matrices(n, batch):
     before = amps.copy()
     alternating = rng.uniform(0.1, np.pi, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
     for thetas in (alternating, -alternating):
-        got = qsim._ry_sublayer(amps, n, thetas)
+        got = qsim._ry_sublayer(amps, qsim._ry_factors(n, thetas))
         assert np.array_equal(amps, before)
         oracle = np.eye(1 << n)
         for q in range(n):
             oracle = _embed_single(_ry_matrix(thetas[q]), q, n) @ oracle
         for row in range(batch):
             assert np.max(np.abs(got[row] - oracle @ amps[row])) < 1e-14
-        undone = qsim._ry_sublayer(got, n, -thetas)
+        undone = qsim._ry_sublayer(got, qsim._ry_factors(n, -thetas))
         assert np.max(np.abs(undone - amps)) < 1e-14
 
 
@@ -169,7 +169,7 @@ def test_vqc_deterministic_bit_identical():
 
 
 # ---------------------------------------------------------------------------
-# block-matrix cache
+# compiled-circuit cache
 # ---------------------------------------------------------------------------
 
 def test_forward_follows_angles_mutated_in_place():
@@ -228,15 +228,107 @@ def test_block_cache_shared_by_threads():
     assert len(errors) == 800 and max(errors) < 1e-12
 
 
-def test_cached_block_matrix_is_read_only():
-    params = VqcParams(2, 1, np.array([[[0.3, -0.2], [0.1, 0.5]]]))
-    run_vqc_batch(np.zeros((1, 2)), params)
-    block = qsim._block_matrix(2, 1, params.angles.tobytes())
-    assert block.shape == (4, 8) and block.dtype == np.float64  # (re, im) pairs
-    for array in (block, block.base):  # the complex matrix the view reads
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0, 0] = 0.0
+def compiled_entry(params):
+    return qsim._compiled(params.n_qubits, params.depth, params.angles.tobytes())
+
+
+def test_cached_circuit_arrays_are_read_only():
+    # a block circuit and the smallest gate-path one
+    rng = np.random.default_rng(43)
+    for n in (2, qsim.BLOCK_MAX_QUBITS + 1):
+        params = VqcParams(n, 3, rng.uniform(-np.pi, np.pi, (3, n, 2)))
+        run_vqc_batch(np.zeros((1, n)), params)
+        circuit = compiled_entry(params)
+        assert circuit.rz.shape == circuit.rz_undo.shape == (3, 1 << n)
+        assert circuit.ry[0] == circuit.ry_undo[0] == ()  # folded into the encoding
+        arrays = [circuit.offset, circuit.rz, circuit.rz_undo]
+        for factors in circuit.ry[1:] + circuit.ry_undo[1:]:
+            assert len(factors) == (1 if n <= qsim.BLOCK_MAX_QUBITS else 2)
+            arrays += factors
+        if n <= qsim.BLOCK_MAX_QUBITS:
+            block = circuit.block
+            assert block.shape == (4, 8) and block.dtype == np.float64  # (re, im) pairs
+            arrays += [block, block.base]  # and the complex matrix the view reads
+        else:
+            assert circuit.block is None
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+
+
+@pytest.mark.parametrize("n", range(1, qsim.BLOCK_MAX_QUBITS + 2))
+def test_undo_factors_are_bitwise_transposes_and_conjugates(n):
+    # the sweep undoes RY(theta) with K(theta).T and the RZ phases with their
+    # conjugates, which must be the bits of building them at -theta
+    rng = np.random.default_rng(200 + n)
+    for thetas in (rng.uniform(-np.pi, np.pi, n), rng.uniform(-20.0, 20.0, n)):
+        assert np.array_equal(qsim._ry_kron(-thetas), qsim._ry_kron(thetas).T)
+        phase = thetas @ qsim._z_signs(n)
+        assert np.array_equal(np.exp(0.5j * phase), np.exp(-0.5j * phase).conj())
+    params = VqcParams(n, 2, rng.uniform(-np.pi, np.pi, (2, n, 2)))
+    circuit = compiled_entry(params)
+    for undo, built in zip(circuit.ry_undo[1], qsim._ry_factors(n, -params.angles[1, :, 0]),
+                           strict=True):
+        assert undo.flags.c_contiguous and np.array_equal(undo, built)
+    for layer in range(2):
+        want = np.exp(0.5j * (params.angles[layer, :, 1] @ qsim._z_signs(n)))
+        assert np.array_equal(circuit.rz_undo[layer], want)
+
+
+@pytest.mark.parametrize("n", range(2, qsim.BLOCK_MAX_QUBITS + 1))
+def test_block_gather_has_the_bits_of_the_product(n):
+    # the block build gathers layer 2's RY rows instead of multiplying the
+    # phased ring permutation by K.T; with no exact zero in K, every bit agrees
+    rng = np.random.default_rng(300 + n)
+    for depth in (2, 3):
+        params = VqcParams(n, depth, rng.uniform(-np.pi, np.pi, (depth, n, 2)))
+        circuit = compiled_entry(params)
+        product = qsim._apply_after_fold(np.eye(1 << n), n, circuit.ry, circuit.rz)
+        assert np.array_equal(circuit.block, product.view(np.float64))
+
+
+@pytest.mark.parametrize("n", [4, qsim.BLOCK_MAX_QUBITS + 1])
+def test_forward_and_gradient_compile_one_entry(n):
+    rng = np.random.default_rng(47)
+    params = VqcParams(n, 2, rng.uniform(-np.pi, np.pi, (2, n, 2)))
+    x, up = rng.uniform(-1, 1, (3, n)), rng.uniform(-1, 1, (3, n))
+    qsim._compiled.cache_clear()
+    run_vqc_batch(x, params)
+    vqc_gradients_batch(x, params, up)
+    assert qsim._compiled.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n", [4, qsim.BLOCK_MAX_QUBITS + 1])
+def test_gradient_from_forward_states_equals_recomputed(n):
+    rng = np.random.default_rng(53)
+    for depth in (1, 2, 3):
+        params = VqcParams(n, depth, rng.uniform(-np.pi, np.pi, (depth, n, 2)))
+        x, up = rng.uniform(-1, 1, (20, n)), rng.uniform(-1, 1, (20, n))
+        z, states = run_vqc_batch(x, params, keep_states=True)
+        assert np.array_equal(z, run_vqc_batch(x, params))
+        given = vqc_gradients_batch(x, params, up, states=states)
+        recomputed = vqc_gradients_batch(x, params, up)
+        for a, b in zip(given, recomputed, strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_tape_backward_runs_no_circuit_forward(monkeypatch):
+    net = ActorCriticNet(obs_dim=5, head_kind="quantum", latent_dim=4,
+                         vqc_depth=2, seed=4)
+    calls = []
+    encode = qsim._folded_encoding
+    monkeypatch.setattr(qsim, "_folded_encoding",
+                        lambda *args: calls.append(1) or encode(*args))
+    tape = Tape()
+    x = Node(np.random.default_rng(59).uniform(-1, 1, (6, 4)))
+    out = tape.vqc(net.policy.encoder, net.policy.circuit, x)
+    loss = tape.sum(tape.mul(out, out))
+    assert len(calls) == 1
+    tape.backward(loss)
+    assert len(calls) == 1
+    pg, ig = vqc_gradients_batch(x.value, net.policy.circuit, 2.0 * out.value)
+    assert np.array_equal(net.policy.encoder.grad, pg) and np.array_equal(x.grad, ig)
 
 
 @pytest.mark.parametrize("n", [4, qsim.BLOCK_MAX_QUBITS + 1])
@@ -248,9 +340,13 @@ def test_non_finite_angles_raise(n):
     theta = net.get_flat()
     theta[offset + 3] = np.nan  # a layer-1 RZ angle of the policy circuit
     net.set_flat(theta)
-    for _ in range(2):  # a failed block build is not cached
+    qsim._compiled.cache_clear()
+    for _ in range(2):  # a failed compile is not cached
         with pytest.raises(ValueError, match="finite"):
             net.policy_probs(np.zeros(5))
+        with pytest.raises(ValueError, match="finite"):
+            vqc_gradients_batch(np.zeros((1, n)), net.policy.circuit, np.ones((1, n)))
+    assert qsim._compiled.cache_info().currsize == 0
     with pytest.raises(ValueError, match="finite"):
         parameter_shift_gradients_batch(np.zeros((1, n)), net.policy.circuit,
                                         np.ones((1, n)))
