@@ -44,11 +44,13 @@ import numpy as np
 
 from . import diffnet, qsim
 from .diffnet import Dense, Node, Param, Tape, categorical_sample
-from .errors import ConfigError, GradientRejected, IngestionError, TrainingError
+from .errors import (POSITIVE, SEED, ConfigError, GradientRejected, IngestionError,
+                     TrainingError, between, check_fields, one_of)
 from .metrics import Trade
 from .tradeenv import ACTION_NAMES, BUY, SELL, TradingEnv, read_text_lines
 
 N_ACTIONS = 3
+HEAD_KINDS = ("classical", "quantum")
 _NAME_TO_ACTION = {name: action for action, name in ACTION_NAMES.items()}
 _EVAL_COLUMNS = ("date", "action", "price", "asset_value")
 
@@ -68,33 +70,26 @@ class TrainConfig:
     optimizer: str = "adam"         # "sgd" keeps the plain update rule
     clip_norm: float | None = 40.0
 
+    RULES = {
+        "gamma": ((lambda v: 0 < v < 1), "in (0, 1)"),
+        "update_every": between(1),
+        "max_episodes": between(1),
+        "n_workers": between(1, 64),  # each builds its env and net up front
+        "learning_rate": POSITIVE,
+        "seed": SEED,
+        "head_kind": one_of(HEAD_KINDS),
+        "entropy_coeff": (math.isfinite, "finite"),
+        "latent_dim": between(1, 256),  # a dense encoder has latent_dim**2 weights
+        "vqc_depth": between(1, 32),  # a compiled circuit keeps every layer's factors
+        "optimizer": one_of(tuple(diffnet.OPTIMIZERS)),
+        "clip_norm": ((lambda v: v is None or v > 0), "None or > 0"),
+    }
+
     def __post_init__(self):
-        if not 0 < self.gamma < 1:
-            raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.update_every < 1:
-            raise ConfigError("update_every must be >= 1")
-        if self.max_episodes < 1:
-            raise ConfigError("max_episodes must be >= 1")
-        if self.n_workers < 1:
-            raise ConfigError("n_workers must be >= 1")
-        if self.head_kind not in ("classical", "quantum"):
-            raise ConfigError(f"unknown head_kind {self.head_kind!r}")
-        if self.latent_dim < 1:
-            raise ConfigError("latent_dim must be >= 1")
+        check_fields(self.RULES, vars(self))
         if self.head_kind == "quantum" and self.latent_dim > qsim.MAX_QUBITS:
             raise ConfigError(f"quantum latent_dim (qubits) must be <= "
                               f"{qsim.MAX_QUBITS}, got {self.latent_dim}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not math.isfinite(self.entropy_coeff):
-            raise ConfigError(f"entropy_coeff must be finite, got {self.entropy_coeff}")
-        if self.vqc_depth < 1:
-            raise ConfigError(f"vqc_depth must be >= 1, got {self.vqc_depth}")
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ConfigError(f"clip_norm must be None or > 0, got {self.clip_norm}")
 
     def build_net(self, obs_dim: int) -> "ActorCriticNet":
         """A fresh net of this config's architecture and seed."""
@@ -137,7 +132,7 @@ class ActorCriticNet:
 
     def __init__(self, obs_dim: int, head_kind: str = "classical",
                  latent_dim: int = 8, vqc_depth: int = 2, seed: int = 0):
-        if head_kind not in ("classical", "quantum"):
+        if head_kind not in HEAD_KINDS:  # as read from a checkpoint header
             raise ConfigError(f"unknown head_kind {head_kind!r}")
         self.obs_dim = obs_dim
         self.head_kind = head_kind

@@ -470,12 +470,11 @@ class AdamOptimizer:
         theta -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+OPTIMIZERS = {"adam": AdamOptimizer, "sgd": SgdOptimizer}
+
+
 def make_optimizer(kind: str, size: int, learning_rate: float):
-    if kind == "adam":
-        return AdamOptimizer(size, learning_rate)
-    if kind == "sgd":
-        return SgdOptimizer(size, learning_rate)
-    raise ValueError(f"unknown optimizer kind '{kind}'")
+    return OPTIMIZERS[kind](size, learning_rate)
 
 
 # -- serialization ----------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the config field rules."""
+
+import math
 
 
 class QuantrlError(Exception):
@@ -7,6 +9,28 @@ class QuantrlError(Exception):
 
 class ConfigError(QuantrlError):
     """Invalid configuration value or experiment spec (CLI exit code 1)."""
+
+
+def check_fields(rules: dict, values: dict) -> None:
+    """Raise a ConfigError naming the first ruled field in ``values`` that fails."""
+    for name, (ok, phrase) in rules.items():
+        if name in values and not ok(values[name]):
+            raise ConfigError(f"{name} must be {phrase}, got {values[name]!r}")
+
+
+# a (predicate, phrase) rule per kind; a NaN fails every numeric rule
+SEED = (lambda v: hasattr(v, "__index__") and v >= 0), "an integer >= 0"
+POSITIVE = (lambda v: math.isfinite(v) and v > 0), "finite and > 0"
+FRACTION = (lambda v: 0 < v <= 1), "in (0, 1]"
+
+
+def between(low, high=math.inf):
+    phrase = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+    return (lambda v: low <= v <= high), phrase
+
+
+def one_of(names: tuple):
+    return (lambda v: v in names), f"one of {names}"
 
 
 class IngestionError(QuantrlError):
@@ -35,8 +59,3 @@ class GradientRejected(QuantrlError):
 
 class StageError(QuantrlError):
     """An experiment stage failed (CLI exit code 2)."""
-
-    def __init__(self, stage: str, cause: BaseException):
-        super().__init__(f"stage '{stage}' failed: {cause}")
-        self.stage = stage
-        self.cause = cause

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import a3c, forecaster, metrics, svgplot, synthetic, tradeenv
 from .a3c import TrainConfig
-from .errors import ConfigError, StageError
+from .errors import FRACTION, SEED, ConfigError, StageError, check_fields, one_of
 from .forecaster import ForecastConfig
 from .synthetic import SyntheticSpec
 from .tradeenv import EnvConfig
@@ -61,11 +61,10 @@ class ExperimentConfig:
     env: EnvConfig = field(default_factory=EnvConfig)
     forecast: ForecastConfig = field(default_factory=ForecastConfig)
 
+    RULES = {"strategy": one_of(STRATEGIES), "seed": SEED, "train_fraction": FRACTION}
+
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
+        check_fields(self.RULES, vars(self))
         if (self.data is None) == (self.synthetic is None):
             raise ConfigError(
                 "exactly one data source required: a CSV path or a synthetic spec"
@@ -77,20 +76,10 @@ class ExperimentConfig:
         if self.strategy == "random" and self.use_forecast:
             raise ConfigError("the random strategy reads no forecast; "
                               "drop use_forecast")
-        _check_train_fraction(self.train_fraction)
         derived = _derived_settings(self.seed, self.strategy, self.train_fraction)
         for name, values in derived.items():
             if getattr(self, name) is not None:
                 setattr(self, name, replace(getattr(self, name), **values))
-
-
-def _check_train_fraction(train_fraction: float) -> None:
-    if not 0 < train_fraction <= 1:
-        raise ConfigError("train_fraction must be in (0, 1]")
-
-
-_DERIVED_FROM = {"seed": "seed", "head_kind": "strategy",  # [experiment] key
-                 "train_fraction": "train_fraction"}
 
 
 def _derived_settings(seed: int, strategy: str, train_fraction: float) -> dict:
@@ -199,7 +188,7 @@ def read_config_ini(path=None) -> dict:
                 fields = _coerce(kind, parser[name])
                 for key, want in derived.get(name, {}).items():
                     if key in fields and fields[key] != want:
-                        source = _DERIVED_FROM[key]
+                        source = "strategy" if key == "head_kind" else key
                         raise ConfigError(
                             f"{path}: {name}.{key} = {fields[key]} disagrees with "
                             f"experiment.{source} = {sources[source]}")
@@ -235,7 +224,7 @@ class Stages(contextlib.AbstractContextManager):
             with contextlib.suppress(OSError):
                 path.unlink()
         if isinstance(exc, Exception) and not isinstance(exc, ConfigError):
-            raise StageError(self.stage, exc) from exc
+            raise StageError(f"stage '{self.stage}' failed: {exc}") from exc
 
 
 @dataclass
@@ -409,7 +398,7 @@ def evaluate_checkpoint(checkpoint, data, out_dir,
     """Greedy rollout of a checkpoint over a market CSV, emitted as
     evaluation.csv and its two SVGs. The checkpoint's reader raises its own
     error naming the file."""
-    _check_train_fraction(train_fraction)
+    check_fields(ExperimentConfig.RULES, {"train_fraction": train_fraction})
     net = a3c.load_checkpoint(checkpoint)
     out = Path(out_dir)
     with Stages("ingest") as run:

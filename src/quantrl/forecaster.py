@@ -14,14 +14,14 @@ complete lookback window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffnet
 from .diffnet import Dense, LstmCell, Node, Tape
-from .errors import ConfigError, EvaluationError, TrainingError
+from .errors import (FRACTION, POSITIVE, SEED, EvaluationError, TrainingError,
+                     between, check_fields)
 from .tradeenv import MarketSeries
 
 
@@ -35,18 +35,17 @@ class ForecastConfig:
     train_fraction: float = 0.8
     direction_only: bool = False  # feed sign(prediction) instead of the value
 
+    RULES = {
+        "lookback": between(1),
+        "hidden": between(1, 512),  # four LSTM gates of about hidden**2 weights each
+        "epochs": between(1),
+        "learning_rate": POSITIVE,
+        "seed": SEED,
+        "train_fraction": FRACTION,
+    }
+
     def __post_init__(self):
-        if self.lookback < 1:
-            raise ConfigError(f"lookback must be >= 1, got {self.lookback}")
-        if self.hidden < 1:
-            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0 < self.train_fraction <= 1:
-            raise ConfigError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
+        check_fields(self.RULES, vars(self))
 
 
 @dataclass

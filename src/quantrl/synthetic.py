@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import SEED, ConfigError, between, check_fields, one_of
 from .tradeenv import FEATURE_COLUMNS
 
 KINDS = ("sawtooth", "trend", "white-noise", "ar1")
@@ -43,17 +43,18 @@ class SyntheticSpec:
     mu: float = 0.0          # white-noise drift
     phi: float = 0.9         # ar1 coefficient
 
+    RULES = {
+        "kind": one_of(KINDS),
+        "length": between(10, 100_000),  # week 100000 from 2022 is in 3938, a valid date
+        "seed": SEED,
+        "phi": ((lambda v: -1 < v < 1), "in (-1, 1)"),
+        "sigma": between(0),
+    }
+
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.length < 10:
-            raise ConfigError(f"length must be >= 10, got {self.length}")
+        check_fields(self.RULES, vars(self))
         if self.kind == "sawtooth" and self.period < 2:
             raise ConfigError("sawtooth period must be >= 2")
-        if not -1 < self.phi < 1:
-            raise ConfigError("ar1 phi must be in (-1, 1)")
-        if not self.sigma >= 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
         # ingest rejects a close that is written as 0 with 8 decimals or is
         # not finite; an overflow shows up as inf and is reported here
         with np.errstate(all="ignore"):

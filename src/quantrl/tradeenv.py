@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError
+from .errors import POSITIVE, IngestionError, check_fields
 
 FEATURE_COLUMNS = ("close", "vix", "fedfunds", "dgs2", "dgs10", "hy_spread")
 
@@ -226,13 +226,10 @@ class EnvConfig:
     initial_cash: float = 10_000.0
     include_position_in_state: bool = True
 
+    RULES = {"trade_cost_rate": ((lambda v: 0 <= v < 1), "in [0, 1)"), "initial_cash": POSITIVE}
+
     def __post_init__(self):
-        if not 0 <= self.trade_cost_rate < 1:
-            raise ConfigError(
-                f"trade_cost_rate must be in [0, 1), got {self.trade_cost_rate}"
-            )
-        if not (math.isfinite(self.initial_cash) and self.initial_cash > 0):
-            raise ConfigError(f"initial_cash must be finite and > 0, got {self.initial_cash}")
+        check_fields(self.RULES, vars(self))
 
 
 @dataclass

@@ -4,11 +4,13 @@ Training runs in here are deliberately tiny (tens of episodes); the
 full-scale learning runs live in test_acceptance.py."""
 
 import csv
+import dataclasses
 import logging
 import os
 import re
 import subprocess
 import sys
+import typing
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quantrl import forecaster, tradeenv
+from quantrl import experiment, forecaster, tradeenv
 from quantrl.a3c import ActorCriticNet, save_checkpoint
 from quantrl.cli import main
 from quantrl.errors import ConfigError, StageError, TrainingError
@@ -191,20 +193,100 @@ def test_config_ini_derived_key_must_agree_with_experiment(tmp_path, text, keys)
     assert all(key in str(info.value) for key in keys)
 
 
+# Every config table row, fed through the CLI with each of NaN, +-inf, -1, 0
+# and 10**12 that its rule rejects. A "generate" or "evaluate" key is a flag of
+# that subcommand; any other section is an INI section of `train --config`.
+_HUGE = str(10**12)
+_SWEEP = ("nan", "inf", "-inf", "-1", "0", _HUGE)
+_REJECTED = {
+    ("experiment", "strategy"): _SWEEP,
+    ("experiment", "seed"): ("-1",),
+    ("experiment", "train_fraction"): _SWEEP,
+    ("evaluate", "train_fraction"): _SWEEP,
+    ("synthetic", "kind"): _SWEEP,
+    ("generate", "length"): ("-1", "0", _HUGE),
+    ("generate", "seed"): ("-1",),
+    ("generate", "phi"): ("nan", "inf", "-inf", "-1", _HUGE),
+    ("generate", "sigma"): ("nan", "-inf", "-1"),
+    ("train", "gamma"): _SWEEP,
+    ("train", "update_every"): ("-1", "0"),
+    ("train", "max_episodes"): ("-1", "0"),
+    ("train", "n_workers"): ("-1", "0", _HUGE),
+    ("train", "learning_rate"): ("nan", "inf", "-inf", "-1", "0"),
+    ("train", "seed"): ("-1",),
+    ("train", "head_kind"): _SWEEP,
+    ("train", "entropy_coeff"): ("nan", "inf", "-inf"),
+    ("train", "latent_dim"): ("-1", "0", _HUGE),
+    ("train", "vqc_depth"): ("-1", "0", _HUGE),
+    ("train", "optimizer"): _SWEEP,
+    ("train", "clip_norm"): ("nan", "-inf", "-1", "0"),
+    ("env", "trade_cost_rate"): ("nan", "inf", "-inf", "-1", _HUGE),
+    ("env", "initial_cash"): ("nan", "inf", "-inf", "-1", "-5", "0"),
+    ("forecast", "lookback"): ("-1", "0"),
+    ("forecast", "hidden"): ("-1", "0", _HUGE),
+    ("forecast", "epochs"): ("-1", "0"),
+    ("forecast", "learning_rate"): ("nan", "inf", "-inf", "-1", "0"),
+    ("forecast", "seed"): ("-1",),
+    ("forecast", "train_fraction"): _SWEEP,
+}
+_SECTION_CONFIGS = {"experiment": ExperimentConfig, "evaluate": ExperimentConfig,
+                    "synthetic": SyntheticSpec, "generate": SyntheticSpec, "train": TrainConfig,
+                    "env": tradeenv.EnvConfig, "forecast": ForecastConfig}
+
+
 @pytest.mark.parametrize("section, line", [
-    ("env", "initial_cash = nan"),
-    ("env", "initial_cash = -5"),
-    ("train", "entropy_coeff = nan"),
-    ("train", "learning_rate = inf"),
-])
-def test_cli_config_range_error_exit_code(tmp_path, capsys, section, line):
-    path = tmp_path / "c.ini"
-    path.write_text("[experiment]\nstrategy = classical\n"
-                    f"[synthetic]\nkind = sawtooth\nlength = 20\n[{section}]\n{line}\n")
-    assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and line.split()[0] in err
-    assert not (tmp_path / "r").exists()
+    (section, f"{key} = {value}")
+    for (section, key), values in _REJECTED.items() for value in values])
+def test_cli_config_range_error_exit_code(tmp_path, capsys, monkeypatch, section, line):
+    key, value = line.split(" = ")
+
+    def reached(*args):
+        raise AssertionError(f"{section}.{line} was accepted")
+
+    # a value that gets through fails here, before the run allocates anything
+    monkeypatch.setattr(experiment, "generate", reached)
+    monkeypatch.setattr(experiment, "run_experiment", reached)
+    flag = f"--{key.replace('_', '-')}={value}"
+    if section == "generate":
+        argv = ["generate", "--kind", "ar1", "--length", "50", flag,
+                "--out", str(tmp_path / "d.csv")]
+    elif section == "evaluate":
+        argv = ["evaluate", "--checkpoint", str(tmp_path / "c.qnet"),
+                "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "e"), flag]
+    else:
+        ini = {"experiment": {}, "synthetic": {"kind": "sawtooth", "length": "20"}}
+        ini.setdefault(section, {})[key] = value
+        if key in ("seed", "train_fraction"):  # a derived key agrees with its source
+            ini["experiment"][key] = value
+        (tmp_path / "c.ini").write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in ini.items()))
+        argv = ["train", "--config", str(tmp_path / "c.ini"), "--out", str(tmp_path / "r")]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ") and key in err[0]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("kind", dict.fromkeys(_SECTION_CONFIGS.values()),
+                         ids=lambda k: k.__name__)
+def test_every_config_field_has_a_swept_rule(kind):
+    # a field is checked by a row of the class's rule table, or by a check
+    # across fields (the sawtooth period; the synthetic closes, which the
+    # other spec values set), or is a path, a bool or a nested config
+    cross_field = {"period", "base", "amplitude", "slope", "mu"} if kind is SyntheticSpec else set()
+    hints = typing.get_type_hints(kind)
+    names = [f.name for f in dataclasses.fields(kind)]
+    unchecked = [name for name in names
+                 if name not in kind.RULES and name not in cross_field | {"data", "out_dir"}
+                 and hints[name] is not bool
+                 and not any(map(dataclasses.is_dataclass, typing.get_args(hints[name])
+                                 or (hints[name],)))]
+    assert unchecked == []
+    assert set(kind.RULES) <= set(names)
+    swept = {key for (section, key) in _REJECTED if _SECTION_CONFIGS[section] is kind}
+    assert swept == set(kind.RULES)
 
 
 def test_cli_snapshot_reruns_with_another_seed(tmp_path):
@@ -743,18 +825,6 @@ def test_cli_failure_is_one_line_and_leaves_no_file(tmp_path, capsys, argv, code
     assert err[0].startswith("configuration error: " if code == 1 else "error: ")
     assert [p for p in sorted(tmp_path.rglob("*")) if p.is_file()] == \
         [p for p in before if p.is_file()]
-
-
-@pytest.mark.parametrize("section, line", [
-    ("forecast", "hidden = 0"), ("train", "latent_dim = 0"),
-])
-def test_cli_size_bound_in_config_file_exit_code(tmp_path, capsys, section, line):
-    ini = tmp_path / "c.ini"
-    ini.write_text("[experiment]\nuse_forecast = true\n[synthetic]\n"
-                   f"kind = sawtooth\nlength = 16\n[{section}]\n{line}\n")
-    assert main(["train", "--config", str(ini), "--out", str(tmp_path / "r"),
-                 "--episodes", "1"]) == 1
-    assert line.split()[0] in capsys.readouterr().err
 
 
 def test_cli_out_dir_comes_from_config_file_unless_given(tmp_path, monkeypatch):
