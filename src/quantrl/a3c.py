@@ -34,10 +34,9 @@ with a fixed seed is bit-reproducible at any worker count.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -47,7 +46,7 @@ from .diffnet import Dense, Node, Param, Tape, categorical_sample
 from .errors import (POSITIVE, SEED, ConfigError, GradientRejected, IngestionError,
                      TrainingError, between, check_fields, one_of)
 from .metrics import Trade
-from .tradeenv import ACTION_NAMES, BUY, SELL, TradingEnv, read_text_lines
+from .tradeenv import ACTION_NAMES, BUY, SELL, TradingEnv, read_table, write_table
 
 N_ACTIONS = 3
 HEAD_KINDS = ("classical", "quantum")
@@ -265,16 +264,6 @@ class GlobalParams:
         return self._theta.copy()
 
 
-def _write_csv(path, stamp: str | None, header, rows) -> None:
-    """A CSV file headed by an optional ``# stamp`` comment line."""
-    with open(path, "w", newline="") as fh:
-        if stamp:
-            fh.write(f"# {stamp}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 @dataclass
 class TrainingHistory:
     rewards: list[float]
@@ -282,9 +271,9 @@ class TrainingHistory:
     final_theta: np.ndarray
 
     def to_csv(self, path, stamp: str | None = None) -> None:
-        _write_csv(path, stamp, ("episode", "reward", "moving_average"), (
+        write_table(path, ("episode", "reward", "moving_average"), (
             [i, f"{r:.12g}", f"{m:.12g}"]
-            for i, (r, m) in enumerate(zip(self.rewards, self.moving_average))))
+            for i, (r, m) in enumerate(zip(self.rewards, self.moving_average))), stamp)
 
 
 def moving_average(values, window: int = 100) -> list[float]:
@@ -373,40 +362,39 @@ def train(config: TrainConfig, env_factory, net_factory=None) -> TrainingHistory
 
 @dataclass
 class EvaluationRun:
-    """Greedy (or random-baseline) rollout: per-step records plus the
-    completed trade log. position_flags reflect the post-action position,
-    before any forced terminal liquidation."""
+    """Greedy (or random-baseline) rollout: its four CSV columns, and the
+    position flags (post-action, before any forced terminal liquidation)
+    and completed trade log that ``_replay`` derives from them."""
 
     dates: list
     actions: list[int]
     prices: list[float]
     asset_values: list[float]
-    position_flags: list[int]
-    trades: list[Trade]
+    position_flags: list[int] = field(init=False)
+    trades: list[Trade] = field(init=False)
+
+    def __post_init__(self):
+        self.position_flags, self.trades = _replay(
+            self.dates, self.actions, self.prices, self.asset_values)
 
     @property
     def final_asset(self) -> float:
         return self.asset_values[-1]
 
     def to_csv(self, path, stamp: str | None = None) -> None:
-        _write_csv(path, stamp, _EVAL_COLUMNS, (
+        write_table(path, _EVAL_COLUMNS, (
             [date.isoformat(), ACTION_NAMES[action], f"{price:.12g}", f"{asset:.12g}"]
             for date, action, price, asset in zip(
-                self.dates, self.actions, self.prices, self.asset_values)))
+                self.dates, self.actions, self.prices, self.asset_values)), stamp)
 
     @staticmethod
     def from_csv(path) -> "EvaluationRun":
-        """Rebuild a run (including flags and trades) by replaying the log.
+        """Rebuild a run from its four columns; the inverse of ``to_csv``.
         An unreadable file, a missing column or a row that does not parse,
         holds a non-finite number or has a date that does not follow the
-        row before it is an IngestionError naming the file (and the row)."""
+        row before it is an IngestionError naming the file (and its line)."""
         dates, actions, prices, assets = [], [], [], []
-        reader = csv.DictReader(
-            line for line in read_text_lines(path) if not line.startswith("#"))
-        missing = [c for c in _EVAL_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row, record in enumerate(reader, start=1):
+        for line, record in read_table(path, _EVAL_COLUMNS)[1]:
             try:
                 if record["action"] not in _NAME_TO_ACTION:
                     raise ValueError(f"unknown action {record['action']!r}")
@@ -420,9 +408,8 @@ class EvaluationRun:
                     if not math.isfinite(values[-1]):
                         raise ValueError(f"{column}={record[column]!r} is not finite")
             except (TypeError, ValueError) as exc:
-                raise IngestionError(f"{path}: row {row}: {exc}") from exc
-        flags, trades = _replay(dates, actions, prices, assets)
-        return EvaluationRun(dates, actions, prices, assets, flags, trades)
+                raise IngestionError(f"{path}: row {line}: {exc}") from exc
+        return EvaluationRun(dates, actions, prices, assets)
 
 
 def _replay(dates, actions, prices, assets):
@@ -471,7 +458,7 @@ def greedy_action(probs: np.ndarray) -> int:
 
 def _rollout(env: TradingEnv, pick_action) -> EvaluationRun:
     obs = env.reset()
-    dates, actions, prices, assets, flags = [], [], [], [], []
+    dates, actions, prices, assets = [], [], [], []
     done = False
     while not done:
         action = pick_action(obs)
@@ -480,10 +467,7 @@ def _rollout(env: TradingEnv, pick_action) -> EvaluationRun:
         actions.append(info["executed_action"])
         prices.append(info["price"])
         assets.append(info["asset_value"])
-        flags.append(info["position"])
-    trade_flags, trades = _replay(dates, actions, prices, assets)
-    assert trade_flags == flags
-    return EvaluationRun(dates, actions, prices, assets, flags, trades)
+    return EvaluationRun(dates, actions, prices, assets)
 
 
 def evaluate_policy(net, env: TradingEnv) -> EvaluationRun:

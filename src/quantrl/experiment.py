@@ -2,9 +2,9 @@
 pipeline and the five-strategy comparison matrix.
 
 A run executes ingest -> (optional) forecast -> train -> evaluate ->
-metrics -> emit. Every artifact is stamped with the config hash and seed;
-with a fixed seed a rerun reproduces identical CSV bytes, at any worker
-count.
+metrics -> emit. The evaluation, training and metric tables and the
+charts are stamped with the config hash and seed; with a fixed seed a
+rerun reproduces identical CSV bytes, at any worker count.
 
 Each CLI subcommand is one function here, built from the same stages
 (``fit_forecast``, ``emit_evaluation``, ``emit_metrics``) and run inside
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import configparser
 import contextlib
-import csv
 import dataclasses
 import hashlib
 import logging
@@ -180,6 +179,7 @@ def read_config_ini(path=None) -> dict:
                 raise ConfigError(f"{path}: unknown section [{name}]")
         exp = (_coerce(ExperimentConfig, parser["experiment"])
                if parser.has_section("experiment") else {})
+        check_fields(ExperimentConfig.RULES, exp)
         sources = {key: exp.get(key, getattr(ExperimentConfig, key))
                    for key in ("seed", "strategy", "train_fraction")}
         derived = _derived_settings(**sources)
@@ -286,7 +286,8 @@ def emit_metrics(run: Stages, out: Path, reports: dict, failures=None,
     ``<name>.csv``; returns both paths."""
     head = f"# {stamp}\n" if stamp else ""
     return (run.write(out / f"{name}.txt", head + metrics.report_table(reports, failures)),
-            run.write(out / f"{name}.csv", head + metrics.report_csv(reports, failures)))
+            run.write(out / f"{name}.csv", lambda p: tradeenv.write_table(
+                p, *metrics.report_csv(reports, failures), stamp)))
 
 
 def generate(spec: SyntheticSpec, path) -> Path:
@@ -294,20 +295,16 @@ def generate(spec: SyntheticSpec, path) -> Path:
         return run.write(path, partial(synthetic.generate_synthetic, spec))
 
 
-def _write_with_forecast(path: Path, rows: list, dates, vector) -> None:
-    """CSV rows with the forecast column set by date (replaced if the header
-    has one, appended if not); rows the series dropped get 0."""
-    header = rows[0] + ["forecast"] * ("forecast" not in rows[0])
-    col, date_col = header.index("forecast"), header.index("date")
+def _write_with_forecast(path: Path, header: list, records: list, dates,
+                         vector) -> None:
+    """The records under their header with the forecast column set by date
+    (replaced if the header has one, appended if not); rows the series
+    dropped get 0."""
     by_date = {d.isoformat(): v for d, v in zip(dates, vector)}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows[1:]:
-            if row:
-                row = row + [""] * (len(header) - len(row))
-                row[col] = f"{by_date.get(row[date_col].strip(), 0.0):.8f}"
-            writer.writerow(row)
+    header = header + ["forecast"] * ("forecast" not in header)
+    tradeenv.write_table(path, header, ([
+        f"{by_date.get(record['date'].strip(), 0.0):.8f}" if name == "forecast"
+        else record[name] for name in header] for _, record in records))
 
 
 def export_forecast(data, out_dir, config: ForecastConfig):
@@ -317,7 +314,7 @@ def export_forecast(data, out_dir, config: ForecastConfig):
     out = Path(out_dir)
     with Stages("ingest") as run:
         series = load_series(data, config.train_fraction)
-        rows = list(csv.reader(tradeenv.read_text_lines(data)))
+        header, records = tradeenv.read_table(data, ())
         run.stage = "forecast"
         model, dataset, vector = fit_forecast(series, config)
         inputs, targets = dataset.validation
@@ -326,8 +323,8 @@ def export_forecast(data, out_dir, config: ForecastConfig):
         run.stage = "emit"
         out.mkdir(parents=True, exist_ok=True)
         run.write(out / "data_with_forecast.csv",
-                  partial(_write_with_forecast, rows=rows, dates=series.dates,
-                          vector=vector))
+                  partial(_write_with_forecast, header=header, records=records,
+                          dates=series.dates, vector=vector))
         run.write(out / "forecaster.qlstm", partial(forecaster.save_forecaster, model))
     return validation, run.written
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diffnet
 from .diffnet import Dense, LstmCell, Node, Tape
@@ -76,8 +77,10 @@ class ForecastEvaluation:
 
 
 def _windows(series: MarketSeries, lookback: int, count: int) -> np.ndarray:
-    """[count, lookback, n_features]: window k is z-scored rows [k, k+lookback)."""
-    return np.stack([series.normalized[k: k + lookback] for k in range(count)])
+    """[count, lookback, n_features]: window k is z-scored rows [k, k+lookback),
+    a read-only view of the series, so no window is copied."""
+    rows = series.normalized[: count + lookback - 1]
+    return sliding_window_view(rows, lookback, axis=0).transpose(0, 2, 1)
 
 
 def build_windows(

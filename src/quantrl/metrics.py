@@ -362,12 +362,12 @@ def report_table(reports: dict[str, MetricsReport],
 
 
 def report_csv(reports: dict[str, MetricsReport],
-               failures: dict[str, str] | None = None) -> str:
-    """Key-value CSV mirror of the table (raw, unscaled field values)."""
+               failures: dict[str, str] | None = None) -> tuple[list, list]:
+    """(header, rows) of the table's CSV mirror (raw, unscaled values)."""
     failures = failures or {}
     columns = list(reports) + list(failures)
-    lines = ["metric," + ",".join(columns)]
-    for label, attr, _ in REPORT_ROWS:
+    rows = []
+    for _, attr, _ in REPORT_ROWS:
         row = [attr]
         for col in columns:
             if col in failures:
@@ -378,5 +378,5 @@ def report_csv(reports: dict[str, MetricsReport],
                     "nan" if isinstance(value, float) and math.isnan(value)
                     else f"{value:.12g}"
                 )
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return ["metric", *columns], rows

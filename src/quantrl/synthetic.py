@@ -13,14 +13,13 @@ seed -> byte-identical file.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SEED, ConfigError, between, check_fields, one_of
-from .tradeenv import FEATURE_COLUMNS
+from .tradeenv import FEATURE_COLUMNS, write_table
 
 KINDS = ("sawtooth", "trend", "white-noise", "ar1")
 
@@ -105,8 +104,6 @@ def synthetic_series_rows(spec: SyntheticSpec):
 def generate_synthetic(spec: SyntheticSpec, path) -> None:
     """Write the synthetic series as a schema CSV."""
     dates, features = synthetic_series_rows(spec)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", *FEATURE_COLUMNS])
-        for date, row in zip(dates, features):
-            writer.writerow([date.isoformat()] + [f"{v:.8f}" for v in row])
+    write_table(path, ["date", *FEATURE_COLUMNS], (
+        [date.isoformat()] + [f"{v:.8f}" for v in row]
+        for date, row in zip(dates, features)))

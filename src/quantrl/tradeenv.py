@@ -76,65 +76,83 @@ class MarketSeries:
         return self.forecast is not None
 
 
-def _parse_float(text: str, column: str, row_number: int) -> float:
+def _parse_float(text: str, column: str, where: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise IngestionError(
-            f"row {row_number}: cannot parse {column}={text!r} as a number"
+            f"{where}: cannot parse {column}={text!r} as a number"
         ) from None
     if not math.isfinite(value):
-        raise IngestionError(f"row {row_number}: {column}={text!r} is not finite")
+        raise IngestionError(f"{where}: {column}={text!r} is not finite")
     return value
 
 
-def read_text_lines(path) -> list[str]:
-    """The lines of a text file (newlines kept, for ``csv``); a file that
-    cannot be opened or is not UTF-8 text is an IngestionError naming it."""
+def write_table(path, header, rows, stamp: str | None = None) -> None:
+    """A CSV file: an optional ``# stamp`` comment line, the header, the
+    rows; every line ends in ``\n``."""
+    with open(path, "w", newline="") as fh:
+        if stamp:
+            fh.write(f"# {stamp}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path, columns) -> tuple[list[str], list[tuple[int, dict]]]:
+    """The header and the (file line number, record dict) pairs of a CSV
+    file, past any ``#`` comment lines above its header. A file that cannot
+    be opened, is not UTF-8 text, has no header or lacks any of ``columns``
+    is an IngestionError naming it."""
     try:
         with open(path, newline="") as fh:
-            return fh.readlines()
+            lines = fh.readlines()
     except OSError as exc:
         raise IngestionError(f"{path}: cannot open: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not a text file: {exc}") from exc
+    skipped = next((i for i, line in enumerate(lines) if not line.startswith("#")),
+                   len(lines))
+    reader = csv.DictReader(lines[skipped:])
+    if reader.fieldnames is None:
+        raise IngestionError(f"{path}: empty file, expected a header row")
+    missing = [c for c in columns if c not in reader.fieldnames]
+    if missing:
+        raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")
+    return reader.fieldnames, [(skipped + reader.line_num, record) for record in reader]
 
 
 def load_market_csv(path) -> MarketSeries:
     """Read the weekly schema, sort by date, forward-fill gaps.
 
-    Raises IngestionError (naming the file, or the offending row number)
-    on an unreadable or non-text file, unparseable content, a non-finite
-    number, duplicate dates or an empty result.
+    Raises IngestionError naming the file (and the offending row's line)
+    on any ``read_table`` error, unparseable content, a non-finite number,
+    duplicate dates, a nonpositive close or an empty result.
     """
-    reader = csv.DictReader(read_text_lines(path))
-    if reader.fieldnames is None:
-        raise IngestionError(f"{path}: empty file, expected a header row")
-    missing = [c for c in ("date", *FEATURE_COLUMNS) if c not in reader.fieldnames]
-    if missing:
-        raise IngestionError(f"{path}: missing columns {missing}")
-    has_forecast = "forecast" in reader.fieldnames
+    header, records = read_table(path, ("date", *FEATURE_COLUMNS))
+    has_forecast = "forecast" in header
 
     rows = []
-    for row_number, raw in enumerate(reader, start=2):  # header is line 1
+    for line, raw in records:
+        where = f"{path}: row {line}"
         text = raw.get("date") or ""
         try:
             date = dt.date.fromisoformat(text.strip())
         except ValueError:
             raise IngestionError(
-                f"row {row_number}: cannot parse date {text!r} as ISO-8601"
+                f"{where}: cannot parse date {text!r} as ISO-8601"
             ) from None
         values = []
         for column in FEATURE_COLUMNS:
             cell = (raw.get(column) or "").strip()
             values.append(
-                _parse_float(cell, column, row_number) if cell else None
+                _parse_float(cell, column, where) if cell else None
             )
         fc = None
         if has_forecast:
             cell = (raw.get("forecast") or "").strip()
-            fc = _parse_float(cell, "forecast", row_number) if cell else 0.0
-        rows.append((date, values, fc, row_number))
+            fc = _parse_float(cell, "forecast", where) if cell else 0.0
+        rows.append((date, values, fc, line))
 
     if not rows:
         raise IngestionError(f"{path}: no data rows")
@@ -142,12 +160,12 @@ def load_market_csv(path) -> MarketSeries:
     rows.sort(key=lambda r: r[0])
     for (d1, _, _, n1), (d2, _, _, n2) in zip(rows, rows[1:]):
         if d1 == d2:
-            raise IngestionError(f"duplicate date {d1} (rows {n1} and {n2})")
+            raise IngestionError(f"{path}: duplicate date {d1} (rows {n1} and {n2})")
 
     # forward-fill feature gaps; rows before the first complete set are dropped
     filled = []
     last = [None] * len(FEATURE_COLUMNS)
-    for date, values, fc, row_number in rows:
+    for date, values, fc, _ in rows:
         merged = [v if v is not None else last[i] for i, v in enumerate(values)]
         last = merged
         if any(v is None for v in merged):
@@ -160,7 +178,7 @@ def load_market_csv(path) -> MarketSeries:
     features = np.array([r[1] for r in filled], dtype=np.float64)
     if np.any(features[:, 0] <= 0):
         bad = int(np.argmax(features[:, 0] <= 0))
-        raise IngestionError(f"nonpositive close at {dates[bad]}")
+        raise IngestionError(f"{path}: nonpositive close at {dates[bad]}")
     forecast = (
         np.array([r[2] for r in filled], dtype=np.float64) if has_forecast else None
     )

@@ -667,20 +667,39 @@ def test_forced_liquidation_closes_open_trade():
     assert run.position_flags == [1, 1, 1]  # liquidation is not an agent action
 
 
+def test_replayed_position_flags_match_the_env():
+    # a run keeps only the executed actions; its flags are derived by replay
+    for seed in range(20):
+        env = sawtooth_env(n=3 + seed)
+        positions, step = [], env.step
+
+        def recording_step(action):
+            result = step(action)
+            positions.append(result[3]["position"])
+            return result
+
+        env.step = recording_step
+        assert evaluate_random(env, seed=seed).position_flags == positions
+
+
 def test_evaluation_csv_roundtrip(tmp_path):
     env = sawtooth_env()
     run = evaluate_random(env, seed=3)
     path = tmp_path / "evaluation.csv"
     run.to_csv(path, stamp="config_hash=abc seed=3")
     back = EvaluationRun.from_csv(path)
-    assert back.dates == run.dates
-    assert back.actions == run.actions
+    # the CSV holds 12 significant digits of each price and asset value
+    assert back == EvaluationRun(
+        run.dates, run.actions, [float(f"{p:.12g}") for p in run.prices],
+        [float(f"{a:.12g}") for a in run.asset_values])
     assert back.position_flags == run.position_flags
     assert len(back.trades) == len(run.trades)
     for a, b in zip(back.trades, run.trades):
         assert a.buy_date == b.buy_date and a.sell_date == b.sell_date
         assert a.profit == pytest.approx(b.profit, abs=1e-9)
-    assert np.allclose(back.asset_values, run.asset_values, atol=1e-9)
+    again = tmp_path / "again.csv"
+    back.to_csv(again, stamp="config_hash=abc seed=3")
+    assert again.read_bytes() == path.read_bytes()
 
 
 def random_reward_history(env: TradingEnv, episodes: int, seed: int = 0) -> list[float]:

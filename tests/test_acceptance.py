@@ -467,6 +467,13 @@ def test_c10_reproducible_artifacts(tmp_path):
     _pass(10, f"single-worker fixed-seed reruns byte-identical: {compared}")
 
 
+def test_c10_text_artifacts_end_lines_in_newline_only(tmp_path):
+    files = run_experiment(c10_config(tmp_path)).files
+    text = [name for name in files if name != "checkpoint.qnet"]
+    assert "evaluation.csv" in text and "config.ini" in text
+    assert [name for name in text if b"\r" in files[name].read_bytes()] == []
+
+
 def test_c10_artifacts_are_pinned(tmp_path, monkeypatch):
     # c10 compares reruns of one build; these digests pin its files and the
     # forecast vector across changes that claim identical results
@@ -485,10 +492,10 @@ def test_c10_artifacts_are_pinned(tmp_path, monkeypatch):
     got["forecast"] = hashlib.sha256(
         np.asarray(vectors[0], np.float64).tobytes()).hexdigest()
     assert len(vectors) == 1 and got == {
-        "data.csv": "544c344d275076afc51305534b33f212ae97c2ed82d7343dc80394752836cda9",
-        "evaluation.csv": "fa3b0e1c5bcaf9d6de2822a7369c5dace75e6547c6e7618708b9b0530d05e01a",
+        "data.csv": "de94572ed2046501b426e5b02c3c34f7da38878780089a831dc23bd923049ec1",
+        "evaluation.csv": "d7ec9f5aed26499b2d958c8d5cc3d84d3db1c9a04221416cc321acfcc0f62e35",
         "training_history.csv":
-            "006c4a06a1b21b1397650b7ea4d084f8d68068858c67a8c173c930cd0963c010",
+            "d716f02f700c2c914ae1f98093adf72f92bd25aaee2139d7b3e3e4e6714b11ca",
         "metrics.csv": "7210ad33c551da06a935e5d5ce3abac475628bb6bd38219ac69b1a3f32786f85",
         "forecast": "d5a0614e69a3d5736404939438247331a5eeecdfdb76da539441c09349b12b6a",
     }

@@ -179,6 +179,21 @@ def test_config_ini_empty_value_is_none_for_optional_fields(tmp_path):
     assert config.data is None and config.train.clip_norm is None
 
 
+def test_config_ini_checks_experiment_values_before_derived_keys(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[experiment]\ntrain_fraction = nan\n[synthetic]\nkind = sawtooth\n"
+                    "length = 20\n[forecast]\ntrain_fraction = nan\n")
+    with pytest.raises(ConfigError, match=re.escape("train_fraction must be in (0, 1], got nan")):
+        load_config_ini(path)
+
+
+def test_cli_unreadable_config_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "missing.ini"
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: cannot read config file {path}"]
+
+
 @pytest.mark.parametrize("text, keys", [
     ("[train]\nhead_kind = quantum\n", ("train.head_kind", "experiment.strategy")),
     ("[experiment]\nseed = 1\n[train]\nseed = 5\n", ("train.seed", "experiment.seed")),
@@ -684,20 +699,24 @@ _EVALUATION = ("date,action,price,asset_value\n"
 
 
 @pytest.mark.parametrize("text, detail", [
-    (_EVALUATION.replace("sell", "jump"), "row 2: unknown action 'jump'"),
+    (_EVALUATION.replace("sell", "jump"), "row 3: unknown action 'jump'"),
     ("date,action,price\n2022-01-07,buy,100\n", "missing column(s) asset_value"),
-    (_EVALUATION.replace("2022-01-14", "2022-13-14"), "row 2: "),
-    (_EVALUATION.replace("101,", "1o1,"), "row 2: "),
-    (_EVALUATION.replace("101,", "nan,"), "row 2: price='nan' is not finite"),
-    (_EVALUATION.replace("1010", "inf"), "row 2: asset_value='inf' is not finite"),
+    (_EVALUATION.replace("2022-01-14", "2022-13-14"), "row 3: "),
+    (_EVALUATION.replace("101,", "1o1,"), "row 3: "),
+    (_EVALUATION.replace("101,", "nan,"), "row 3: price='nan' is not finite"),
+    (_EVALUATION.replace("1010", "inf"), "row 3: asset_value='inf' is not finite"),
     (_EVALUATION.replace("2022-01-14", "2022-01-07"),
-     "row 2: date 2022-01-07 does not follow 2022-01-07"),
+     "row 3: date 2022-01-07 does not follow 2022-01-07"),
     (_EVALUATION.replace("2022-01-14", "2021-12-31"),
-     "row 2: date 2021-12-31 does not follow 2022-01-07"),
+     "row 3: date 2021-12-31 does not follow 2022-01-07"),
+    ("# stamp\n" + _EVALUATION.replace("2022-01-14", "# note\n2022-01-14"),
+     "row 4: unknown action None"),
+    ("", "empty file, expected a header row"),
     (None, "No such file"),
     (b"date,action\n\x89PNG\n", "not a text file"),
 ], ids=["unknown-action", "missing-column", "bad-date", "bad-number", "nan-price",
-        "inf-asset", "repeated-date", "earlier-date", "missing-file", "binary"])
+        "inf-asset", "repeated-date", "earlier-date", "comment-after-header", "empty",
+        "missing-file", "binary"])
 def test_cli_report_malformed_evaluation_exit_code(tmp_path, capsys, text, detail):
     path = tmp_path / "evaluation.csv"
     if text is not None:
@@ -719,6 +738,19 @@ def test_cli_generate_rejects_bad_spec(tmp_path, args):
     out = tmp_path / "x.csv"
     assert main(["generate", *args, "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_cli_evaluate_observation_dim_mismatch_exit_code(tmp_path, capsys):
+    checkpoint = tmp_path / "net.qnet"
+    save_checkpoint(ActorCriticNet(obs_dim=9, seed=0), checkpoint)
+    data = _short_csv(tmp_path)
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data),
+                 "--out", str(tmp_path / "ev")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: checkpoint expects observation dim 9, data gives 8 "
+        "(forecast column or position flag mismatch)"]
+    assert not (tmp_path / "ev").exists()
 
 
 def test_cli_report_and_evaluate(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Forecaster tests on constructed synthetic series."""
 
 import datetime as dt
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -102,6 +103,20 @@ def test_window_contents_match_rows():
     assert np.array_equal(ds.inputs[2], series.normalized[2:5])
     want = 100.0 * (series.close[5] / series.close[4] - 1.0)
     assert ds.targets[2] == pytest.approx(want)
+
+
+def test_windows_are_read_only_views_of_the_series():
+    series = trend_series(n=2000, slope=0.001)
+    tracemalloc.start()
+    try:
+        ds = build_windows(series, lookback=500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.inputs.shape == (1500, 500, 6)
+    assert peak < 2**20  # one copy of the windows would take 34 MiB
+    assert np.shares_memory(ds.inputs, series.normalized)
+    assert not ds.inputs.flags.writeable
 
 
 # ---------------------------------------------------------------------------

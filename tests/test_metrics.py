@@ -220,10 +220,9 @@ def test_report_table_shape_and_failures():
     assert "failed (boom)" in text
     assert "Omega Ratio" in text
 
-    csv_text = report_csv({"classical": report}, failures={"quantum": "boom"})
-    rows = csv_text.strip().split("\n")
-    assert rows[0] == "metric,classical,quantum"
-    assert len(rows) == 21
+    header, rows = report_csv({"classical": report}, failures={"quantum": "boom"})
+    assert header == ["metric", "classical", "quantum"]
+    assert len(rows) == 20 and all(len(row) == 3 and row[2] == "failed" for row in rows)
 
 
 def test_report_renders_nan_with_reason():

@@ -1,9 +1,11 @@
 """Environment tests: ingestion, normalization, reward/asset dynamics and
 the accounting identity."""
 
+import ast
 import datetime as dt
 import re
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +145,43 @@ def test_empty_file_and_no_rows(tmp_path):
     header_only.write_text(HEADER + "\n")
     with pytest.raises(IngestionError):
         load_market_csv(header_only)
+
+
+@pytest.mark.parametrize("header, rows, detail", [
+    ("date,close,fedfunds,dgs2,dgs10,hy_spread", ["2022-01-07,4500,0.1,1.0,1.8,3.0"],
+     "missing column(s) vix"),
+    (HEADER, ["2022-01-07,4500,,0.1,1.0,1.8,3.0", "2022-01-14,4510,,0.1,1.1,1.9,3.2"],
+     "every row has unfillable gaps"),
+    (HEADER, ["2022-01-07,4500,20,0.1,1.0,1.8,3.0", "2022-01-14,-1,22,0.1,1.1,1.9,3.2"],
+     "nonpositive close at 2022-01-14"),
+], ids=["missing-column", "unfillable-gaps", "nonpositive-close"])
+def test_bad_content_is_ingestion_error_naming_the_file(tmp_path, header, rows, detail):
+    path = write_csv(tmp_path / "m.csv", rows, header=header)
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: {detail}")):
+        load_market_csv(path)
+
+
+def test_row_number_is_the_file_line(tmp_path):
+    # comment lines above the header and blank lines count
+    path = tmp_path / "m.csv"
+    path.write_text(f"# source: test\n{HEADER}\n2022-01-07,4500,20,0.1,1.0,1.8,3.0\n"
+                    "\n2022-01-14,oops,22,0.1,1.1,1.9,3.2\n")
+    with pytest.raises(IngestionError,
+                       match=re.escape(f"{path}: row 5: cannot parse close='oops'")):
+        load_market_csv(path)
+
+
+def test_only_tradeenv_imports_csv():
+    # one CSV writer and one reader: every other module goes through them
+    src = Path(__file__).resolve().parents[1] / "src" / "quantrl"
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "csv" in names:
+                importers.append(path.stem)
+    assert importers == ["tradeenv"]
 
 
 def test_binary_file_is_ingestion_error_naming_the_file(tmp_path):
