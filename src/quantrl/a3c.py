@@ -3,18 +3,20 @@ hybrid-quantum policy/value heads.
 
 The policy and the value net are two ``Head`` objects of one layout:
 dense in -> tanh -> encoder -> tanh -> dense out (logits over {hold, buy,
-sell} for the policy, a scalar for the value), with one taped
-``Head.forward``. The encoder is either a variational quantum circuit on
-``latent_dim`` qubits or a same-width dense layer, so the two modes are
-drop-in replacements for each other. An ``ActorCriticNet`` keeps both
-heads' parameters and their grads in one ``diffnet.FlatStore``, so the
-flat vectors a worker pushes and pulls are one numpy call each way.
+sell} for the policy, a scalar for the value). A head's one forward,
+``Head.run``, works on plain arrays. A decision calls it alone; a
+trajectory update records it on a tape as one op (``Head.forward``),
+whose backward works the chain rule through the five layers. The
+encoder is either a variational quantum circuit on ``latent_dim`` qubits
+or a same-width dense layer, so the two modes are drop-in replacements
+for each other. An ``ActorCriticNet`` keeps both heads' parameters and
+their grads in one ``diffnet.FlatStore``, so the flat vectors a worker
+pushes and pulls are one numpy call each way.
 
 The policy head's forward gives the logits. Training applies the tape's
 softmax to them; a decision (``policy_probs``) normalises its one row
-with ``diffnet.softmax_row`` instead, the same bits with no tape op after
-the logits. Neither a decision's input nor a trajectory's states take a
-gradient.
+with ``diffnet.softmax_row`` instead, the same bits, and builds no tape
+and no node. A trajectory's states take no gradient.
 
 Workers own a private environment and network copy. Every ``update_every``
 steps (or at episode end) a worker computes n-step returns, pushes
@@ -115,12 +117,39 @@ class Head:
         encoder = [self.encoder] if quantum else self.encoder.parameters()
         return self.dense_in.parameters() + encoder + self.dense_out.parameters()
 
-    def forward(self, tape: Tape, s: Node) -> Node:
-        """[batch, n_out] outputs for a [batch, obs_dim] batch."""
-        z = tape.tanh(tape.dense(self.dense_in, s))
-        q = (tape.dense(self.encoder, z) if self.circuit is None
-             else tape.vqc(self.encoder, self.circuit, z))
-        return tape.dense(self.dense_out, tape.tanh(q))
+    def run(self, states: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """[batch, n_out] outputs for a [batch, obs_dim] array, on plain
+        arrays, and the intermediates that the backward reads. ValueError
+        for a batch of another width."""
+        diffnet.check_batch("head", states, self.dense_in.w.value.shape[1])
+        z = np.tanh(self.dense_in.apply(states))
+        if self.circuit is None:
+            q, final = self.encoder.apply(z), None
+        else:
+            q, final = qsim.run_vqc_batch(z, self.circuit, keep_states=True)
+        t = np.tanh(q)
+        return self.dense_out.apply(t), (states, z, final, t)
+
+    def forward(self, tape: Tape, states: np.ndarray) -> Node:
+        """``run`` recorded on ``tape`` as one op. Its backward adds every
+        parameter's grad, from the parameters and circuit states of this
+        forward, so nothing may write the parameters in between; the states
+        are data and take none."""
+        out, saved = self.run(states)
+        return tape.record(out, partial(self._backward, *saved))
+
+    def _backward(self, states, z, final, t, g):
+        # the chain rule in the order of a tape of the five layers: dense
+        # out, tanh', the encoder, tanh', dense in
+        self.dense_out.add_grads(t, g)
+        gq = (1.0 - t * t) * (g @ self.dense_out.w.value)
+        if self.circuit is None:
+            self.encoder.add_grads(z, gq)
+            gz = gq @ self.encoder.w.value
+        else:
+            pg, gz = qsim.vqc_gradients_batch(z, self.circuit, gq, states=final)
+            self.encoder.grad += pg
+        self.dense_in.add_grads(states, (1.0 - z * z) * gz)
 
 
 class ActorCriticNet:
@@ -162,13 +191,13 @@ class ActorCriticNet:
 
     def policy_probs(self, obs: np.ndarray) -> np.ndarray:
         """Action distribution for one observation: the logits of a batch of
-        one, then ``softmax_row``, the bits of ``softmax`` with no tape op."""
-        s = Node(obs[None, :], requires_grad=False)
-        return diffnet.softmax_row(self.policy.forward(Tape(), s).value[0])
+        one, then ``softmax_row``, the bits of ``softmax``. No tape."""
+        logits, _ = self.policy.run(obs[None, :])
+        return diffnet.softmax_row(logits[0])
 
     def value(self, obs: np.ndarray) -> float:
-        s = Node(obs[None, :], requires_grad=False)
-        return float(self.critic.forward(Tape(), s).value[0, 0])
+        value, _ = self.critic.run(obs[None, :])
+        return float(value[0, 0])
 
     # flat parameter plumbing: each is one numpy call on the store
     def get_flat(self) -> np.ndarray:
@@ -220,9 +249,8 @@ def compute_loss_and_grads(
 
     net.zero_grads()
     tape = Tape()
-    s = Node(states, requires_grad=False)
-    probs = tape.softmax(net.policy.forward(tape, s))
-    v = net.critic.forward(tape, s)                # [K, 1]
+    probs = tape.softmax(net.policy.forward(tape, states))
+    v = net.critic.forward(tape, states)           # [K, 1]
     advantage = returns - v.value[:, 0]            # detached
 
     logp = tape.log(probs)

@@ -37,7 +37,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import qsim
 from .errors import ModelFileError, QuantrlError
 
 
@@ -48,12 +47,12 @@ class Node:
     A leaf or ``Param`` built with ``Node(...)`` allocates its zero grad at
     once. A tape op's output starts with ``grad = None`` and gets its zero
     grad from ``Tape.backward``, so a forward pass that is never
-    differentiated, such as one decision, allocates no grad for it. Nor
-    does an input built with ``requires_grad=False``, such as a decision's
-    observation, a trajectory's states or an LSTM's zero initial state:
-    ``Tape.dense`` skips the input grad of such a node, and ``Tape.lstm``
-    the state grads, rather than fill one nobody reads. Any other op that a
-    backward reaches through it fails on the missing grad.
+    differentiated, such as a forecast, allocates no grad for it. Nor does
+    an input built with ``requires_grad=False``, an LSTM's zero initial
+    state: ``Tape.lstm`` skips its grads rather than fill ones nobody
+    reads. Any other op that a backward reaches through it fails on the
+    missing grad. An agent's decision builds no node at all: its heads run
+    on plain arrays.
     """
 
     __slots__ = ("value", "grad")
@@ -68,7 +67,8 @@ class Node:
 Param = Node  # the name for a trainable leaf
 
 
-def _check_batch(op: str, x: np.ndarray, width: int) -> None:
+def check_batch(op: str, x: np.ndarray, width: int) -> None:
+    """ValueError naming ``op`` unless ``x`` is a [batch, width] matrix."""
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(
             f"{op} expects a [batch, {width}] input, got shape {x.shape}"
@@ -82,7 +82,9 @@ class Tape:
     :meth:`backward` gives every op output a zero grad, seeds the loss node
     and sweeps the recorded vector-Jacobian products last-to-first,
     accumulating into the grad of every node and parameter they touch.
-    Leaves and parameters keep the grads they allocated when built.
+    Leaves and parameters keep the grads they allocated when built. A
+    caller that computes an op itself, as an actor-critic head does, hands
+    the tape its output and vector-Jacobian product through :meth:`record`.
     """
 
     def __init__(self):
@@ -100,6 +102,15 @@ class Tape:
         self._outputs.append(out)
         return out
 
+    def record(self, value: np.ndarray, vjp) -> Node:
+        """An op computed outside the tape: its output node, holding
+        ``value``. The backward calls ``vjp(g)`` with the output's grad g,
+        and ``vjp`` adds the grads it yields to the nodes and parameters
+        the op read."""
+        out = self._output(value)
+        self._push(lambda: vjp(out.grad))
+        return out
+
     def backward(self, loss: Node) -> None:
         if not self._records:
             raise ValueError("backward called before any forward op was recorded")
@@ -112,18 +123,12 @@ class Tape:
     # -- ops ---------------------------------------------------------------
 
     def dense(self, layer: "Dense", x: Node) -> Node:
-        _check_batch("dense", x.value, layer.w.value.shape[1])
-        # np.dot, then the bias in place: the bits of x @ w.T + b with one
-        # temporary fewer
-        out = self._output(np.dot(x.value, layer.w.value.T))
-        out.value += layer.b.value
+        check_batch("dense", x.value, layer.w.value.shape[1])
+        out = self._output(layer.apply(x.value))
 
         def vjp():
-            g = out.grad
-            layer.w.grad += g.T @ x.value
-            layer.b.grad += g.sum(axis=0)
-            if x.grad is not None:
-                x.grad += g @ layer.w.value
+            layer.add_grads(x.value, out.grad)
+            x.grad += out.grad @ layer.w.value
 
         self._push(vjp)
         return out
@@ -223,7 +228,7 @@ class Tape:
         The step's input ``x`` is a plain [batch, input_size] array: it is
         data, so no gradient is taken for it."""
         h, c = state
-        _check_batch("lstm", x, cell.input_size)
+        check_batch("lstm", x, cell.input_size)
         z = np.concatenate([x, h.value], axis=-1)
         gi = _sigmoid(z @ cell.w_i.value.T + cell.b_i.value)
         gf = _sigmoid(z @ cell.w_f.value.T + cell.b_f.value)
@@ -266,22 +271,6 @@ class Tape:
         self._push(vjp)
         return h_new, c_new
 
-    def vqc(self, angles: Param, circuit: qsim.VqcParams, x: Node) -> Node:
-        """Variational-circuit encoder over a batch; backward runs the
-        adjoint method from the forward's final states. ``circuit`` must
-        hold ``angles.value`` itself, so that in-place parameter writes
-        reach it, and its angles must not change before the backward."""
-        value, states = qsim.run_vqc_batch(x.value, circuit, keep_states=True)
-        out = self._output(value)
-
-        def vjp():
-            pg, ig = qsim.vqc_gradients_batch(x.value, circuit, out.grad, states=states)
-            angles.grad += pg
-            x.grad += ig
-
-        self._push(vjp)
-        return out
-
 
 def _sigmoid(v):
     # with e = exp(-|v|), each entry is exactly 1/(1 + e) (v >= 0) or
@@ -321,6 +310,18 @@ class Dense:
         bound = 1.0 / np.sqrt(n_in)
         self.w = Param(rng.uniform(-bound, bound, (n_out, n_in)))
         self.b = Param(rng.uniform(-bound, bound, n_out))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``x @ w.T + b`` for a [batch, n_in] array: np.dot, then the bias
+        in place, the bits of that expression with one temporary fewer."""
+        out = np.dot(x, self.w.value.T)
+        out += self.b.value
+        return out
+
+    def add_grads(self, x: np.ndarray, g: np.ndarray) -> None:
+        """Accumulate the w and b grads of the output grad ``g`` at input ``x``."""
+        self.w.grad += g.T @ x
+        self.b.grad += g.sum(axis=0)
 
     def parameters(self) -> list[Param]:
         return [self.w, self.b]

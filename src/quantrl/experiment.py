@@ -238,9 +238,13 @@ class RunArtifacts:
 
 
 def load_series(path, train_fraction: float) -> tradeenv.MarketSeries:
-    """Ingest a market CSV and z-score it on its training prefix; constant
-    columns are expected there and not reported."""
-    series = tradeenv.load_market_csv(path)
+    """Ingest a market CSV and z-score it on its training prefix."""
+    return _zscored(tradeenv.load_market_csv(path), train_fraction)
+
+
+def _zscored(series: tradeenv.MarketSeries, train_fraction: float):
+    """``tradeenv.zscore``; constant columns are expected in the training
+    prefix and not reported."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
         return tradeenv.zscore(series, train_fraction)
@@ -299,12 +303,14 @@ def _write_with_forecast(path: Path, header: list, records: list, dates,
                          vector) -> None:
     """The records under their header with the forecast column set by date
     (replaced if the header has one, appended if not); rows the series
-    dropped get 0."""
-    by_date = {d.isoformat(): v for d, v in zip(dates, vector)}
+    dropped get 0. A record's date is parsed as ingest parsed it, so a
+    date in any form that ingest takes finds its forecast."""
+    by_date = dict(zip(dates, vector))
     header = header + ["forecast"] * ("forecast" not in header)
     tradeenv.write_table(path, header, ([
-        f"{by_date.get(record['date'].strip(), 0.0):.8f}" if name == "forecast"
-        else record[name] for name in header] for _, record in records))
+        f"{by_date.get(tradeenv.parse_date(record['date']), 0.0):.8f}"
+        if name == "forecast" else record[name] for name in header]
+        for _, record in records))
 
 
 def export_forecast(data, out_dir, config: ForecastConfig):
@@ -313,8 +319,9 @@ def export_forecast(data, out_dir, config: ForecastConfig):
     two validation windows) and the written paths."""
     out = Path(out_dir)
     with Stages("ingest") as run:
-        series = load_series(data, config.train_fraction)
-        header, records = tradeenv.read_table(data, ())
+        header, records = tradeenv.read_table(data, tradeenv.MARKET_COLUMNS)
+        series = _zscored(tradeenv.parse_market_table(data, header, records),
+                          config.train_fraction)
         run.stage = "forecast"
         model, dataset, vector = fit_forecast(series, config)
         inputs, targets = dataset.validation

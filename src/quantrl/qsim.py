@@ -29,13 +29,13 @@ as a matrix.
 
 Gradients use the adjoint method (Jones & Gacon 2020): one reverse sweep
 gives every parameter and input gradient, exact and in O(B * P * 2**n).
-It starts from the forward's final states, which ``diffnet.Tape.vqc``
-hands over, and stops after undoing layer 1's RZ phases, where one read
-gives both layer 1's RY gradients and the input gradients. The
-parameter-shift rule (Schuld et al. 2019), which is what quantum hardware
-can run, is kept as the reference implementation and test oracle. It
-runs the forward above twice per angle, at the angle shifted by +-pi/2,
-and uses nothing of the adjoint sweep.
+It starts from the forward's final states, which a quantum ``a3c.Head``
+keeps from its forward, and stops after undoing layer 1's RZ phases,
+where one read gives both layer 1's RY gradients and the input
+gradients. The parameter-shift rule (Schuld et al. 2019), which is what
+quantum hardware can run, is kept as the reference implementation and
+test oracle. It runs the forward above twice per angle, at the angle
+shifted by +-pi/2, and uses nothing of the adjoint sweep.
 
 Apart from one cache, everything here is stateless. It holds compiled
 circuits: all that depends only on the angles (the encoding's offset,
@@ -322,7 +322,7 @@ def run_vqc_batch(inputs: np.ndarray, params: VqcParams, *,
                   keep_states: bool = False):
     """Per-qubit Z expectations for a batch of input rows, shape [B, n].
 
-    With ``keep_states`` (internal: ``diffnet.Tape.vqc`` is its caller) it
+    With ``keep_states`` (internal: a quantum ``a3c.Head`` is its caller) it
     returns (expectations, final states), the states being what
     :func:`vqc_gradients_batch` takes for the same inputs and angles.
     """
@@ -360,7 +360,7 @@ def vqc_gradients_batch(
     qubits and commute with each other's generators, so all of a
     sublayer's derivatives are read at once. Costs O(B * P * 2**n).
 
-    ``states`` (internal: ``diffnet.Tape.vqc`` is its caller) are the final
+    ``states`` (internal: a quantum ``a3c.Head`` is its caller) are the final
     states that ``run_vqc_batch(inputs, params, keep_states=True)`` returned
     for these angles, so the sweep starts without running the circuit again.
     """

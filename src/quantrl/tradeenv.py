@@ -36,6 +36,7 @@ import numpy as np
 from .errors import POSITIVE, IngestionError, check_fields
 
 FEATURE_COLUMNS = ("close", "vix", "fedfunds", "dgs2", "dgs10", "hy_spread")
+MARKET_COLUMNS = ("date", *FEATURE_COLUMNS)
 
 HOLD, BUY, SELL = 0, 1, 2
 ACTION_NAMES = {HOLD: "hold", BUY: "buy", SELL: "sell"}
@@ -129,7 +130,20 @@ def load_market_csv(path) -> MarketSeries:
     on any ``read_table`` error, unparseable content, a non-finite number,
     duplicate dates, a nonpositive close or an empty result.
     """
-    header, records = read_table(path, ("date", *FEATURE_COLUMNS))
+    return parse_market_table(path, *read_table(path, MARKET_COLUMNS))
+
+
+def parse_date(text: str) -> dt.date:
+    """A market CSV's date cell as ingest reads it: extended
+    (``2022-01-07``) or basic (``20220107``) ISO 8601, blanks stripped."""
+    return dt.date.fromisoformat(text.strip())
+
+
+def parse_market_table(path, header, records) -> MarketSeries:
+    """The series of a market CSV's header and records as ``read_table``
+    returned them for ``MARKET_COLUMNS``: ``load_market_csv`` after the
+    read, for a caller that keeps the records. ``path`` names the file in
+    errors."""
     has_forecast = "forecast" in header
 
     rows = []
@@ -137,7 +151,7 @@ def load_market_csv(path) -> MarketSeries:
         where = f"{path}: row {line}"
         text = raw.get("date") or ""
         try:
-            date = dt.date.fromisoformat(text.strip())
+            date = parse_date(text)
         except ValueError:
             raise IngestionError(
                 f"{where}: cannot parse date {text!r} as ISO-8601"

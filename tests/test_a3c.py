@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantrl import a3c
+from quantrl import a3c, diffnet
 from quantrl.a3c import (
     N_ACTIONS,
     ActorCriticNet,
@@ -27,7 +27,7 @@ from quantrl.a3c import (
     save_checkpoint,
     train,
 )
-from quantrl.diffnet import Node, SgdOptimizer, Tape, softmax
+from quantrl.diffnet import SgdOptimizer, Tape, softmax
 from quantrl.errors import ConfigError, GradientRejected, TrainingError
 from quantrl.qsim import BLOCK_MAX_QUBITS, MAX_QUBITS
 from quantrl.tradeenv import BUY, HOLD, SELL, EnvConfig, MarketSeries, TradingEnv, zscore
@@ -150,7 +150,7 @@ def test_policy_simplex_on_random_nets():
 def test_policy_probs_is_softmax_of_logits_bit_for_bit(head_kind):
     net = ActorCriticNet(obs_dim=6, head_kind=head_kind, latent_dim=4, seed=2)
     for obs in np.random.default_rng(3).normal(scale=3.0, size=(100, 6)):
-        logits = net.policy.forward(Tape(), Node(obs[None, :])).value
+        logits = net.policy.forward(Tape(), obs[None, :]).value
         assert np.array_equal(net.policy_probs(obs), softmax(logits)[0])
 
 
@@ -204,11 +204,37 @@ def test_batched_forward_matches_single():
     rng = np.random.default_rng(1)
     states = rng.normal(size=(5, 4))
     tape = Tape()
-    probs = tape.softmax(net.policy.forward(tape, Node(states)))
-    values = net.critic.forward(Tape(), Node(states))
+    probs = tape.softmax(net.policy.forward(tape, states))
+    values = net.critic.forward(Tape(), states)
     for i in range(5):
         assert np.allclose(probs.value[i], net.policy_probs(states[i]), atol=1e-14)
         assert values.value[i, 0] == pytest.approx(net.value(states[i]), abs=1e-14)
+
+
+@pytest.mark.parametrize("head_kind", ["classical", "quantum"])
+def test_a_decision_builds_no_tape_and_no_node(head_kind, monkeypatch):
+    net = ActorCriticNet(obs_dim=6, head_kind=head_kind, latent_dim=4, seed=7)
+    observations = np.random.default_rng(8).normal(size=(20, 6))
+    before = [(net.policy_probs(obs), net.value(obs)) for obs in observations]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decision built a tape or a node")
+
+    monkeypatch.setattr(diffnet.Tape, "__init__", refuse)
+    monkeypatch.setattr(diffnet.Node, "__init__", refuse)
+    for obs, (probs, value) in zip(observations, before):
+        assert np.array_equal(net.policy_probs(obs), probs)
+        assert net.value(obs) == value
+
+
+@pytest.mark.parametrize("head_kind", ["classical", "quantum"])
+def test_an_observation_of_the_wrong_width_names_the_expected_one(head_kind):
+    net = ActorCriticNet(obs_dim=6, head_kind=head_kind, latent_dim=4, seed=7)
+    for decide in (net.policy_probs, net.value):
+        with pytest.raises(ValueError, match=r"\[batch, 6\] input, got shape \(1, 5\)"):
+            decide(np.zeros(5))
+    with pytest.raises(ValueError, match=r"\[batch, 6\] input"):
+        compute_loss_and_grads(net, np.zeros((3, 7)), [0, 1, 2], np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from test_qsim import dense_oracle_expectations, random_instance
 
 from quantrl import diffnet, forecaster, qsim
 from quantrl.a3c import (
+    Head,
     TrainConfig,
     n_step_returns,
     train,
@@ -240,10 +241,12 @@ def test_c03_differentiable_layers():
     x = rng.uniform(-1, 1, (1, 4))
     contraction = np.array([0.7, -1.2])
 
+    head = Head(4, 3, 2, 2, np.random.default_rng(0))  # on the layers above
+    head.dense_in, head.encoder, head.dense_out = front, angles, back
+
     def hybrid(t):
-        z = t.tanh(t.dense(front, Node(x)))
-        q = t.vqc(angles, qsim.VqcParams(3, 2, angles.value), z)
-        return t.sum(t.scale(t.dense(back, t.tanh(q)), contraction))
+        head.circuit = qsim.VqcParams(3, 2, angles.value)  # the store's angles
+        return t.sum(t.scale(head.forward(t, x), contraction))
 
     grads, fds = _grad_and_fd(hybrid, front.parameters() + [angles] + back.parameters())
     worst_hybrid = max(float(np.max(np.abs(g - f))) for g, f in zip(grads, fds))

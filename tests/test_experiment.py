@@ -801,6 +801,36 @@ def test_cli_forecast_exports_one_forecast_column(tmp_path, capsys):
     assert "validation rmse=" in capsys.readouterr().out
 
 
+def test_forecast_export_finds_basic_format_dates(tmp_path):
+    data = tmp_path / "m.csv"
+    assert main(["generate", "--kind", "ar1", "--length", "40", "--seed", "3",
+                 "--out", str(data)]) == 0
+    lines = data.read_text().splitlines(keepends=True)
+    basic = tmp_path / "basic.csv"  # 2022-01-07 -> 20220107
+    basic.write_text("".join(lines[:1] + [line.replace("-", "", 2) for line in lines[1:]]))
+    config = ForecastConfig(epochs=5, hidden=4, lookback=4, seed=1)
+    columns = []
+    for path in (data, basic):
+        experiment.export_forecast(path, tmp_path / path.stem, config)
+        _, records = tradeenv.read_table(
+            tmp_path / path.stem / "data_with_forecast.csv", ("forecast",))
+        columns.append([record["forecast"] for _, record in records])
+    assert columns[0] == columns[1]
+    assert float(columns[1][-1]) != 0.0
+
+
+def test_forecast_export_reads_its_input_once(tmp_path, monkeypatch):
+    data = tmp_path / "m.csv"
+    assert main(["generate", "--kind", "ar1", "--length", "40", "--out", str(data)]) == 0
+    reads = []
+    read_table = tradeenv.read_table
+    monkeypatch.setattr(tradeenv, "read_table",
+                        lambda path, columns: reads.append(path) or read_table(path, columns))
+    experiment.export_forecast(data, tmp_path / "fc", ForecastConfig(epochs=2, hidden=4,
+                                                                   lookback=4))
+    assert reads == [data]
+
+
 @pytest.mark.parametrize("lr", ["inf", "nan"])
 def test_cli_forecast_non_finite_learning_rate_exit_code(tmp_path, capsys, lr):
     data = tmp_path / "m.csv"

@@ -12,7 +12,7 @@ import pytest
 
 from quantrl import qsim
 from quantrl.a3c import ActorCriticNet
-from quantrl.diffnet import Node, Tape
+from quantrl.diffnet import Tape
 from quantrl.errors import ConfigError
 from quantrl.qsim import (
     VqcParams,
@@ -189,7 +189,7 @@ def test_forward_follows_set_flat():
     x = rng.uniform(-1, 1, 3)
 
     def encoder_readout():
-        return Tape().vqc(net.policy.encoder, net.policy.circuit, Node(x[None, :])).value[0]
+        return run_vqc_batch(x[None, :], net.policy.circuit)[0]
 
     encoder_readout()  # fills the cache for the current angles
     for _ in range(3):
@@ -316,19 +316,25 @@ def test_gradient_from_forward_states_equals_recomputed(n):
 def test_tape_backward_runs_no_circuit_forward(monkeypatch):
     net = ActorCriticNet(obs_dim=5, head_kind="quantum", latent_dim=4,
                          vqc_depth=2, seed=4)
+    head = net.policy
     calls = []
     encode = qsim._folded_encoding
     monkeypatch.setattr(qsim, "_folded_encoding",
                         lambda *args: calls.append(1) or encode(*args))
     tape = Tape()
-    x = Node(np.random.default_rng(59).uniform(-1, 1, (6, 4)))
-    out = tape.vqc(net.policy.encoder, net.policy.circuit, x)
+    x = np.random.default_rng(59).uniform(-1, 1, (6, 5))
+    out = head.forward(tape, x)
     loss = tape.sum(tape.mul(out, out))
     assert len(calls) == 1
     tape.backward(loss)
     assert len(calls) == 1
-    pg, ig = vqc_gradients_batch(x.value, net.policy.circuit, 2.0 * out.value)
-    assert np.array_equal(net.policy.encoder.grad, pg) and np.array_equal(x.grad, ig)
+    # the circuit's input and upstream grad, worked by hand from the head
+    z = np.tanh(head.dense_in.apply(x))
+    t = np.tanh(run_vqc_batch(z, head.circuit))
+    upstream = (1.0 - t * t) * ((2.0 * out.value) @ head.dense_out.w.value)
+    pg, ig = vqc_gradients_batch(z, head.circuit, upstream)
+    assert np.array_equal(head.encoder.grad, pg)
+    assert np.array_equal(head.dense_in.b.grad, ((1.0 - z * z) * ig).sum(axis=0))
 
 
 @pytest.mark.parametrize("n", [4, qsim.BLOCK_MAX_QUBITS + 1])
