@@ -38,10 +38,10 @@ xs = rng.normal(size=(4, 1, 2))  # four steps of a one-row batch
 
 
 def run_sequence(tape):
-    h, c = cell.initial_state(1)
+    state = None
     for step in xs:
-        h, c = tape.lstm(cell, step, (h, c))
-    return tape.sum(tape.pick(h, [0]))  # scalar: first hidden unit after the sequence
+        state = tape.lstm(cell, step, state)
+    return tape.sum(tape.pick(state[0], [0]))  # scalar: first hidden unit after the sequence
 
 
 tape = Tape()  # a fresh cell's grads start at zero

@@ -36,7 +36,6 @@ with a fixed seed is bit-reproducible at any worker count.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,7 +47,8 @@ from .diffnet import Dense, Node, Param, Tape, categorical_sample
 from .errors import (POSITIVE, SEED, ConfigError, GradientRejected, IngestionError,
                      TrainingError, between, check_fields, one_of)
 from .metrics import Trade
-from .tradeenv import ACTION_NAMES, BUY, SELL, TradingEnv, read_table, write_table
+from .tradeenv import (ACTION_NAMES, BUY, SELL, TradingEnv, parse_date, parse_float,
+                       read_table, write_table)
 
 N_ACTIONS = 3
 HEAD_KINDS = ("classical", "quantum")
@@ -371,8 +371,8 @@ def train(config: TrainConfig, env_factory, net_factory=None) -> TrainingHistory
             net_factory = partial(config.build_net, envs[0].observation_dim)
         nets = [net_factory() for _ in envs]
         theta = nets[0].get_flat()
-        global_params = GlobalParams(theta, diffnet.make_optimizer(
-            config.optimizer, theta.size, config.learning_rate))
+        global_params = GlobalParams(theta, diffnet.OPTIMIZERS[config.optimizer](
+            theta.size, config.learning_rate))
         workers = [_worker_loop(i, config, global_params, episodes, rewards, env, net)
                    for i, (env, net) in enumerate(zip(envs, nets))]
         while workers:
@@ -420,23 +420,24 @@ class EvaluationRun:
         """Rebuild a run from its four columns; the inverse of ``to_csv``.
         An unreadable file, a missing column or a row that does not parse,
         holds a non-finite number or has a date that does not follow the
-        row before it is an IngestionError naming the file (and its line)."""
+        row before it is an IngestionError naming the file (and its line).
+        Date and number cells are read by ingest's rules, ``parse_date``
+        and ``parse_float``."""
         dates, actions, prices, assets = [], [], [], []
         for line, record in read_table(path, _EVAL_COLUMNS)[1]:
+            where = f"{path}: row {line}"
             try:
                 if record["action"] not in _NAME_TO_ACTION:
                     raise ValueError(f"unknown action {record['action']!r}")
-                date = dt.date.fromisoformat(record["date"])
+                date = parse_date(record["date"] or "")
                 if dates and date <= dates[-1]:
                     raise ValueError(f"date {date} does not follow {dates[-1]}")
-                dates.append(date)
-                actions.append(_NAME_TO_ACTION[record["action"]])
-                for column, values in (("price", prices), ("asset_value", assets)):
-                    values.append(float(record[column]))
-                    if not math.isfinite(values[-1]):
-                        raise ValueError(f"{column}={record[column]!r} is not finite")
-            except (TypeError, ValueError) as exc:
-                raise IngestionError(f"{path}: row {line}: {exc}") from exc
+            except ValueError as exc:
+                raise IngestionError(f"{where}: {exc}") from exc
+            dates.append(date)
+            actions.append(_NAME_TO_ACTION[record["action"]])
+            for column, values in (("price", prices), ("asset_value", assets)):
+                values.append(parse_float(record[column] or "", column, where))
         return EvaluationRun(dates, actions, prices, assets)
 
 

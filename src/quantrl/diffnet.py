@@ -1,6 +1,8 @@
 """Minimal reverse-mode building blocks shared by the agent heads and the
 forecaster: dense layers, activations, categorical sampling, an LSTM cell,
 a Wengert-list gradient tape, optimizers and the model-file container.
+Every op enters the tape one way, through ``Tape.record``; every node owns
+a grad; an LSTM sequence's zero initial state lives in ``Tape.lstm``.
 
 Every op that consumes features takes a [batch, features] matrix and
 raises ValueError on any other shape: a trajectory update or a BPTT epoch
@@ -41,27 +43,24 @@ from .errors import ModelFileError, QuantrlError
 
 
 class Node:
-    """A value and the gradient buffer that ops accumulate into: a traced
-    tape value, or a trainable parameter (``Param``).
+    """A value and its gradient buffer: a traced tape value, or a trainable
+    parameter (``Param``). Every node owns a grad, which ops accumulate
+    into; no node is exempt from a backward.
 
     A leaf or ``Param`` built with ``Node(...)`` allocates its zero grad at
-    once. A tape op's output starts with ``grad = None`` and gets its zero
-    grad from ``Tape.backward``, so a forward pass that is never
-    differentiated, such as a forecast, allocates no grad for it. Nor does
-    an input built with ``requires_grad=False``, an LSTM's zero initial
-    state: ``Tape.lstm`` skips its grads rather than fill ones nobody
-    reads. Any other op that a backward reaches through it fails on the
-    missing grad. An agent's decision builds no node at all: its heads run
-    on plain arrays.
+    once. A tape op's output gets its zero grad from ``Tape.backward``, so
+    a forward pass that is never differentiated, such as a forecast,
+    allocates no grad for it. An agent's decision builds no node at all:
+    its heads run on plain arrays.
     """
 
     __slots__ = ("value", "grad")
 
-    def __init__(self, value, requires_grad: bool = True):
+    def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
         # np.zeros takes about a third of np.zeros_like's time on arrays this
         # small
-        self.grad = np.zeros(self.value.shape) if requires_grad else None
+        self.grad = np.zeros(self.value.shape)
 
 
 Param = Node  # the name for a trainable leaf
@@ -78,89 +77,71 @@ def check_batch(op: str, x: np.ndarray, width: int) -> None:
 class Tape:
     """Ordered record of a forward pass; backward replays it in reverse.
 
-    Every op returns a Node whose grad is not allocated yet. Calling
+    :meth:`record` is the one way an op enters the tape: every op, the
+    built-in ones below and an actor-critic head alike, computes its output
+    and hands the tape that value and its vector-Jacobian product. Calling
     :meth:`backward` gives every op output a zero grad, seeds the loss node
     and sweeps the recorded vector-Jacobian products last-to-first,
     accumulating into the grad of every node and parameter they touch.
-    Leaves and parameters keep the grads they allocated when built. A
-    caller that computes an op itself, as an actor-critic head does, hands
-    the tape its output and vector-Jacobian product through :meth:`record`.
+    Leaves and parameters keep the grads they allocated when built. An
+    LSTM sequence's zero initial state is no node: :meth:`lstm` builds it.
     """
 
     def __init__(self):
-        self._records = []
-        self._outputs = []
+        self._ops = []  # (output node, vjp) pairs in forward order
 
-    def _push(self, vjp) -> None:
-        self._records.append(vjp)
-
-    def _output(self, value: np.ndarray) -> Node:
-        """An op's result node; its grad is filled in by backward."""
+    def record(self, value: np.ndarray, vjp) -> Node:
+        """An op's output node, holding ``value``; its grad is allocated by
+        backward, which calls ``vjp(g)`` with that grad g, and ``vjp`` adds
+        the grads it yields to the nodes and parameters the op read."""
         out = Node.__new__(Node)
         out.value = value
         out.grad = None
-        self._outputs.append(out)
-        return out
-
-    def record(self, value: np.ndarray, vjp) -> Node:
-        """An op computed outside the tape: its output node, holding
-        ``value``. The backward calls ``vjp(g)`` with the output's grad g,
-        and ``vjp`` adds the grads it yields to the nodes and parameters
-        the op read."""
-        out = self._output(value)
-        self._push(lambda: vjp(out.grad))
+        self._ops.append((out, vjp))
         return out
 
     def backward(self, loss: Node) -> None:
-        if not self._records:
+        if not self._ops:
             raise ValueError("backward called before any forward op was recorded")
-        for node in self._outputs:
-            node.grad = np.zeros(node.value.shape)
+        for out, _ in self._ops:
+            out.grad = np.zeros(out.value.shape)
         loss.grad = loss.grad + 1.0
-        for vjp in reversed(self._records):
-            vjp()
+        for out, vjp in reversed(self._ops):
+            vjp(out.grad)
 
     # -- ops ---------------------------------------------------------------
 
     def dense(self, layer: "Dense", x: Node) -> Node:
         check_batch("dense", x.value, layer.w.value.shape[1])
-        out = self._output(layer.apply(x.value))
 
-        def vjp():
-            layer.add_grads(x.value, out.grad)
-            x.grad += out.grad @ layer.w.value
+        def vjp(g):
+            layer.add_grads(x.value, g)
+            x.grad += g @ layer.w.value
 
-        self._push(vjp)
-        return out
+        return self.record(layer.apply(x.value), vjp)
 
     def tanh(self, x: Node) -> Node:
-        out = self._output(np.tanh(x.value))
+        y = np.tanh(x.value)
 
-        def vjp():
-            x.grad += (1.0 - out.value * out.value) * out.grad
+        def vjp(g):
+            x.grad += (1.0 - y * y) * g
 
-        self._push(vjp)
-        return out
+        return self.record(y, vjp)
 
     def softmax(self, x: Node) -> Node:
-        out = self._output(softmax(x.value))
+        p = softmax(x.value)
 
-        def vjp():
-            g = out.grad
-            inner = (g * out.value).sum(axis=-1, keepdims=True)
-            x.grad += out.value * (g - inner)
+        def vjp(g):
+            inner = (g * p).sum(axis=-1, keepdims=True)
+            x.grad += p * (g - inner)
 
-        self._push(vjp)
-        return out
+        return self.record(p, vjp)
 
     def log(self, x: Node) -> Node:
-        out = self._output(np.log(x.value))
+        def vjp(g):
+            x.grad += g / x.value
 
-        def vjp():
-            x.grad += out.grad / x.value
-
-        self._push(vjp)
-        return out
+        return self.record(np.log(x.value), vjp)
 
     def pick(self, x: Node, index) -> Node:
         """Gather x[i, index[i]] for every batch row i."""
@@ -168,87 +149,76 @@ class Tape:
             raise ValueError(f"pick expects a [batch, n] input, got shape {x.value.shape}")
         idx = np.asarray(index, dtype=np.intp)
         rows = np.arange(x.value.shape[0])
-        out = self._output(x.value[rows, idx])
 
-        def vjp():
-            np.add.at(x.grad, (rows, idx), out.grad)
+        def vjp(g):
+            np.add.at(x.grad, (rows, idx), g)
 
-        self._push(vjp)
-        return out
+        return self.record(x.value[rows, idx], vjp)
 
     def add(self, a: Node, b: Node) -> Node:
-        out = self._output(a.value + b.value)
+        def vjp(g):
+            a.grad += g
+            b.grad += g
 
-        def vjp():
-            a.grad += out.grad
-            b.grad += out.grad
-
-        self._push(vjp)
-        return out
+        return self.record(a.value + b.value, vjp)
 
     def add_const(self, x: Node, c) -> Node:
-        out = self._output(x.value + c)
+        def vjp(g):
+            x.grad += g
 
-        def vjp():
-            x.grad += out.grad
-
-        self._push(vjp)
-        return out
+        return self.record(x.value + c, vjp)
 
     def mul(self, a: Node, b: Node) -> Node:
-        out = self._output(a.value * b.value)
+        def vjp(g):
+            a.grad += b.value * g
+            b.grad += a.value * g
 
-        def vjp():
-            a.grad += b.value * out.grad
-            b.grad += a.value * out.grad
-
-        self._push(vjp)
-        return out
+        return self.record(a.value * b.value, vjp)
 
     def scale(self, x: Node, c) -> Node:
-        out = self._output(x.value * c)
+        def vjp(g):
+            x.grad += np.asarray(c) * g
 
-        def vjp():
-            x.grad += np.asarray(c) * out.grad
-
-        self._push(vjp)
-        return out
+        return self.record(x.value * c, vjp)
 
     def sum(self, x: Node) -> Node:
-        out = self._output(np.asarray(x.value.sum()))
+        def vjp(g):
+            x.grad += g
 
-        def vjp():
-            x.grad += out.grad
+        return self.record(np.asarray(x.value.sum()), vjp)
 
-        self._push(vjp)
-        return out
-
-    def lstm(self, cell: "LstmCell", x: np.ndarray, state) -> tuple[Node, Node]:
+    def lstm(self, cell: "LstmCell", x: np.ndarray, state=None) -> tuple[Node, Node]:
         """One LSTM step over a batch; returns (hidden, cell_state) nodes.
         The step's input ``x`` is a plain [batch, input_size] array: it is
-        data, so no gradient is taken for it."""
-        h, c = state
+        data, so no gradient is taken for it. ``state`` is the previous
+        step's (hidden, cell_state); None starts a sequence from the zero
+        state, which is no node and takes no grad.
+
+        The step records two ops: the cell state, whose vjp does nothing,
+        then the hidden state, whose vjp works the whole step. It reads the
+        cell state's grad, which every later op has filled by then."""
         check_batch("lstm", x, cell.input_size)
-        z = np.concatenate([x, h.value], axis=-1)
+        if state is None:
+            h_prev = c_prev = np.zeros((x.shape[0], cell.hidden_size))
+        else:
+            h_prev, c_prev = state[0].value, state[1].value
+        z = np.concatenate([x, h_prev], axis=-1)
         gi = _sigmoid(z @ cell.w_i.value.T + cell.b_i.value)
         gf = _sigmoid(z @ cell.w_f.value.T + cell.b_f.value)
         go = _sigmoid(z @ cell.w_o.value.T + cell.b_o.value)
         gg = np.tanh(z @ cell.w_g.value.T + cell.b_g.value)
-        c_new = self._output(gf * c.value + gi * gg)
+        c_new = self.record(gf * c_prev + gi * gg, lambda g: None)
         tc = np.tanh(c_new.value)
-        h_new = self._output(go * tc)
 
-        def vjp():
-            gh = h_new.grad
+        def vjp(gh):
             dc = c_new.grad + gh * go * (1.0 - tc * tc)
             dgo = gh * tc * go * (1.0 - go)
             dgi = dc * gg * gi * (1.0 - gi)
-            dgf = dc * c.value * gf * (1.0 - gf)
+            dgf = dc * c_prev * gf * (1.0 - gf)
             dgg = dc * gi * (1.0 - gg * gg)
-            # the zero initial state takes no grad
-            if c.grad is not None:
+            if state is not None:
+                h, c = state
                 c.grad += dc * gf
-            if h.grad is not None:
                 # only the hidden-state columns of dz = dg @ w, since the
                 # input takes no gradient. BLAS may round a narrower product
                 # in the last bit unlike the full one sliced, for some shapes
@@ -268,8 +238,7 @@ class Tape:
                 param_w.grad += dg.T @ z
                 param_b.grad += dg.sum(axis=0)
 
-        self._push(vjp)
-        return h_new, c_new
+        return self.record(go * tc, vjp), c_new
 
 
 def _sigmoid(v):
@@ -362,12 +331,6 @@ class LstmCell:
     def parameter_shapes(input_size: int, hidden_size: int) -> list[tuple]:
         """Shapes of parameters() for these sizes, without building."""
         return 4 * [(hidden_size, input_size + hidden_size), (hidden_size,)]
-
-    def initial_state(self, batch: int) -> tuple[Node, Node]:
-        """Zero (hidden, cell_state) nodes, which take no gradient."""
-        shape = (batch, self.hidden_size)
-        return (Node(np.zeros(shape), requires_grad=False),
-                Node(np.zeros(shape), requires_grad=False))
 
 
 def categorical_sample(probs, rng: np.random.Generator) -> int:
@@ -472,10 +435,6 @@ class AdamOptimizer:
 
 
 OPTIMIZERS = {"adam": AdamOptimizer, "sgd": SgdOptimizer}
-
-
-def make_optimizer(kind: str, size: int, learning_rate: float):
-    return OPTIMIZERS[kind](size, learning_rate)
 
 
 # -- serialization ----------------------------------------------------------

@@ -130,10 +130,10 @@ class ForecastModel:
                 + Dense.parameter_shapes(hidden, 1))
 
     def _forward(self, tape: Tape, windows: np.ndarray) -> Node:
-        h, c = self.cell.initial_state(windows.shape[0])
+        state = None
         for t in range(windows.shape[1]):
-            h, c = tape.lstm(self.cell, windows[:, t, :], (h, c))
-        return tape.dense(self.head, h)  # [batch, 1]
+            state = tape.lstm(self.cell, windows[:, t, :], state)
+        return tape.dense(self.head, state[0])  # [batch, 1]
 
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:
         windows = np.asarray(windows, dtype=np.float64)

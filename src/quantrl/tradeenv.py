@@ -77,7 +77,9 @@ class MarketSeries:
         return self.forecast is not None
 
 
-def _parse_float(text: str, column: str, where: str) -> float:
+def parse_float(text: str, column: str, where: str) -> float:
+    """A number cell as every table is read: a finite float, or an
+    IngestionError naming ``where`` (the file and row) and the column."""
     try:
         value = float(text)
     except ValueError:
@@ -160,12 +162,12 @@ def parse_market_table(path, header, records) -> MarketSeries:
         for column in FEATURE_COLUMNS:
             cell = (raw.get(column) or "").strip()
             values.append(
-                _parse_float(cell, column, where) if cell else None
+                parse_float(cell, column, where) if cell else None
             )
         fc = None
         if has_forecast:
             cell = (raw.get("forecast") or "").strip()
-            fc = _parse_float(cell, "forecast", where) if cell else 0.0
+            fc = parse_float(cell, "forecast", where) if cell else 0.0
         rows.append((date, values, fc, line))
 
     if not rows:

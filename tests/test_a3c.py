@@ -3,6 +3,7 @@ parameter store, training plumbing and greedy evaluation."""
 
 import datetime as dt
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from quantrl.a3c import (
     train,
 )
 from quantrl.diffnet import SgdOptimizer, Tape, softmax
-from quantrl.errors import ConfigError, GradientRejected, TrainingError
+from quantrl.errors import ConfigError, GradientRejected, IngestionError, TrainingError
 from quantrl.qsim import BLOCK_MAX_QUBITS, MAX_QUBITS
 from quantrl.tradeenv import BUY, HOLD, SELL, EnvConfig, MarketSeries, TradingEnv, zscore
 
@@ -726,6 +727,20 @@ def test_evaluation_csv_roundtrip(tmp_path):
     again = tmp_path / "again.csv"
     back.to_csv(again, stamp="config_hash=abc seed=3")
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_evaluation_csv_reads_cells_as_ingest_does(tmp_path):
+    # a date cell is read by ingest's rule: blanks stripped, basic ISO form
+    path = tmp_path / "evaluation.csv"
+    path.write_text("date,action,price,asset_value\n"
+                    " 2022-01-07 ,buy,100,1000\n20220114,sell,101,1010\n")
+    assert EvaluationRun.from_csv(path).dates == [dt.date(2022, 1, 7),
+                                                  dt.date(2022, 1, 14)]
+    # a short row is an IngestionError naming the file and the row
+    for short in ("2022-01-14,sell,101", "2022-01-14,sell", "2022-01-14"):
+        path.write_text(f"date,action,price,asset_value\n2022-01-07,buy,100,1000\n{short}\n")
+        with pytest.raises(IngestionError, match=re.escape(f"{path}: row 3: ")):
+            EvaluationRun.from_csv(path)
 
 
 def random_reward_history(env: TradingEnv, episodes: int, seed: int = 0) -> list[float]:

@@ -293,8 +293,7 @@ def test_lstm_zero_parameters_zero_hidden():
     for p in cell.parameters():
         p.value[...] = 0.0
     tape = Tape()
-    h, c = cell.initial_state(1)
-    h1, c1 = tape.lstm(cell, np.array([[5.0, -2.0, 1.0]]), (h, c))
+    h1, c1 = tape.lstm(cell, np.array([[5.0, -2.0, 1.0]]), None)
     assert np.all(h1.value == 0.0)
     assert np.all(c1.value == 0.0)
 
@@ -322,16 +321,16 @@ def test_lstm_bptt_matches_finite_differences():
 
     def loss_value():
         t = Tape()
-        h, c = cell.initial_state(1)
+        state = None
         for x in xs:
-            h, c = t.lstm(cell, x, (h, c))
-        return float(t.dense(head, h).value[0, 0])
+            state = t.lstm(cell, x, state)
+        return float(t.dense(head, state[0]).value[0, 0])
 
     def on_tape(t):
-        h, c = cell.initial_state(1)
+        state = None
         for x in xs:
-            h, c = t.lstm(cell, x, (h, c))
-        return t.sum(t.pick(t.dense(head, h), [0]))
+            state = t.lstm(cell, x, state)
+        return t.sum(t.pick(t.dense(head, state[0]), [0]))
 
     got = tape_gradient(on_tape, params)
     want = finite_difference(lambda: loss_value(), params)
@@ -341,34 +340,50 @@ def test_lstm_bptt_matches_finite_differences():
 
 
 def test_lstm_initial_state_takes_no_grad():
-    # the parameter grads are the bits of a backward that also fills grads
-    # for a zero initial state
+    # a sequence started from state=None gives the bits of one started from
+    # two explicit zero nodes, whose grads that backward does fill
     rng = np.random.default_rng(13)
     cell = LstmCell(3, 4, rng)
     head = Dense(4, 1, rng)
     xs = rng.normal(size=(5, 6, 3))
     params = cell.parameters() + head.parameters()
 
-    def grads(state):
+    def run(state):
         for p in params:
             p.grad[...] = 0.0
         t = Tape()
-        h, c = state
         for x in xs:
-            h, c = t.lstm(cell, x, (h, c))
-        t.backward(t.sum(t.dense(head, h)))
-        return [p.grad.copy() for p in params]
+            state = t.lstm(cell, x, state)
+        t.backward(t.sum(t.dense(head, state[0])))
+        return [state[0].value, state[1].value] + [p.grad.copy() for p in params]
 
-    h0, c0 = cell.initial_state(6)
-    assert h0.grad is None and c0.grad is None
-    assert np.all(h0.value == 0.0) and np.all(c0.value == 0.0)
-    got = grads((h0, c0))
-    assert h0.grad is None and c0.grad is None
-    with_grads = (Node(np.zeros((6, 4))), Node(np.zeros((6, 4))))
-    want = grads(with_grads)
-    assert not np.all(with_grads[0].grad == 0.0)  # that backward did fill them
+    got = run(None)
+    zeros = (Node(np.zeros((6, 4))), Node(np.zeros((6, 4))))
+    want = run(zeros)
+    assert not np.all(zeros[0].grad == 0.0)  # that backward did fill them
+    assert not np.all(zeros[1].grad == 0.0)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
+
+
+def test_each_op_records_once(monkeypatch):
+    # every op enters the tape through Tape.record, once per output
+    calls = []
+    record = Tape.record
+
+    def counting(self, value, vjp):
+        calls.append(value.shape)
+        return record(self, value, vjp)
+
+    monkeypatch.setattr(Tape, "record", counting)
+    rng = np.random.default_rng(4)
+    layer = Dense(3, 2, rng)
+    tape = Tape()
+    tape.sum(tape.tanh(tape.dense(layer, Node(rng.normal(size=(5, 3))))))
+    assert len(calls) == 3
+    cell = LstmCell(3, 4, rng)
+    h, c = tape.lstm(cell, rng.normal(size=(5, 3)), None)
+    assert calls[3:] == [(5, 4), (5, 4)]
 
 
 def test_lstm_batched_equals_loop():
@@ -376,11 +391,9 @@ def test_lstm_batched_equals_loop():
     cell = LstmCell(2, 3, rng)
     xs = rng.normal(size=(4, 2))
     tape = Tape()
-    hb, cb = cell.initial_state(4)
-    hb, cb = tape.lstm(cell, xs, (hb, cb))
+    hb, cb = tape.lstm(cell, xs, None)
     for i in range(4):
-        h, c = cell.initial_state(1)
-        h, c = tape.lstm(cell, xs[i:i + 1], (h, c))
+        h, c = tape.lstm(cell, xs[i:i + 1], None)
         assert np.allclose(hb.value[i], h.value[0], atol=1e-14)
 
 
