@@ -4,19 +4,23 @@ hybrid-quantum policy/value heads.
 The policy and the value net are two ``Head`` objects of one layout:
 dense in -> tanh -> encoder -> tanh -> dense out (logits over {hold, buy,
 sell} for the policy, a scalar for the value). A head's one forward,
-``Head.run``, works on plain arrays. A decision calls it alone; a
-trajectory update records it on a tape as one op (``Head.forward``),
-whose backward works the chain rule through the five layers. The
-encoder is either a variational quantum circuit on ``latent_dim`` qubits
-or a same-width dense layer, so the two modes are drop-in replacements
-for each other. An ``ActorCriticNet`` keeps both heads' parameters and
-their grads in one ``diffnet.FlatStore``, so the flat vectors a worker
-pushes and pulls are one numpy call each way.
+``Head.run``, works on plain arrays, and its hand-written backward,
+``Head._backward``, works the chain rule through the five layers from the
+forward's saved intermediates. The encoder is either a variational
+quantum circuit on ``latent_dim`` qubits or a same-width dense layer, so
+the two modes are drop-in replacements for each other. An
+``ActorCriticNet`` keeps both heads' parameters and their grads in one
+``diffnet.FlatStore``, so the flat vectors a worker pushes and pulls are
+one numpy call each way.
 
-The policy head's forward gives the logits. Training applies the tape's
-softmax to them; a decision (``policy_probs``) normalises its one row
-with ``diffnet.softmax_row`` instead, the same bits, and builds no tape
-and no node. A trajectory's states take no gradient.
+Neither a decision nor a trajectory update builds a tape or a node. A
+decision (``policy_probs``) runs the policy head on its one row and
+normalises the logits with ``diffnet.softmax_row``. An update
+(``compute_loss_and_grads``) runs both heads once on the trajectory,
+takes the loss from a log-softmax of the logits and hands each head the
+loss's closed-form gradient for its outputs. A trajectory's states take
+no gradient. ``Head.forward`` records a head on a tape as one op, for the
+gradient checks that build on a tape.
 
 Workers own a private environment and network copy. Every ``update_every``
 steps (or at episode end) a worker computes n-step returns, pushes
@@ -240,6 +244,13 @@ def compute_loss_and_grads(
     L = sum_t [ 0.5 (R_t - V(s_t))^2 - log pi(a_t|s_t) (R_t - V(s_t)) ]
     with the advantage detached in the policy term; an optional entropy
     bonus -entropy_coeff * H(pi) is added when configured.
+
+    Each head runs once, without a tape. The log-probabilities are a
+    log-softmax of the logits z, log p = z - logsumexp(z), which stays
+    finite when one logit dwarfs the rest. The loss's gradient is taken in
+    closed form per row and handed to each head's backward: for the logits
+    adv (p - onehot(a)) + c (p log p - p sum_j p_j log p_j), with adv the
+    detached advantage and c ``entropy_coeff``; for the value V - R.
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.intp)
@@ -248,22 +259,31 @@ def compute_loss_and_grads(
         raise ValueError("states, actions and returns must have equal length")
 
     net.zero_grads()
-    tape = Tape()
-    probs = tape.softmax(net.policy.forward(tape, states))
-    v = net.critic.forward(tape, states)           # [K, 1]
-    advantage = returns - v.value[:, 0]            # detached
+    logits, policy_saved = net.policy.run(states)
+    values, critic_saved = net.critic.run(states)
+    value_err = values[:, 0] - returns
+    advantage = -value_err                         # detached
 
-    logp = tape.log(probs)
-    logp_taken = tape.pick(logp, actions)
-    policy_term = tape.sum(tape.scale(logp_taken, -advantage))
-    value_err = tape.add_const(v, -returns[:, None])
-    value_term = tape.scale(tape.sum(tape.mul(value_err, value_err)), 0.5)
-    loss = tape.add(value_term, policy_term)
+    # log-softmax: log p = z - logsumexp(z), finite however far one logit
+    # leads the others; p is the bits of ``softmax``
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    p = e / total
+    logp = shifted - np.log(total)
+    rows = np.arange(actions.size)
+
+    loss = 0.5 * (value_err @ value_err) - logp[rows, actions] @ advantage
+    g_logits = p * advantage[:, None]
+    g_logits[rows, actions] -= advantage
     if entropy_coeff:
-        negative_entropy = tape.sum(tape.mul(probs, logp))
-        loss = tape.add(loss, tape.scale(negative_entropy, entropy_coeff))
-    tape.backward(loss)
-    return float(loss.value), net.flat_grads()
+        plogp = p * logp
+        negative_entropy = plogp.sum(axis=1, keepdims=True)
+        loss += entropy_coeff * negative_entropy.sum()
+        g_logits += entropy_coeff * (plogp - p * negative_entropy)
+    net.policy._backward(*policy_saved, g_logits)
+    net.critic._backward(*critic_saved, value_err[:, None])
+    return float(loss), net.flat_grads()
 
 
 class GlobalParams:

@@ -128,21 +128,6 @@ class Tape:
 
         return self.record(y, vjp)
 
-    def softmax(self, x: Node) -> Node:
-        p = softmax(x.value)
-
-        def vjp(g):
-            inner = (g * p).sum(axis=-1, keepdims=True)
-            x.grad += p * (g - inner)
-
-        return self.record(p, vjp)
-
-    def log(self, x: Node) -> Node:
-        def vjp(g):
-            x.grad += g / x.value
-
-        return self.record(np.log(x.value), vjp)
-
     def pick(self, x: Node, index) -> Node:
         """Gather x[i, index[i]] for every batch row i."""
         if x.value.ndim != 2:

@@ -37,7 +37,9 @@ class ForecastConfig:
     direction_only: bool = False  # feed sign(prediction) instead of the value
 
     RULES = {
-        "lookback": between(1),
+        # BPTT keeps every step's [windows, hidden] gate arrays, so memory
+        # grows as windows x lookback x hidden; 520 is ten years of weekly rows
+        "lookback": between(1, 520),
         "hidden": between(1, 512),  # four LSTM gates of about hidden**2 weights each
         "epochs": between(1),
         "learning_rate": POSITIVE,

@@ -3,6 +3,7 @@ parameter store, training plumbing and greedy evaluation."""
 
 import datetime as dt
 import hashlib
+import math
 import re
 import warnings
 
@@ -204,12 +205,11 @@ def test_batched_forward_matches_single():
     net = ActorCriticNet(obs_dim=4, head_kind="quantum", latent_dim=3, seed=0)
     rng = np.random.default_rng(1)
     states = rng.normal(size=(5, 4))
-    tape = Tape()
-    probs = tape.softmax(net.policy.forward(tape, states))
-    values = net.critic.forward(Tape(), states)
+    probs = softmax(net.policy.run(states)[0])
+    values, _ = net.critic.run(states)
     for i in range(5):
-        assert np.allclose(probs.value[i], net.policy_probs(states[i]), atol=1e-14)
-        assert values.value[i, 0] == pytest.approx(net.value(states[i]), abs=1e-14)
+        assert np.allclose(probs[i], net.policy_probs(states[i]), atol=1e-14)
+        assert values[i, 0] == pytest.approx(net.value(states[i]), abs=1e-14)
 
 
 @pytest.mark.parametrize("head_kind", ["classical", "quantum"])
@@ -217,15 +217,19 @@ def test_a_decision_builds_no_tape_and_no_node(head_kind, monkeypatch):
     net = ActorCriticNet(obs_dim=6, head_kind=head_kind, latent_dim=4, seed=7)
     observations = np.random.default_rng(8).normal(size=(20, 6))
     before = [(net.policy_probs(obs), net.value(obs)) for obs in observations]
+    update = (observations, np.arange(20) % N_ACTIONS, np.linspace(-1.0, 1.0, 20))
+    loss, grads = compute_loss_and_grads(net, *update, entropy_coeff=0.01)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a decision built a tape or a node")
+        raise AssertionError("a decision or an update built a tape or a node")
 
     monkeypatch.setattr(diffnet.Tape, "__init__", refuse)
     monkeypatch.setattr(diffnet.Node, "__init__", refuse)
     for obs, (probs, value) in zip(observations, before):
         assert np.array_equal(net.policy_probs(obs), probs)
         assert net.value(obs) == value
+    again = compute_loss_and_grads(net, *update, entropy_coeff=0.01)
+    assert again[0] == loss and np.array_equal(again[1], grads)
 
 
 @pytest.mark.parametrize("head_kind", ["classical", "quantum"])
@@ -310,6 +314,67 @@ def test_loss_gradients_match_finite_differences(head_kind, entropy):
         fd = (up - dn) / (2 * h)
         assert abs(grads[i] - fd) < 1e-5, f"param {i}"
     net.set_flat(theta0)
+
+
+@pytest.mark.parametrize("head_kind,entropy", [
+    ("classical", 0.0), ("classical", 0.01), ("quantum", 0.0), ("quantum", 0.01),
+])
+def test_closed_form_matches_a_per_row_loop_of_the_loss(head_kind, entropy):
+    rng = np.random.default_rng(29)
+    net = ActorCriticNet(obs_dim=5, head_kind=head_kind, latent_dim=3, seed=6)
+    states = rng.normal(scale=2.0, size=(7, 5))
+    actions = rng.integers(0, N_ACTIONS, 7)
+    returns = rng.normal(size=7)
+    logits, _ = net.policy.run(states)
+    values, _ = net.critic.run(states)
+
+    # each head's output grad, as the update hands it to the head's backward
+    seen = {}
+    for name in ("policy", "critic"):
+        head = getattr(net, name)
+
+        def capture(*args, name=name, backward=head._backward):
+            seen[name] = args[-1].copy()
+            backward(*args)
+
+        head._backward = capture
+
+    loss, _ = compute_loss_and_grads(net, states, actions, returns,
+                                     entropy_coeff=entropy)
+
+    want_loss = 0.0
+    want_g = np.zeros((7, N_ACTIONS))
+    for t in range(7):
+        z = logits[t].tolist()
+        top = max(z)
+        total = sum(math.exp(zj - top) for zj in z)
+        logp = [zj - top - math.log(total) for zj in z]
+        p = [math.exp(lj) for lj in logp]
+        adv = returns[t] - values[t, 0]
+        neg_entropy = sum(pj * lj for pj, lj in zip(p, logp))
+        want_loss += 0.5 * adv * adv - logp[actions[t]] * adv + entropy * neg_entropy
+        for j in range(N_ACTIONS):
+            want_g[t, j] = (adv * (p[j] - (j == actions[t]))
+                            + entropy * (p[j] * logp[j] - p[j] * neg_entropy))
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+    assert np.allclose(seen["policy"], want_g, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(seen["critic"], (values[:, 0] - returns)[:, None])
+
+
+@pytest.mark.parametrize("head_kind,entropy", [
+    ("classical", 0.0), ("classical", 0.01), ("quantum", 0.0), ("quantum", 0.01),
+])
+def test_a_dominant_logit_gives_a_finite_loss_and_gradient(head_kind, entropy):
+    # the other actions' probabilities underflow to 0; log p must not
+    net = ActorCriticNet(obs_dim=4, head_kind=head_kind, latent_dim=3, seed=1)
+    net.policy.dense_out.b.value[...] = [800.0, 0.0, 0.0]
+    states = np.random.default_rng(2).normal(size=(6, 4))
+    assert net.policy_probs(states[0])[1] == 0.0
+    loss, grads = compute_loss_and_grads(net, states, np.zeros(6, dtype=int),
+                                         np.linspace(-1.0, 1.0, 6),
+                                         entropy_coeff=entropy)
+    assert math.isfinite(loss)
+    assert np.all(np.isfinite(grads)) and np.any(grads != 0.0)
 
 
 def test_policy_gradient_sign():
@@ -565,16 +630,16 @@ def test_uniform_policy_evaluates_to_flat_asset():
 @pytest.mark.parametrize("head, digests", [
     (dict(max_episodes=20),
      ("13ff7f22b490529c784d4d87fd2425cb20ee9ab5b5104cd1e36862e9ea20ea18",
-      "e407ca437a1e1544057fe6b6e9990c108779568168dad988fd8f1bb87ca6cbb2",
+      "4532d92744333de5839ead998a99b91d9530de693080b04d816e2110de1b0ce2",
       "578efa2f6cfa244185f4eb49f90ba1dcb80423e14bfd506a568d7e22978b49f7")),
     (dict(max_episodes=3, head_kind="quantum", latent_dim=4, vqc_depth=2),
      ("d6417d600b09ac8cbe2b29e3076e3a145bc786222212437a0fa11d2fd8bb80bc",
-      "e2767af5de055670757a03e2206af4b16358974cb23f51c6cb4d3495e38d78b5",
+      "908cc928cf0cc3a4e9f435cfbf17b0fbdfecd7ae9cefd4c3386b962038558aa1",
       "899f3e562cc2ab4e211e028fcda7f72bac1edabc591fbe4e7277200707d1a50e")),
     (dict(max_episodes=2, head_kind="quantum", latent_dim=BLOCK_MAX_QUBITS + 1,
           vqc_depth=2),
      ("d2692752f2480cbc872a19aab85c7824fc8f26cc504aae3ff09891b4c5287a1d",
-      "4bb0ece64b5718bd866038fd31a5cfc60da8c152c2d8469ec4f512daeb651fcb",
+      "af49bf5bd9fe1bdda88e95b52767a0c412a9e662d6fb70e138cc36c5996993c0",
       "7ded7bdfe30f8636eef8ab170eb4714c900d0ef129a02cc9d0842d344e0796a2")),
 ], ids=["classical", "quantum", "quantum-gates"])
 def test_seeded_training_is_pinned(head, digests):

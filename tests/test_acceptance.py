@@ -20,12 +20,14 @@ from test_qsim import dense_oracle_expectations, random_instance
 
 from quantrl import diffnet, forecaster, qsim
 from quantrl.a3c import (
+    ActorCriticNet,
     Head,
     TrainConfig,
+    compute_loss_and_grads,
     n_step_returns,
     train,
 )
-from quantrl.diffnet import Dense, LstmCell, Node, Param, Tape
+from quantrl.diffnet import Dense, LstmCell, Param, Tape
 from quantrl.experiment import (
     DEFAULT_MATRIX,
     ExperimentConfig,
@@ -198,22 +200,33 @@ def _grad_and_fd(build_on_tape, params, h=1e-5):
 def test_c03_differentiable_layers():
     rng = np.random.default_rng(33)
 
-    # dense + tanh + softmax chain, absolute 1e-5
-    worst_abs = 0.0
-    for _ in range(10):
-        layer1 = Dense(4, 3, rng)
-        layer2 = Dense(3, 3, rng)
-        x = rng.normal(size=(1, 4))
-        action = int(rng.integers(3))
+    # the A3C update on seeded classical nets: compute_loss_and_grads's
+    # closed-form gradient vs central differences of the loss, with the
+    # advantage detached and an entropy bonus, absolute 1e-5
+    worst_abs, h = 0.0, 1e-5
+    for seed in range(10):
+        net = ActorCriticNet(4, latent_dim=3, seed=seed)
+        states = rng.normal(size=(3, 4))
+        actions = rng.integers(0, 3, 3)
+        returns = rng.normal(size=3)
+        theta = net.get_flat()
+        advantage = returns - net.critic.run(states)[0][:, 0]
 
-        def chain(t):
-            hidden = t.tanh(t.dense(layer1, Node(x)))
-            probs = t.softmax(t.dense(layer2, hidden))
-            return t.sum(t.log(t.pick(probs, [action])))
+        def loss_at(probe):
+            net.set_flat(probe)
+            logp = np.log(diffnet.softmax(net.policy.run(states)[0]))
+            err = net.critic.run(states)[0][:, 0] - returns
+            return (0.5 * (err @ err) - logp[np.arange(3), actions] @ advantage
+                    + 0.01 * np.sum(np.exp(logp) * logp))
 
-        grads, fds = _grad_and_fd(chain, layer1.parameters() + layer2.parameters())
-        worst_abs = max(worst_abs, max(float(np.max(np.abs(g - f)))
-                                       for g, f in zip(grads, fds)))
+        _, grads = compute_loss_and_grads(net, states, actions, returns,
+                                          entropy_coeff=0.01)
+        for i in range(theta.size):
+            up, dn = theta.copy(), theta.copy()
+            up[i] += h
+            dn[i] -= h
+            fd = (loss_at(up) - loss_at(dn)) / (2 * h)
+            worst_abs = max(worst_abs, abs(grads[i] - fd))
     assert worst_abs < 1e-5
 
     # LSTM through time, relative 1e-4
@@ -251,7 +264,7 @@ def test_c03_differentiable_layers():
     grads, fds = _grad_and_fd(hybrid, front.parameters() + [angles] + back.parameters())
     worst_hybrid = max(float(np.max(np.abs(g - f))) for g, f in zip(grads, fds))
     assert worst_hybrid < 1e-5
-    _pass(3, f"gradient checks: dense/tanh/softmax abs {worst_abs:.2e} (< 1e-5), "
+    _pass(3, f"gradient checks: A3C loss abs {worst_abs:.2e} (< 1e-5), "
              f"LSTM BPTT rel {worst_rel:.2e} (< 1e-4), hybrid head abs "
              f"{worst_hybrid:.2e} (< 1e-5)")
 

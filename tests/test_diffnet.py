@@ -504,14 +504,17 @@ def test_randomized_op_gradient_checks():
         layer2 = Dense(n_mid, 3, rng)
         x = rng.normal(size=(1, n_in))
         action = int(rng.integers(3))
+        target = rng.normal(size=(1, 3))
         params = layer1.parameters() + layer2.parameters()
 
         def on_tape(t):
             hid = t.tanh(t.dense(layer1, Node(x)))
-            probs = t.softmax(t.dense(layer2, hid))
-            picked = t.sum(t.log(t.pick(probs, [action])))
+            out = t.dense(layer2, hid)
+            picked = t.sum(t.pick(t.tanh(out), [action]))
+            err = t.add_const(out, -target)
+            squared = t.sum(t.mul(err, err))
             penalty = t.scale(t.sum(t.mul(hid, hid)), 0.5)
-            return t.add(picked, penalty)
+            return t.add(t.add(picked, squared), penalty)
 
         def loss_value():
             t = Tape()

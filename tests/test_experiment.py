@@ -237,7 +237,7 @@ _REJECTED = {
     ("train", "clip_norm"): ("nan", "-inf", "-1", "0"),
     ("env", "trade_cost_rate"): ("nan", "inf", "-inf", "-1", _HUGE),
     ("env", "initial_cash"): ("nan", "inf", "-inf", "-1", "-5", "0"),
-    ("forecast", "lookback"): ("-1", "0"),
+    ("forecast", "lookback"): ("-1", "0", _HUGE),
     ("forecast", "hidden"): ("-1", "0", _HUGE),
     ("forecast", "epochs"): ("-1", "0"),
     ("forecast", "learning_rate"): ("nan", "inf", "-inf", "-1", "0"),
