@@ -5,7 +5,7 @@ The policy and the value net are two ``Head`` objects of one layout:
 dense in -> tanh -> encoder -> tanh -> dense out (logits over {hold, buy,
 sell} for the policy, a scalar for the value). A head's one forward,
 ``Head.run``, works on plain arrays, and its hand-written backward,
-``Head._backward``, works the chain rule through the five layers from the
+``Head.backward``, works the chain rule through the five layers from the
 forward's saved intermediates. The encoder is either a variational
 quantum circuit on ``latent_dim`` qubits or a same-width dense layer, so
 the two modes are drop-in replacements for each other. An
@@ -19,8 +19,7 @@ normalises the logits with ``diffnet.softmax_row``. An update
 (``compute_loss_and_grads``) runs both heads once on the trajectory,
 takes the loss from a log-softmax of the logits and hands each head the
 loss's closed-form gradient for its outputs. A trajectory's states take
-no gradient. ``Head.forward`` records a head on a tape as one op, for the
-gradient checks that build on a tape.
+no gradient.
 
 Workers own a private environment and network copy. Every ``update_every``
 steps (or at episode end) a worker computes n-step returns, pushes
@@ -47,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from . import diffnet, qsim
-from .diffnet import Dense, Node, Param, Tape, categorical_sample
+from .diffnet import Dense, Param, categorical_sample
 from .errors import (POSITIVE, SEED, ConfigError, GradientRejected, IngestionError,
                      TrainingError, between, check_fields, one_of)
 from .metrics import Trade
@@ -134,17 +133,14 @@ class Head:
         t = np.tanh(q)
         return self.dense_out.apply(t), (states, z, final, t)
 
-    def forward(self, tape: Tape, states: np.ndarray) -> Node:
-        """``run`` recorded on ``tape`` as one op. Its backward adds every
-        parameter's grad, from the parameters and circuit states of this
-        forward, so nothing may write the parameters in between; the states
-        are data and take none."""
-        out, saved = self.run(states)
-        return tape.record(out, partial(self._backward, *saved))
-
-    def _backward(self, states, z, final, t, g):
-        # the chain rule in the order of a tape of the five layers: dense
-        # out, tanh', the encoder, tanh', dense in
+    def backward(self, saved: tuple, g: np.ndarray) -> None:
+        """Add every parameter's grad for the output grad ``g`` from the
+        intermediates that ``run`` saved, and the parameters and circuit
+        states of that forward, so nothing may write the parameters in
+        between. The states are data and take none."""
+        # the chain rule through the five layers: dense out, tanh', the
+        # encoder, tanh', dense in
+        states, z, final, t = saved
         self.dense_out.add_grads(t, g)
         gq = (1.0 - t * t) * (g @ self.dense_out.w.value)
         if self.circuit is None:
@@ -281,8 +277,8 @@ def compute_loss_and_grads(
         negative_entropy = plogp.sum(axis=1, keepdims=True)
         loss += entropy_coeff * negative_entropy.sum()
         g_logits += entropy_coeff * (plogp - p * negative_entropy)
-    net.policy._backward(*policy_saved, g_logits)
-    net.critic._backward(*critic_saved, value_err[:, None])
+    net.policy.backward(policy_saved, g_logits)
+    net.critic.backward(critic_saved, value_err[:, None])
     return float(loss), net.flat_grads()
 
 

@@ -1,13 +1,16 @@
 """Minimal reverse-mode building blocks shared by the agent heads and the
-forecaster: dense layers, activations, categorical sampling, an LSTM cell,
-a Wengert-list gradient tape, optimizers and the model-file container.
-Every op enters the tape one way, through ``Tape.record``; every node owns
-a grad; an LSTM sequence's zero initial state lives in ``Tape.lstm``.
+forecaster: dense layers, activations, categorical sampling, an LSTM cell
+with a hand-written backward through time, a Wengert-list gradient tape,
+optimizers and the model-file container. No production model builds a
+tape: each runs a forward on plain arrays, ``run(x) -> (out, saved)``, and
+a hand-written ``backward(saved, g)``. The tape serves the gradient checks
+and demo 02; every op enters it one way, through ``Tape.record``, and
+every node owns a grad.
 
-Every op that consumes features takes a [batch, features] matrix and
-raises ValueError on any other shape: a trajectory update or a BPTT epoch
-is a batch of many rows, and a single decision is a batch of one row.
-All math is float64.
+Every op that consumes features takes a [batch, features] matrix, and
+an LSTM a [batch, steps, features] sequence, and raises ValueError on any
+other shape: a trajectory update or a BPTT epoch is a batch of many rows,
+and a single decision is a batch of one row. All math is float64.
 
 Model files (``save_model``/``load_model``) are the one container of the
 agent checkpoint (magic b"QNET") and the forecaster (magic b"QLSTM"): the
@@ -49,9 +52,8 @@ class Node:
 
     A leaf or ``Param`` built with ``Node(...)`` allocates its zero grad at
     once. A tape op's output gets its zero grad from ``Tape.backward``, so
-    a forward pass that is never differentiated, such as a forecast,
-    allocates no grad for it. An agent's decision builds no node at all:
-    its heads run on plain arrays.
+    a forward pass that is never differentiated allocates no grad for it.
+    Outside a tape, a node is a parameter: the models run on plain arrays.
     """
 
     __slots__ = ("value", "grad")
@@ -77,14 +79,14 @@ def check_batch(op: str, x: np.ndarray, width: int) -> None:
 class Tape:
     """Ordered record of a forward pass; backward replays it in reverse.
 
-    :meth:`record` is the one way an op enters the tape: every op, the
-    built-in ones below and an actor-critic head alike, computes its output
-    and hands the tape that value and its vector-Jacobian product. Calling
+    It serves the gradient checks and demo 02; no model builds one.
+    :meth:`record` is the one way an op enters the tape: every op below
+    computes its output and hands the tape that value and its
+    vector-Jacobian product. Calling
     :meth:`backward` gives every op output a zero grad, seeds the loss node
     and sweeps the recorded vector-Jacobian products last-to-first,
     accumulating into the grad of every node and parameter they touch.
-    Leaves and parameters keep the grads they allocated when built. An
-    LSTM sequence's zero initial state is no node: :meth:`lstm` builds it.
+    Leaves and parameters keep the grads they allocated when built.
     """
 
     def __init__(self):
@@ -128,25 +130,6 @@ class Tape:
 
         return self.record(y, vjp)
 
-    def pick(self, x: Node, index) -> Node:
-        """Gather x[i, index[i]] for every batch row i."""
-        if x.value.ndim != 2:
-            raise ValueError(f"pick expects a [batch, n] input, got shape {x.value.shape}")
-        idx = np.asarray(index, dtype=np.intp)
-        rows = np.arange(x.value.shape[0])
-
-        def vjp(g):
-            np.add.at(x.grad, (rows, idx), g)
-
-        return self.record(x.value[rows, idx], vjp)
-
-    def add(self, a: Node, b: Node) -> Node:
-        def vjp(g):
-            a.grad += g
-            b.grad += g
-
-        return self.record(a.value + b.value, vjp)
-
     def add_const(self, x: Node, c) -> Node:
         def vjp(g):
             x.grad += g
@@ -171,59 +154,6 @@ class Tape:
             x.grad += g
 
         return self.record(np.asarray(x.value.sum()), vjp)
-
-    def lstm(self, cell: "LstmCell", x: np.ndarray, state=None) -> tuple[Node, Node]:
-        """One LSTM step over a batch; returns (hidden, cell_state) nodes.
-        The step's input ``x`` is a plain [batch, input_size] array: it is
-        data, so no gradient is taken for it. ``state`` is the previous
-        step's (hidden, cell_state); None starts a sequence from the zero
-        state, which is no node and takes no grad.
-
-        The step records two ops: the cell state, whose vjp does nothing,
-        then the hidden state, whose vjp works the whole step. It reads the
-        cell state's grad, which every later op has filled by then."""
-        check_batch("lstm", x, cell.input_size)
-        if state is None:
-            h_prev = c_prev = np.zeros((x.shape[0], cell.hidden_size))
-        else:
-            h_prev, c_prev = state[0].value, state[1].value
-        z = np.concatenate([x, h_prev], axis=-1)
-        gi = _sigmoid(z @ cell.w_i.value.T + cell.b_i.value)
-        gf = _sigmoid(z @ cell.w_f.value.T + cell.b_f.value)
-        go = _sigmoid(z @ cell.w_o.value.T + cell.b_o.value)
-        gg = np.tanh(z @ cell.w_g.value.T + cell.b_g.value)
-        c_new = self.record(gf * c_prev + gi * gg, lambda g: None)
-        tc = np.tanh(c_new.value)
-
-        def vjp(gh):
-            dc = c_new.grad + gh * go * (1.0 - tc * tc)
-            dgo = gh * tc * go * (1.0 - go)
-            dgi = dc * gg * gi * (1.0 - gi)
-            dgf = dc * c_prev * gf * (1.0 - gf)
-            dgg = dc * gi * (1.0 - gg * gg)
-            if state is not None:
-                h, c = state
-                c.grad += dc * gf
-                # only the hidden-state columns of dz = dg @ w, since the
-                # input takes no gradient. BLAS may round a narrower product
-                # in the last bit unlike the full one sliced, for some shapes
-                d = cell.input_size
-                h.grad += (
-                    dgi @ cell.w_i.value[:, d:]
-                    + dgf @ cell.w_f.value[:, d:]
-                    + dgo @ cell.w_o.value[:, d:]
-                    + dgg @ cell.w_g.value[:, d:]
-                )
-            for param_w, param_b, dg in (
-                (cell.w_i, cell.b_i, dgi),
-                (cell.w_f, cell.b_f, dgf),
-                (cell.w_o, cell.b_o, dgo),
-                (cell.w_g, cell.b_g, dgg),
-            ):
-                param_w.grad += dg.T @ z
-                param_b.grad += dg.sum(axis=0)
-
-        return self.record(go * tc, vjp), c_new
 
 
 def _sigmoid(v):
@@ -316,6 +246,52 @@ class LstmCell:
     def parameter_shapes(input_size: int, hidden_size: int) -> list[tuple]:
         """Shapes of parameters() for these sizes, without building."""
         return 4 * [(hidden_size, input_size + hidden_size), (hidden_size,)]
+
+    def run(self, windows: np.ndarray) -> tuple[np.ndarray, list]:
+        """The final [batch, hidden] state of a [batch, steps, input_size]
+        sequence run from the zero state, on plain arrays, and each step's
+        arrays that ``backward`` reads. ValueError for any other shape."""
+        windows = np.asarray(windows, dtype=np.float64)
+        if windows.ndim != 3 or windows.shape[2] != self.input_size:
+            raise ValueError(f"lstm expects a [batch, steps, {self.input_size}] "
+                             f"input, got shape {windows.shape}")
+        h = c = np.zeros((windows.shape[0], self.hidden_size))
+        saved = []
+        for t in range(windows.shape[1]):
+            z = np.concatenate([windows[:, t, :], h], axis=-1)
+            gi = _sigmoid(z @ self.w_i.value.T + self.b_i.value)
+            gf = _sigmoid(z @ self.w_f.value.T + self.b_f.value)
+            go = _sigmoid(z @ self.w_o.value.T + self.b_o.value)
+            gg = np.tanh(z @ self.w_g.value.T + self.b_g.value)
+            c_prev, c = c, gf * c + gi * gg
+            tc = np.tanh(c)
+            h = go * tc
+            saved.append((z, c_prev, gi, gf, go, gg, tc))
+        return h, saved
+
+    def backward(self, saved: list, gh: np.ndarray) -> None:
+        """Backpropagate the final hidden state's grad ``gh`` through time,
+        last step first, adding every parameter's grad from the arrays that
+        ``run`` saved. The inputs are data and take none; the zero initial
+        state takes none either."""
+        d = self.input_size
+        gates = ((self.w_i, self.b_i), (self.w_f, self.b_f),
+                 (self.w_o, self.b_o), (self.w_g, self.b_g))
+        gc = 0.0  # the cell state's grad from the step after; none after the last
+        for t in reversed(range(len(saved))):
+            z, c_prev, gi, gf, go, gg, tc = saved[t]
+            dc = gc + gh * go * (1.0 - tc * tc)
+            dgs = (dc * gg * gi * (1.0 - gi), dc * c_prev * gf * (1.0 - gf),
+                   gh * tc * go * (1.0 - go), dc * gi * (1.0 - gg * gg))
+            if t:
+                gc = dc * gf
+                # only the hidden-state columns of dz = dg @ w, since the
+                # input takes no gradient. BLAS may round a narrower product
+                # in the last bit unlike the full one sliced, for some shapes
+                gh = sum(dg @ w.value[:, d:] for (w, _), dg in zip(gates, dgs))
+            for (w, b), dg in zip(gates, dgs):
+                w.grad += dg.T @ z
+                b.grad += dg.sum(axis=0)
 
 
 def categorical_sample(probs, rng: np.random.Generator) -> int:

@@ -5,7 +5,10 @@ Windows are strictly causal: window k feeds the z-scored feature rows
 after the inputs, 100 * (close[k+lookback] / close[k+lookback-1] - 1).
 Validation windows chronologically follow all training windows.
 
-Training is full-batch BPTT with Adam on mean squared error; inference is
+Training is full-batch BPTT with Adam on mean squared error: each epoch
+runs the cell over the windows on plain arrays (``LstmCell.run``) and
+works the MSE's closed-form gradient back through the head and
+``LstmCell.backward``, with no tape. Inference is the same forward and is
 deterministic given fixed parameters. ``forecast_series`` produces the
 vector that ``tradeenv.attach_forecast`` expects: entry t predicts week
 t+1's return using rows up to t only, with zeros before the first
@@ -20,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diffnet
-from .diffnet import Dense, LstmCell, Node, Tape
+from .diffnet import Dense, LstmCell
 from .errors import (FRACTION, POSITIVE, SEED, EvaluationError, TrainingError,
                      between, check_fields)
 from .tradeenv import MarketSeries
@@ -131,12 +134,6 @@ class ForecastModel:
         return (LstmCell.parameter_shapes(n_features, hidden)
                 + Dense.parameter_shapes(hidden, 1))
 
-    def _forward(self, tape: Tape, windows: np.ndarray) -> Node:
-        state = None
-        for t in range(windows.shape[1]):
-            state = tape.lstm(self.cell, windows[:, t, :], state)
-        return tape.dense(self.head, state[0])  # [batch, 1]
-
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim != 3 or windows.shape[1:] != (self.lookback, self.n_features):
@@ -144,7 +141,7 @@ class ForecastModel:
                 f"windows must be [batch, {self.lookback}, {self.n_features}], "
                 f"got {windows.shape}"
             )
-        return self._forward(Tape(), windows).value[:, 0]
+        return self.head.apply(self.cell.run(windows)[0])[:, 0]
 
 
 def train_forecaster(dataset: ForecastDataset, config: ForecastConfig) -> ForecastModel:
@@ -161,23 +158,36 @@ def train_forecaster(dataset: ForecastDataset, config: ForecastConfig) -> Foreca
     )
     store = model.store
     opt = diffnet.AdamOptimizer(store.values.size, config.learning_rate)
-    batch = inputs.shape[0]
-    target_col = targets[:, None]
-
     for epoch in range(config.epochs):
-        store.zero_grads()
-        tape = Tape()
-        pred = model._forward(tape, inputs)
-        err = tape.add_const(pred, -target_col)
-        loss = tape.scale(tape.sum(tape.mul(err, err)), 1.0 / batch)
-        if not np.isfinite(loss.value):
+        loss = loss_and_grads(model, inputs, targets)
+        if not np.isfinite(loss):
             raise TrainingError(
                 f"forecaster loss became non-finite at epoch {epoch}"
             )
-        model.loss_history.append(float(loss.value))
-        tape.backward(loss)
+        model.loss_history.append(loss)
         opt.step(store.values, store.grads)
     return model
+
+
+def loss_and_grads(model: ForecastModel, windows: np.ndarray,
+                   targets: np.ndarray) -> float:
+    """The mean squared error of the model's predictions for a batch of
+    windows against their [batch] targets; fills ``model.store.grads``
+    with its gradient. Every step's saved arrays are freed on return.
+
+    The MSE's gradient for the predictions is taken in closed form, as
+    ``err * (1/B)`` added to itself: the bits of the product rule on
+    ``err * err``.
+    """
+    model.store.zero_grads()
+    hidden, saved = model.cell.run(windows)
+    err = model.head.apply(hidden) - targets[:, None]  # [batch, 1]
+    loss = float((err * err).sum() * (1.0 / err.shape[0]))
+    g = err * (1.0 / err.shape[0])
+    g = g + g
+    model.head.add_grads(hidden, g)
+    model.cell.backward(saved, g @ model.head.w.value)
+    return loss
 
 
 def forecast_series(model: ForecastModel, series: MarketSeries,

@@ -29,7 +29,7 @@ from quantrl.a3c import (
     save_checkpoint,
     train,
 )
-from quantrl.diffnet import SgdOptimizer, Tape, softmax
+from quantrl.diffnet import SgdOptimizer, softmax
 from quantrl.errors import ConfigError, GradientRejected, IngestionError, TrainingError
 from quantrl.qsim import BLOCK_MAX_QUBITS, MAX_QUBITS
 from quantrl.tradeenv import BUY, HOLD, SELL, EnvConfig, MarketSeries, TradingEnv, zscore
@@ -152,7 +152,7 @@ def test_policy_simplex_on_random_nets():
 def test_policy_probs_is_softmax_of_logits_bit_for_bit(head_kind):
     net = ActorCriticNet(obs_dim=6, head_kind=head_kind, latent_dim=4, seed=2)
     for obs in np.random.default_rng(3).normal(scale=3.0, size=(100, 6)):
-        logits = net.policy.forward(Tape(), obs[None, :]).value
+        logits, _ = net.policy.run(obs[None, :])
         assert np.array_equal(net.policy_probs(obs), softmax(logits)[0])
 
 
@@ -333,11 +333,11 @@ def test_closed_form_matches_a_per_row_loop_of_the_loss(head_kind, entropy):
     for name in ("policy", "critic"):
         head = getattr(net, name)
 
-        def capture(*args, name=name, backward=head._backward):
-            seen[name] = args[-1].copy()
-            backward(*args)
+        def capture(saved, g, name=name, backward=head.backward):
+            seen[name] = g.copy()
+            backward(saved, g)
 
-        head._backward = capture
+        head.backward = capture
 
     loss, _ = compute_loss_and_grads(net, states, actions, returns,
                                      entropy_coeff=entropy)

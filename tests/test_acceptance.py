@@ -16,6 +16,7 @@ import scipy.stats
 
 from metric_oracle import oracle_summary
 from test_a3c import random_reward_history
+from test_diffnet import finite_difference, lstm_gradient
 from test_qsim import dense_oracle_expectations, random_instance
 
 from quantrl import diffnet, forecaster, qsim
@@ -27,7 +28,7 @@ from quantrl.a3c import (
     n_step_returns,
     train,
 )
-from quantrl.diffnet import Dense, LstmCell, Param, Tape
+from quantrl.diffnet import Dense, LstmCell, Param
 from quantrl.experiment import (
     DEFAULT_MATRIX,
     ExperimentConfig,
@@ -175,28 +176,6 @@ def test_c02_statevector_integrity():
 # 3. differentiable-layer correctness
 # ---------------------------------------------------------------------------
 
-def _grad_and_fd(build_on_tape, params, h=1e-5):
-    diffnet.FlatStore(params).zero_grads()
-    tape = Tape()
-    loss = build_on_tape(tape)
-    tape.backward(loss)
-    grads = [p.grad.copy() for p in params]
-    fds = []
-    for p in params:
-        g = np.zeros_like(p.value)
-        flat = p.value.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = float(build_on_tape(Tape()).value)
-            flat[i] = orig - h
-            dn = float(build_on_tape(Tape()).value)
-            flat[i] = orig
-            g.ravel()[i] = (up - dn) / (2 * h)
-        fds.append(g)
-    return grads, fds
-
-
 def test_c03_differentiable_layers():
     rng = np.random.default_rng(33)
 
@@ -232,15 +211,10 @@ def test_c03_differentiable_layers():
     # LSTM through time, relative 1e-4
     cell = LstmCell(3, 4, rng)
     head = Dense(4, 1, rng)
-    xs = rng.normal(size=(5, 1, 3))  # five steps of a one-row batch
-
-    def bptt(t):
-        state = None
-        for x in xs:
-            state = t.lstm(cell, x, state)
-        return t.sum(t.pick(t.dense(head, state[0]), [0]))
-
-    grads, fds = _grad_and_fd(bptt, cell.parameters() + head.parameters())
+    xs = rng.normal(size=(5, 1, 3)).transpose(1, 0, 2)  # a one-row batch of five steps
+    grads = lstm_gradient(cell, head, xs)
+    fds = finite_difference(lambda: float(head.apply(cell.run(xs)[0])[0, 0]),
+                            cell.parameters() + head.parameters())
     worst_rel = max(
         float(np.max(np.abs(g - f) / np.maximum(np.abs(f), 1e-6)))
         for g, f in zip(grads, fds)
@@ -256,12 +230,12 @@ def test_c03_differentiable_layers():
 
     head = Head(4, 3, 2, 2, np.random.default_rng(0))  # on the layers above
     head.dense_in, head.encoder, head.dense_out = front, angles, back
-
-    def hybrid(t):
-        head.circuit = qsim.VqcParams(3, 2, angles.value)  # the store's angles
-        return t.sum(t.scale(head.forward(t, x), contraction))
-
-    grads, fds = _grad_and_fd(hybrid, front.parameters() + [angles] + back.parameters())
+    params = front.parameters() + [angles] + back.parameters()
+    head.circuit = qsim.VqcParams(3, 2, angles.value)
+    out, saved = head.run(x)
+    head.backward(saved, np.broadcast_to(contraction, out.shape))
+    grads = [p.grad.copy() for p in params]
+    fds = finite_difference(lambda: float(np.sum(head.run(x)[0] * contraction)), params)
     worst_hybrid = max(float(np.max(np.abs(g - f))) for g, f in zip(grads, fds))
     assert worst_hybrid < 1e-5
     _pass(3, f"gradient checks: A3C loss abs {worst_abs:.2e} (< 1e-5), "

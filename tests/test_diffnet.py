@@ -95,28 +95,26 @@ def test_dense_shape_mismatch():
 
 
 def _apply_op(op, x):
-    """One feature-consuming op on x; the LSTM state and the pick index take
-    x's leading shape, so a vector gets vector-shaped companions."""
+    """One feature-consuming op's output for the array x: the tape's dense
+    op, an LSTM sequence or a quantum actor-critic head."""
     rng = np.random.default_rng(0)
-    lead = x.value.shape[:-1]
     if op == "dense":
-        return Tape().dense(Dense(3, 2, rng), x)
+        return Tape().dense(Dense(3, 2, rng), Node(x)).value
     if op == "lstm":
-        state = (Node(np.zeros(lead + (2,))), Node(np.zeros(lead + (2,))))
-        return Tape().lstm(LstmCell(3, 2, rng), x.value, state)[0]
-    if op == "vqc":  # a quantum actor-critic head, one op on the tape
-        head = Head(3, 3, 2, 1, rng)
-        head.circuit = VqcParams(3, 1, head.encoder.value)
-        return head.forward(Tape(), x.value)
-    return Tape().pick(x, np.zeros(lead, dtype=int))
+        return LstmCell(3, 2, rng).run(x)[0]
+    head = Head(3, 3, 2, 1, rng)
+    head.circuit = VqcParams(3, 1, head.encoder.value)
+    return head.run(x)[0]
 
 
-@pytest.mark.parametrize("op", ["dense", "lstm", "vqc", "pick"])
+@pytest.mark.parametrize("op", ["dense", "lstm", "vqc"])
 def test_ops_take_batches_only(op):
     x = np.array([0.1, -0.2, 0.3])
-    assert _apply_op(op, Node(x[None, :])).value.shape[0] == 1
+    # an LSTM takes a batch of sequences: [batch, steps, features]
+    batch = x[None, None, :] if op == "lstm" else x[None, :]
+    assert _apply_op(op, batch).shape[0] == 1
     with pytest.raises(ValueError):
-        _apply_op(op, Node(x))
+        _apply_op(op, batch[0])
 
 
 def test_softmax_symmetry():
@@ -288,82 +286,57 @@ def test_sample_invalid_distribution():
 # LSTM
 # ---------------------------------------------------------------------------
 
+def lstm_gradient(cell, head, windows):
+    """Every parameter's grad of sum(head(h)) for the final hidden state h
+    of ``windows``, by ``LstmCell.backward``."""
+    params = cell.parameters() + head.parameters()
+    FlatStore(params).zero_grads()
+    hidden, saved = cell.run(windows)
+    g = np.ones((windows.shape[0], 1))
+    head.add_grads(hidden, g)
+    cell.backward(saved, g @ head.w.value)
+    return [p.grad.copy() for p in params]
+
+
 def test_lstm_zero_parameters_zero_hidden():
     cell = LstmCell(3, 4, np.random.default_rng(0))
     for p in cell.parameters():
         p.value[...] = 0.0
-    tape = Tape()
-    h1, c1 = tape.lstm(cell, np.array([[5.0, -2.0, 1.0]]), None)
-    assert np.all(h1.value == 0.0)
-    assert np.all(c1.value == 0.0)
+    h, saved = cell.run(np.array([[[5.0, -2.0, 1.0]]]))
+    z, c_prev, gi, gf, go, gg, tc = saved[0]
+    assert np.all(h == 0.0)
+    assert np.all(tc == 0.0)  # tanh of the cell state
 
 
 def test_lstm_saturated_forget_gate_preserves_cell():
+    # the first step's input opens the input gate and writes the cell; on
+    # the later steps the input gate is shut and the forget gate saturated
     cell = LstmCell(2, 3, np.random.default_rng(1))
     for p in cell.parameters():
         p.value[...] = 0.0
-    cell.b_f.value[...] = 10.0   # forget ~ 1
-    cell.b_i.value[...] = -10.0  # input ~ 0
-    tape = Tape()
-    h = Node(np.zeros((1, 3)))
-    c = Node(np.array([[0.7, -0.4, 1.2]]))
-    for _ in range(5):
-        h, c = tape.lstm(cell, np.ones((1, 2)), (h, c))
-    assert np.allclose(c.value, [[0.7, -0.4, 1.2]], atol=1e-3)
+    loaded = np.array([0.7, -0.4, 0.9])
+    cell.b_f.value[...] = 10.0    # forget ~ 1
+    cell.b_i.value[...] = -10.0   # input ~ 0 ...
+    cell.w_i.value[:, 0] = 20.0   # ... ~ 1 while the first input is 1
+    cell.w_g.value[:, 1] = np.arctanh(loaded)
+    xs = np.array([[[1.0, 1.0]] + 5 * [[0.0, 1.0]]])
+    _, saved = cell.run(xs)
+    cells = [c_prev for _, c_prev, *_ in saved[1:]]  # after steps 1-5
+    assert np.allclose(cells, loaded[None, None, :], atol=1e-3)
 
 
 def test_lstm_bptt_matches_finite_differences():
     rng = np.random.default_rng(5)
     cell = LstmCell(3, 4, rng)
     head = Dense(4, 1, rng)
-    xs = rng.normal(size=(6, 1, 3))  # six steps of a one-row batch
+    xs = rng.normal(size=(1, 6, 3))  # a one-row batch of six steps
     params = cell.parameters() + head.parameters()
 
-    def loss_value():
-        t = Tape()
-        state = None
-        for x in xs:
-            state = t.lstm(cell, x, state)
-        return float(t.dense(head, state[0]).value[0, 0])
-
-    def on_tape(t):
-        state = None
-        for x in xs:
-            state = t.lstm(cell, x, state)
-        return t.sum(t.pick(t.dense(head, state[0]), [0]))
-
-    got = tape_gradient(on_tape, params)
-    want = finite_difference(lambda: loss_value(), params)
+    got = lstm_gradient(cell, head, xs)
+    want = finite_difference(lambda: float(head.apply(cell.run(xs)[0])[0, 0]), params)
     for g, w in zip(got, want):
         denom = np.maximum(np.abs(w), 1e-6)
         assert np.max(np.abs(g - w) / denom) < 1e-4
-
-
-def test_lstm_initial_state_takes_no_grad():
-    # a sequence started from state=None gives the bits of one started from
-    # two explicit zero nodes, whose grads that backward does fill
-    rng = np.random.default_rng(13)
-    cell = LstmCell(3, 4, rng)
-    head = Dense(4, 1, rng)
-    xs = rng.normal(size=(5, 6, 3))
-    params = cell.parameters() + head.parameters()
-
-    def run(state):
-        for p in params:
-            p.grad[...] = 0.0
-        t = Tape()
-        for x in xs:
-            state = t.lstm(cell, x, state)
-        t.backward(t.sum(t.dense(head, state[0])))
-        return [state[0].value, state[1].value] + [p.grad.copy() for p in params]
-
-    got = run(None)
-    zeros = (Node(np.zeros((6, 4))), Node(np.zeros((6, 4))))
-    want = run(zeros)
-    assert not np.all(zeros[0].grad == 0.0)  # that backward did fill them
-    assert not np.all(zeros[1].grad == 0.0)
-    for g, w in zip(got, want, strict=True):
-        assert np.array_equal(g, w)
 
 
 def test_each_op_records_once(monkeypatch):
@@ -380,21 +353,17 @@ def test_each_op_records_once(monkeypatch):
     layer = Dense(3, 2, rng)
     tape = Tape()
     tape.sum(tape.tanh(tape.dense(layer, Node(rng.normal(size=(5, 3))))))
-    assert len(calls) == 3
-    cell = LstmCell(3, 4, rng)
-    h, c = tape.lstm(cell, rng.normal(size=(5, 3)), None)
-    assert calls[3:] == [(5, 4), (5, 4)]
+    assert calls == [(5, 2), (5, 2), ()]
 
 
 def test_lstm_batched_equals_loop():
     rng = np.random.default_rng(11)
     cell = LstmCell(2, 3, rng)
-    xs = rng.normal(size=(4, 2))
-    tape = Tape()
-    hb, cb = tape.lstm(cell, xs, None)
+    xs = rng.normal(size=(4, 3, 2))
+    hb, _ = cell.run(xs)
     for i in range(4):
-        h, c = tape.lstm(cell, xs[i:i + 1], None)
-        assert np.allclose(hb.value[i], h.value[0], atol=1e-14)
+        h, _ = cell.run(xs[i:i + 1])
+        assert np.allclose(hb[i], h[0], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +422,12 @@ def test_hybrid_head_matches_finite_differences():
     params = front.parameters() + [angles] + back.parameters()
     head = Head(4, n_qubits, 2, depth, np.random.default_rng(0))  # on the layers above
     head.dense_in, head.encoder, head.dense_out = front, angles, back
+    head.circuit = VqcParams(n_qubits, depth, angles.value)
 
-    def on_tape(t):
-        # on the angles of the store that tape_gradient puts them in
-        head.circuit = VqcParams(n_qubits, depth, angles.value)
-        return t.sum(t.scale(head.forward(t, x), u))
-
-    def loss_value():
-        t = Tape()
-        return float(on_tape(t).value)
-
-    got = tape_gradient(on_tape, params)
-    want = finite_difference(loss_value, params)
+    out, saved = head.run(x)
+    head.backward(saved, np.broadcast_to(u, out.shape))
+    got = [p.grad.copy() for p in params]
+    want = finite_difference(lambda: float(np.sum(head.run(x)[0] * u)), params)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) < 1e-5
 
@@ -480,7 +443,7 @@ def test_mul_of_a_node_by_itself_matches_finite_differences():
 
     def on_tape(t):
         h = t.tanh(t.dense(layer, Node(x)))
-        return t.add(t.sum(t.scale(t.mul(h, h), u)), t.sum(t.scale(h, u)))
+        return t.mul(t.sum(t.scale(t.mul(h, h), u)), t.sum(t.scale(h, u)))
 
     got = tape_gradient(on_tape, params)
     want = finite_difference(lambda: float(on_tape(Tape()).value), params)
@@ -506,15 +469,16 @@ def test_randomized_op_gradient_checks():
         action = int(rng.integers(3))
         target = rng.normal(size=(1, 3))
         params = layer1.parameters() + layer2.parameters()
+        picks = np.eye(3)[[action]]  # a one-hot row: scale then sum picks an entry
 
         def on_tape(t):
             hid = t.tanh(t.dense(layer1, Node(x)))
             out = t.dense(layer2, hid)
-            picked = t.sum(t.pick(t.tanh(out), [action]))
+            picked = t.sum(t.scale(t.tanh(out), picks))
             err = t.add_const(out, -target)
             squared = t.sum(t.mul(err, err))
             penalty = t.scale(t.sum(t.mul(hid, hid)), 0.5)
-            return t.add(t.add(picked, squared), penalty)
+            return t.mul(t.mul(picked, squared), penalty)
 
         def loss_value():
             t = Tape()

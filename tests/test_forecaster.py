@@ -1,13 +1,14 @@
 """Forecaster tests on constructed synthetic series."""
 
 import datetime as dt
+import hashlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from quantrl.diffnet import Tape
+from quantrl import diffnet
 from quantrl.errors import ConfigError, EvaluationError, TrainingError
 from quantrl.forecaster import (
     ForecastConfig,
@@ -15,6 +16,7 @@ from quantrl.forecaster import (
     build_windows,
     evaluate_forecasts,
     forecast_series,
+    loss_and_grads,
     train_forecaster,
 )
 from quantrl.tradeenv import MarketSeries, zscore
@@ -136,9 +138,7 @@ def test_forecaster_parameters_are_views_of_one_flat_store():
     store.set(store.get() + 1.0)  # one write reaches every parameter
     assert np.array_equal(flat("value"), store.values)
 
-    tape = Tape()
-    pred = model._forward(tape, np.random.default_rng(6).normal(size=(2, 5, 3)))
-    tape.backward(tape.sum(tape.mul(pred, pred)))
+    loss_and_grads(model, np.random.default_rng(6).normal(size=(2, 5, 3)), np.zeros(2))
     assert np.any(store.grads != 0.0) and np.array_equal(store.grads, flat("grad"))
     store.zero_grads()
     assert all(np.all(p.grad == 0.0) for p in params)
@@ -157,6 +157,63 @@ def test_training_is_deterministic():
     m2 = train_forecaster(ds, cfg)
     assert np.array_equal(m1.store.values, m2.store.values)
     assert m1.loss_history == m2.loss_history
+
+
+def test_seeded_fit_is_pinned():
+    # a change that claims identical results must leave the trained
+    # parameters, every epoch's loss and the forecast vector bit for bit
+    series = sine_series(n=60)
+    model = train_forecaster(build_windows(series, lookback=8),
+                             ForecastConfig(hidden=8, epochs=40, seed=3))
+    got = [hashlib.sha256(a.tobytes()).hexdigest() for a in (
+        model.store.values, np.asarray(model.loss_history, np.float64),
+        forecast_series(model, series))]
+    assert got == [
+        "0eedd2df8b1a38e4badb75917c416bfa4e402b9df74b8eef1360729c4432c6e7",
+        "026d6cc0b795956f35f03e768991a5f99537e6041c78aa1e425cb96a504d7923",
+        "b52d32f6bff643c7d95859dc0f29b083a8023430e3785f63c939df1fa77fb1d4",
+    ]
+
+
+def test_training_and_forecasting_build_no_tape_and_no_node(monkeypatch):
+    series = sine_series(n=40)
+    dataset = build_windows(series, lookback=5)
+    config = ForecastConfig(lookback=5, hidden=4, epochs=3)
+    want = train_forecaster(dataset, config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the forecaster built a tape or a node")
+
+    build = ForecastModel.__init__
+
+    def build_then_refuse(self, *args, **kwargs):
+        build(self, *args, **kwargs)  # the parameters are the only nodes
+        monkeypatch.setattr(diffnet.Tape, "__init__", refuse)
+        monkeypatch.setattr(diffnet.Node, "__init__", refuse)
+
+    monkeypatch.setattr(ForecastModel, "__init__", build_then_refuse)
+    model = train_forecaster(dataset, config)
+    assert np.array_equal(model.store.values, want.store.values)
+    assert model.loss_history == want.loss_history
+    assert np.array_equal(forecast_series(model, series), forecast_series(want, series))
+
+
+def test_an_epoch_frees_the_last_epochs_arrays():
+    # BPTT saves, per step, the [batch, input + hidden] concatenation and six
+    # [batch, hidden] arrays (the previous cell state, four gates and the
+    # cell's tanh). A loop that held one epoch's arrays until the next
+    # epoch's forward returned would peak above twice that
+    dataset = build_windows(sine_series(n=200), lookback=8)
+    batch, steps, features = dataset.train[0].shape
+    hidden = 32
+    epoch_bytes = 8 * batch * steps * (features + 7 * hidden)
+    tracemalloc.start()
+    try:
+        train_forecaster(dataset, ForecastConfig(hidden=hidden, epochs=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * epoch_bytes
 
 
 def test_linear_trend_validation_rmse():
@@ -287,28 +344,22 @@ def test_length_mismatch_error():
 # ---------------------------------------------------------------------------
 
 def test_forecaster_gradients_match_finite_differences():
+    # the production gradient, loss_and_grads's, against central differences
+    # of the mean squared error, relative 1e-4
     rng = np.random.default_rng(3)
     model = ForecastModel(n_features=2, hidden=3, lookback=4, seed=9)
     windows = rng.normal(size=(2, 4, 2))
-    targets = np.array([[0.5], [-1.0]])
-    params = model.parameters()
+    targets = np.array([0.5, -1.0])
 
     def loss_value():
-        tape = Tape()
-        pred = model._forward(tape, windows)
-        err = tape.add_const(pred, -targets)
-        return float(tape.scale(tape.sum(tape.mul(err, err)), 0.5).value)
+        return float(np.mean((model.predict_batch(windows) - targets) ** 2))
 
-    model.store.zero_grads()
-    tape = Tape()
-    pred = model._forward(tape, windows)
-    err = tape.add_const(pred, -targets)
-    loss = tape.scale(tape.sum(tape.mul(err, err)), 0.5)
-    tape.backward(loss)
-    got = [p.grad.copy() for p in params]
+    loss = loss_and_grads(model, windows, targets)
+    assert loss == pytest.approx(loss_value(), rel=1e-15)
+    got = [p.grad.copy() for p in model.parameters()]
 
     h = 1e-5
-    for p, g in zip(params, got):
+    for p, g in zip(model.parameters(), got):
         flat = p.value.ravel()
         for i in range(flat.size):
             orig = flat[i]

@@ -12,7 +12,6 @@ import pytest
 
 from quantrl import qsim
 from quantrl.a3c import ActorCriticNet
-from quantrl.diffnet import Tape
 from quantrl.errors import ConfigError
 from quantrl.qsim import (
     VqcParams,
@@ -313,7 +312,7 @@ def test_gradient_from_forward_states_equals_recomputed(n):
             assert np.array_equal(a, b)
 
 
-def test_tape_backward_runs_no_circuit_forward(monkeypatch):
+def test_head_backward_runs_no_circuit_forward(monkeypatch):
     net = ActorCriticNet(obs_dim=5, head_kind="quantum", latent_dim=4,
                          vqc_depth=2, seed=4)
     head = net.policy
@@ -321,17 +320,15 @@ def test_tape_backward_runs_no_circuit_forward(monkeypatch):
     encode = qsim._folded_encoding
     monkeypatch.setattr(qsim, "_folded_encoding",
                         lambda *args: calls.append(1) or encode(*args))
-    tape = Tape()
     x = np.random.default_rng(59).uniform(-1, 1, (6, 5))
-    out = head.forward(tape, x)
-    loss = tape.sum(tape.mul(out, out))
+    out, saved = head.run(x)
     assert len(calls) == 1
-    tape.backward(loss)
+    head.backward(saved, 2.0 * out)  # the grad of sum(out * out)
     assert len(calls) == 1
     # the circuit's input and upstream grad, worked by hand from the head
     z = np.tanh(head.dense_in.apply(x))
     t = np.tanh(run_vqc_batch(z, head.circuit))
-    upstream = (1.0 - t * t) * ((2.0 * out.value) @ head.dense_out.w.value)
+    upstream = (1.0 - t * t) * ((2.0 * out) @ head.dense_out.w.value)
     pg, ig = vqc_gradients_batch(z, head.circuit, upstream)
     assert np.array_equal(head.encoder.grad, pg)
     assert np.array_equal(head.dense_in.b.grad, ((1.0 - z * z) * ig).sum(axis=0))
