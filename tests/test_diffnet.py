@@ -310,7 +310,8 @@ def test_lstm_zero_parameters_zero_hidden():
 
 def test_lstm_saturated_forget_gate_preserves_cell():
     # the first step's input opens the input gate and writes the cell; on
-    # the later steps the input gate is shut and the forget gate saturated
+    # the later steps the input is zero, so the candidate is 0, the input
+    # gate shut and the forget gate saturated: only the forget gate carries
     cell = LstmCell(2, 3, np.random.default_rng(1))
     for p in cell.parameters():
         p.value[...] = 0.0
@@ -318,10 +319,11 @@ def test_lstm_saturated_forget_gate_preserves_cell():
     cell.b_f.value[...] = 10.0    # forget ~ 1
     cell.b_i.value[...] = -10.0   # input ~ 0 ...
     cell.w_i.value[:, 0] = 20.0   # ... ~ 1 while the first input is 1
-    cell.w_g.value[:, 1] = np.arctanh(loaded)
-    xs = np.array([[[1.0, 1.0]] + 5 * [[0.0, 1.0]]])
+    cell.w_g.value[:, 0] = np.arctanh(loaded)
+    xs = np.array([[[1.0, 0.0]] + 6 * [[0.0, 0.0]]])
     _, saved = cell.run(xs)
-    cells = [c_prev for _, c_prev, *_ in saved[1:]]  # after steps 1-5
+    cells = [c_prev for _, c_prev, *_ in saved[2:]]  # after steps 1-5
+    assert len(cells) == 5
     assert np.allclose(cells, loaded[None, None, :], atol=1e-3)
 
 
