@@ -48,7 +48,7 @@ import numpy as np
 from . import diffnet, qsim
 from .diffnet import Dense, Param, categorical_sample
 from .errors import (POSITIVE, SEED, ConfigError, GradientRejected, IngestionError,
-                     TrainingError, between, check_fields, one_of)
+                     TrainingError, between, check_batch, check_fields, one_of)
 from .metrics import Trade
 from .tradeenv import (ACTION_NAMES, BUY, SELL, TradingEnv, parse_date, parse_float,
                        read_table, write_table)
@@ -124,7 +124,7 @@ class Head:
         """[batch, n_out] outputs for a [batch, obs_dim] array, on plain
         arrays, and the intermediates that the backward reads. ValueError
         for a batch of another width."""
-        diffnet.check_batch("head", states, self.dense_in.w.value.shape[1])
+        check_batch("head", states, self.dense_in.w.value.shape[1])
         z = np.tanh(self.dense_in.apply(states))
         if self.circuit is None:
             q, final = self.encoder.apply(z), None
@@ -320,7 +320,12 @@ class TrainingHistory:
             for i, (r, m) in enumerate(zip(self.rewards, self.moving_average))), stamp)
 
 
-def moving_average(values, window: int = 100) -> list[float]:
+MOVING_AVERAGE_WINDOW = 100  # episodes
+
+
+def moving_average(values) -> list[float]:
+    """The trailing mean of up to ``MOVING_AVERAGE_WINDOW`` values."""
+    window = MOVING_AVERAGE_WINDOW
     out = []
     acc = 0.0
     for i, v in enumerate(values):

@@ -8,9 +8,10 @@ and demo 02; every op enters it one way, through ``Tape.record``, and
 every node owns a grad.
 
 Every op that consumes features takes a [batch, features] matrix, and
-an LSTM a [batch, steps, features] sequence, and raises ValueError on any
-other shape: a trajectory update or a BPTT epoch is a batch of many rows,
-and a single decision is a batch of one row. All math is float64.
+an LSTM a [batch, steps, features] sequence, and ``errors.check_batch``
+raises ValueError on any other shape: a trajectory update or a BPTT
+epoch is a batch of many rows, and a single decision is a batch of one
+row. All math is float64.
 
 Model files (``save_model``/``load_model``) are the one container of the
 agent checkpoint (magic b"QNET") and the forecaster (magic b"QLSTM"): the
@@ -42,7 +43,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ModelFileError, QuantrlError
+from .errors import ModelFileError, QuantrlError, check_batch
 
 
 class Node:
@@ -68,18 +69,14 @@ class Node:
 Param = Node  # the name for a trainable leaf
 
 
-def check_batch(op: str, x: np.ndarray, width: int) -> None:
-    """ValueError naming ``op`` unless ``x`` is a [batch, width] matrix."""
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ValueError(
-            f"{op} expects a [batch, {width}] input, got shape {x.shape}"
-        )
-
-
 class Tape:
     """Ordered record of a forward pass; backward replays it in reverse.
 
-    It serves the gradient checks and demo 02; no model builds one.
+    No model builds one: it serves demo 02, which teaches reverse mode with
+    it, and the gradient checks of its own ops. It stays in the package
+    because the north star names a hand-written gradient tape, and because
+    ``perfbench/run.py`` reads ``diffnet.Tape`` on every run, to wrap its
+    methods, so it can go only after the benchmark drops that wrap.
     :meth:`record` is the one way an op enters the tape: every op below
     computes its output and hands the tape that value and its
     vector-Jacobian product. Calling
@@ -251,10 +248,8 @@ class LstmCell:
         """The final [batch, hidden] state of a [batch, steps, input_size]
         sequence run from the zero state, on plain arrays, and each step's
         arrays that ``backward`` reads. ValueError for any other shape."""
-        windows = np.asarray(windows, dtype=np.float64)
-        if windows.ndim != 3 or windows.shape[2] != self.input_size:
-            raise ValueError(f"lstm expects a [batch, steps, {self.input_size}] "
-                             f"input, got shape {windows.shape}")
+        windows = check_batch("lstm", np.asarray(windows, dtype=np.float64),
+                              "steps", self.input_size)
         h = c = np.zeros((windows.shape[0], self.hidden_size))
         saved = []
         for t in range(windows.shape[1]):
@@ -375,24 +370,26 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
-    """Adam; ``step`` writes the update into ``theta`` with the IEEE
-    operations of ``theta - lr * m_hat / (sqrt(v_hat) + eps)``."""
+    """Adam with beta1 0.9, beta2 0.999 and eps 1e-8; ``step`` writes the
+    update into ``theta`` with the IEEE operations of
+    ``theta - lr * m_hat / (sqrt(v_hat) + eps)``."""
 
-    def __init__(self, size: int, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        b1, b2 = self.BETA1, self.BETA2
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        theta -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = b1 * self.m + (1.0 - b1) * grad
+        self.v = b2 * self.v + (1.0 - b2) * grad * grad
+        m_hat = self.m / (1.0 - b1 ** self.t)
+        v_hat = self.v / (1.0 - b2 ** self.t)
+        theta -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 OPTIMIZERS = {"adam": AdamOptimizer, "sgd": SgdOptimizer}

@@ -1,4 +1,11 @@
-"""Exception hierarchy shared across the package, and the config field rules."""
+"""Exception hierarchy shared across the package, the config field rules
+and the batch-shape rule.
+
+Every entry that takes features takes a batch: a [batch, features]
+matrix, or an LSTM's [batch, steps, features] sequences. ``check_batch``
+is the one check of that rule; it raises ValueError, naming the entry,
+for any other shape.
+"""
 
 import math
 
@@ -16,6 +23,17 @@ def check_fields(rules: dict, values: dict) -> None:
     for name, (ok, phrase) in rules.items():
         if name in values and not ok(values[name]):
             raise ConfigError(f"{name} must be {phrase}, got {values[name]!r}")
+
+
+def check_batch(op: str, x, *dims):
+    """``x`` if its shape is [batch, *dims], else a ValueError naming ``op``.
+    A dim given as a name, such as "steps", takes any length."""
+    # the exact compare first: a head checks every decision
+    if x.shape[1:] != dims and (x.ndim != len(dims) + 1 or any(
+            d != s for d, s in zip(dims, x.shape[1:]) if isinstance(d, int))):
+        raise ValueError(f"{op} expects a [batch, {', '.join(map(str, dims))}] "
+                         f"input, got shape {x.shape}")
+    return x
 
 
 # a (predicate, phrase) rule per kind; a NaN fails every numeric rule

@@ -8,7 +8,8 @@ rerun reproduces identical CSV bytes, at any worker count.
 
 Each CLI subcommand is one function here, built from the same stages
 (``fit_forecast``, ``emit_evaluation``, ``emit_metrics``) and run inside
-one ``Stages`` wrapper, which owns failure handling.
+one ``Stages`` wrapper, which owns failure handling and filters the one
+expected warning, ``tradeenv.ConstantColumnWarning``.
 
 Config files are INI ("key = value" under [experiment], [synthetic],
 [train], [env], [forecast] sections); a config takes its sub-configs'
@@ -203,11 +204,22 @@ class Stages(contextlib.AbstractContextManager):
     """Context manager around a pipeline: ``stage`` names the running stage
     and ``write`` records each file before writing it. On a failure the
     recorded files are deleted and the error is raised as a StageError
-    naming the stage; a ConfigError passes through."""
+    naming the stage; a ConfigError passes through.
+
+    Inside it, ``tradeenv.ConstantColumnWarning`` is not reported: the
+    pipeline expects constant columns in a training prefix (c06's
+    sawtooth has constant macro columns). This is the one place that
+    filters it."""
 
     def __init__(self, stage: str):
         self.stage = stage
         self.written: list[Path] = []
+        self._warnings = warnings.catch_warnings()
+
+    def __enter__(self):
+        self._warnings.__enter__()
+        warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
+        return self
 
     def write(self, path, content) -> Path:
         """Write ``content`` (text, or a callable taking the path) to ``path``."""
@@ -220,6 +232,7 @@ class Stages(contextlib.AbstractContextManager):
         return path
 
     def __exit__(self, kind, exc, tb):
+        self._warnings.__exit__(kind, exc, tb)
         for path in self.written if exc is not None else ():
             with contextlib.suppress(OSError):
                 path.unlink()
@@ -238,16 +251,9 @@ class RunArtifacts:
 
 
 def load_series(path, train_fraction: float) -> tradeenv.MarketSeries:
-    """Ingest a market CSV and z-score it on its training prefix."""
-    return _zscored(tradeenv.load_market_csv(path), train_fraction)
-
-
-def _zscored(series: tradeenv.MarketSeries, train_fraction: float):
-    """``tradeenv.zscore``; constant columns are expected in the training
-    prefix and not reported."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
-        return tradeenv.zscore(series, train_fraction)
+    """Ingest a market CSV and z-score it on its training prefix. Outside
+    ``Stages`` a constant column warns."""
+    return tradeenv.zscore(tradeenv.load_market_csv(path), train_fraction)
 
 
 def fit_forecast(series: tradeenv.MarketSeries, config: ForecastConfig):
@@ -320,8 +326,8 @@ def export_forecast(data, out_dir, config: ForecastConfig):
     out = Path(out_dir)
     with Stages("ingest") as run:
         header, records = tradeenv.read_table(data, tradeenv.MARKET_COLUMNS)
-        series = _zscored(tradeenv.parse_market_table(data, header, records),
-                          config.train_fraction)
+        series = tradeenv.zscore(tradeenv.parse_market_table(data, header, records),
+                                 config.train_fraction)
         run.stage = "forecast"
         model, dataset, vector = fit_forecast(series, config)
         inputs, targets = dataset.validation
@@ -355,9 +361,7 @@ def run_experiment(config: ExperimentConfig, fit=fit_forecast) -> RunArtifacts:
             run.stage = "forecast"
             log.info("training forecaster (%d epochs)", config.forecast.epochs)
             _, _, vector = fit(series, config.forecast)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", tradeenv.ConstantColumnWarning)
-                series = tradeenv.attach_forecast(series, vector)
+            series = tradeenv.attach_forecast(series, vector)
 
         env_factory = partial(tradeenv.TradingEnv, series, config.env)
         history = None

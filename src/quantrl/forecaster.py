@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import diffnet
 from .diffnet import Dense, LstmCell
 from .errors import (FRACTION, POSITIVE, SEED, EvaluationError, TrainingError,
-                     between, check_fields)
+                     between, check_batch, check_fields)
 from .tradeenv import MarketSeries
 
 
@@ -58,8 +58,6 @@ class ForecastConfig:
 class ForecastDataset:
     inputs: np.ndarray        # [n_windows, lookback, n_features]
     targets: np.ndarray       # [n_windows] next-week percent return
-    end_dates: tuple          # last input date per window (alignment anchor)
-    target_dates: tuple
     train_count: int
 
     def __len__(self) -> int:
@@ -105,10 +103,8 @@ def build_windows(
     close = series.close
     inputs = _windows(series, lookback, n_windows)
     targets = 100.0 * (close[lookback:] / close[lookback - 1: -1] - 1.0)
-    end_dates = tuple(series.dates[k + lookback - 1] for k in range(n_windows))
-    target_dates = tuple(series.dates[k + lookback] for k in range(n_windows))
     train_count = min(n_windows, max(1, int(np.ceil(train_fraction * n_windows))))
-    return ForecastDataset(inputs, targets, end_dates, target_dates, train_count)
+    return ForecastDataset(inputs, targets, train_count)
 
 
 class ForecastModel:
@@ -135,12 +131,8 @@ class ForecastModel:
                 + Dense.parameter_shapes(hidden, 1))
 
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:
-        windows = np.asarray(windows, dtype=np.float64)
-        if windows.ndim != 3 or windows.shape[1:] != (self.lookback, self.n_features):
-            raise ValueError(
-                f"windows must be [batch, {self.lookback}, {self.n_features}], "
-                f"got {windows.shape}"
-            )
+        windows = check_batch("forecaster", np.asarray(windows, dtype=np.float64),
+                              self.lookback, self.n_features)
         return self.head.apply(self.cell.run(windows)[0])[:, 0]
 
 

@@ -30,7 +30,8 @@ noted; r = periodic returns v_i / v_{i-1} - 1):
     time_in_market  100 * (steps long) / steps
 
 Undefined metrics (zero denominators and the like) are reported as NaN
-with a named reason in ``MetricsReport.notes``, never as silent infinity.
+with a named reason in ``MetricsReport.notes``, never as silent infinity;
+``_undefined`` is the one place that sets such a NaN, always with its note.
 Return- and drawdown-valued fields are fractions; the renderer multiplies
 by 100 for the (%) rows. All functions are pure.
 """
@@ -146,6 +147,13 @@ def _autocorrelation(r: np.ndarray, lag: int) -> float:
     return float(np.sum(centered[:-lag] * centered[lag:]) / denom)
 
 
+def _undefined(values: dict, notes: dict, reason: str, *names: str) -> None:
+    """Set each of ``names`` to NaN in ``values``, with ``reason`` in ``notes``."""
+    for name in names:
+        values[name] = math.nan
+        notes[name] = reason
+
+
 def ratio_metrics(returns) -> tuple[dict, dict]:
     """The nine return-ratio metrics.
 
@@ -157,11 +165,6 @@ def ratio_metrics(returns) -> tuple[dict, dict]:
         raise ValueError("need at least two returns")
     values: dict[str, float] = {}
     notes: dict[str, str] = {}
-
-    def flag(name, reason):
-        values[name] = math.nan
-        notes[name] = reason
-
     ann = math.sqrt(PERIODS_PER_YEAR)
     mean = float(r.mean())
     std = float(r.std(ddof=1))
@@ -172,8 +175,8 @@ def ratio_metrics(returns) -> tuple[dict, dict]:
 
     values["volatility_ann"] = std * ann
     if std == 0.0:
-        flag("sharpe", "zero return standard deviation")
-        flag("smart_sharpe", "zero return standard deviation")
+        _undefined(values, notes, "zero return standard deviation",
+                   "sharpe", "smart_sharpe")
     else:
         values["sharpe"] = mean / std * ann
         n = r.size
@@ -186,14 +189,13 @@ def ratio_metrics(returns) -> tuple[dict, dict]:
         values["smart_sharpe"] = values["sharpe"] / penalty
 
     if downside == 0.0:
-        flag("sortino", "no negative returns")
+        _undefined(values, notes, "no negative returns", "sortino")
     else:
         values["sortino"] = mean / downside * ann
 
     if loss_total == 0.0:
-        flag("gain_pain", "no losing periods")
-        flag("profit_factor", "no losing periods")
-        flag("omega", "no losing periods")
+        _undefined(values, notes, "no losing periods",
+                   "gain_pain", "profit_factor", "omega")
     else:
         values["gain_pain"] = float(r.sum()) / loss_total
         values["profit_factor"] = float(gains.sum()) / loss_total
@@ -202,14 +204,15 @@ def ratio_metrics(returns) -> tuple[dict, dict]:
     wins = r[r > 0]
     loss_only = r[r < 0]
     if wins.size == 0 or loss_only.size == 0:
-        flag("payoff_ratio", "needs both winning and losing periods")
+        _undefined(values, notes, "needs both winning and losing periods",
+                   "payoff_ratio")
     else:
         values["payoff_ratio"] = float(wins.mean()) / abs(float(loss_only.mean()))
 
     p95 = float(np.percentile(r, 95))
     p5 = float(np.percentile(r, 5))
     if p5 == 0.0:
-        flag("tail_ratio", "5th percentile is zero")
+        _undefined(values, notes, "5th percentile is zero", "tail_ratio")
     else:
         values["tail_ratio"] = abs(p95 / p5)
 
@@ -226,78 +229,62 @@ def summary_metrics(
     if flags.size != curve.values.size:
         raise ValueError("position flags must align with the equity curve")
 
-    values = curve.values
-    r = periodic_returns(values)
+    v = curve.values
+    r = periodic_returns(v)
     if r.size >= 2:
-        ratios, notes = ratio_metrics(r)
+        values, notes = ratio_metrics(r)
     else:
-        ratios = dict.fromkeys(RATIO_METRIC_NAMES, math.nan)
-        notes = dict.fromkeys(RATIO_METRIC_NAMES, "needs at least two returns")
+        values, notes = {}, {}
+        _undefined(values, notes, "needs at least two returns", *RATIO_METRIC_NAMES)
 
     dd_depth, dd_days = max_drawdown(curve)
-    cumulative = float(values[-1] / values[0] - 1.0)
+    cumulative = float(v[-1] / v[0] - 1.0)
+    values.update(time_in_market=100.0 * float(flags.mean()),
+                  cumulative_return=cumulative, max_drawdown=dd_depth,
+                  longest_drawdown_days=dd_days, trade_count=len(trade_log))
 
     days = (curve.dates[-1] - curve.dates[0]).days
     if days <= 0:
-        cagr = math.nan
-        notes["cagr"] = "curve spans no calendar time"
+        _undefined(values, notes, "curve spans no calendar time", "cagr")
     else:
-        cagr = float((values[-1] / values[0]) ** (365.0 / days) - 1.0)
+        values["cagr"] = float((v[-1] / v[0]) ** (365.0 / days) - 1.0)
 
-    peaks = np.maximum.accumulate(values)
-    dd_series = (values - peaks) / peaks
-    ulcer = float(np.sqrt(np.mean(dd_series * dd_series)))
+    peaks = np.maximum.accumulate(v)
+    dd_series = (v - peaks) / peaks
+    ulcer = values["ulcer_index"] = float(np.sqrt(np.mean(dd_series * dd_series)))
 
     if dd_depth == 0.0:
-        calmar = recovery = math.nan
-        notes["calmar"] = "zero drawdown"
-        notes["recovery_factor"] = "zero drawdown"
+        _undefined(values, notes, "zero drawdown", "calmar", "recovery_factor")
     else:
-        calmar = cagr / abs(dd_depth) if not math.isnan(cagr) else math.nan
-        if math.isnan(cagr):
-            notes["calmar"] = "cagr undefined"
-        recovery = cumulative / abs(dd_depth)
+        if math.isnan(values["cagr"]):
+            _undefined(values, notes, "cagr undefined", "calmar")
+        else:
+            values["calmar"] = values["cagr"] / abs(dd_depth)
+        values["recovery_factor"] = cumulative / abs(dd_depth)
 
     worst_count = max(1, math.ceil(0.05 * r.size))
     pitfall = abs(float(np.sort(r)[:worst_count].mean()))
     if ulcer == 0.0 or pitfall == 0.0:
-        serenity = math.nan
-        notes["serenity_index"] = (
-            "zero drawdown" if ulcer == 0.0 else "zero pitfall"
-        )
+        _undefined(values, notes, "zero drawdown" if ulcer == 0.0 else "zero pitfall",
+                   "serenity_index")
     else:
-        serenity = cumulative / (ulcer * pitfall)
+        values["serenity_index"] = cumulative / (ulcer * pitfall)
 
     month_ends = []
-    for i, date in enumerate(curve.dates):
+    for date, value in zip(curve.dates, v):
         key = (date.year, date.month)
         if month_ends and month_ends[-1][0] == key:
-            month_ends[-1] = (key, values[i])
+            month_ends[-1] = (key, value)
         else:
-            month_ends.append((key, values[i]))
+            month_ends.append((key, value))
     if len(month_ends) >= 2:
-        month_values = np.array([v for _, v in month_ends])
+        month_values = np.array([m for _, m in month_ends])
         month_returns = month_values[1:] / month_values[:-1] - 1.0
-        win_month = 100.0 * float(np.mean(month_returns > 0))
+        values["win_month_pct"] = 100.0 * float(np.mean(month_returns > 0))
     else:
-        win_month = math.nan
-        notes["win_month_pct"] = "fewer than two calendar months"
+        _undefined(values, notes, "fewer than two calendar months", "win_month_pct")
 
-    return MetricsReport(
-        **ratios,
-        time_in_market=100.0 * float(flags.mean()),
-        cumulative_return=cumulative,
-        cagr=cagr,
-        max_drawdown=dd_depth,
-        longest_drawdown_days=dd_days,
-        calmar=calmar,
-        ulcer_index=ulcer,
-        recovery_factor=recovery,
-        serenity_index=serenity,
-        win_month_pct=win_month,
-        trade_count=len(trade_log),
-        notes=notes,
-    )
+    return MetricsReport(**values, notes=notes)
 
 
 # -- rendering ---------------------------------------------------------------

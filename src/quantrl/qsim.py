@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_batch
 
 MAX_QUBITS = 16
 ENCODING_SCALE = np.pi  # post-tanh latents in (-1, 1) map to angles in (-pi, pi)
@@ -262,19 +262,10 @@ def _bit_flips(n_qubits: int) -> np.ndarray:
     return idx[None, :] ^ (1 << np.arange(n_qubits))[:, None]
 
 
-def _check_batch(inputs: np.ndarray, params: VqcParams) -> np.ndarray:
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.n_qubits:
-        raise ValueError(
-            f"inputs must have shape [batch, {params.n_qubits}], got {x.shape}"
-        )
-    return x
-
-
 def _check_gradient_args(
     inputs: np.ndarray, params: VqcParams, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    x = _check_batch(inputs, params)
+    x = check_batch("vqc", np.asarray(inputs, dtype=np.float64), params.n_qubits)
     up = np.asarray(upstream, dtype=np.float64)
     if up.shape != x.shape:
         raise ValueError(f"upstream must match inputs shape {x.shape}, got {up.shape}")
@@ -326,7 +317,8 @@ def run_vqc_batch(inputs: np.ndarray, params: VqcParams, *,
     returns (expectations, final states), the states being what
     :func:`vqc_gradients_batch` takes for the same inputs and angles.
     """
-    y = _final_states(_check_batch(inputs, params), params)
+    x = check_batch("vqc", np.asarray(inputs, dtype=np.float64), params.n_qubits)
+    y = _final_states(x, params)
     z = np.dot(y * y, _z_pairs(params.n_qubits))
     return (z, y) if keep_states else z
 

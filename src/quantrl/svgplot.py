@@ -18,19 +18,16 @@ MARGIN_TOP, MARGIN_BOTTOM = 40, 50
 
 
 class SvgCanvas:
-    def __init__(self, width: int = WIDTH, height: int = HEIGHT,
-                 comment: str | None = None):
-        self.width = width
-        self.height = height
+    def __init__(self, comment: str | None = None):
         self._parts = [
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
         ]
         if comment:
             self._parts.append(f"<!-- {escape(comment, quote=False)} -->\n")
         self._parts.append(
-            f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
+            f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
         )
 
     def line(self, x1, y1, x2, y2, color="#444", width=1.0):
@@ -101,11 +98,11 @@ class _Frame:
         if self.y_hi <= self.y_lo:
             self.y_hi = self.y_lo + 1.0
         self.left = MARGIN_LEFT
-        self.right = canvas.width - MARGIN_RIGHT
+        self.right = WIDTH - MARGIN_RIGHT
         self.top = MARGIN_TOP
-        self.bottom = canvas.height - MARGIN_BOTTOM
-        canvas.text(canvas.width / 2, 22, title, size=15, anchor="middle")
-        canvas.text(canvas.width / 2, canvas.height - 12, x_label,
+        self.bottom = HEIGHT - MARGIN_BOTTOM
+        canvas.text(WIDTH / 2, 22, title, size=15, anchor="middle")
+        canvas.text(WIDTH / 2, HEIGHT - 12, x_label,
                     anchor="middle")
         canvas.text(18, (self.top + self.bottom) / 2, y_label, anchor="middle",
                     rotate=-90)

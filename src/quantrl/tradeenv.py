@@ -72,10 +72,6 @@ class MarketSeries:
     def is_normalized(self) -> bool:
         return self.normalized is not None
 
-    @property
-    def has_forecast(self) -> bool:
-        return self.forecast is not None
-
 
 def parse_float(text: str, column: str, where: str) -> float:
     """A number cell as every table is read: a finite float, or an

@@ -606,7 +606,7 @@ def test_train_config_quantum_latent_dim_within_qubit_limit():
 
 def test_moving_average_trailing_window():
     vals = list(range(1, 201))
-    ma = moving_average(vals, window=100)
+    ma = moving_average(vals)
     assert ma[0] == 1.0
     assert ma[99] == pytest.approx(np.mean(vals[:100]))
     assert ma[-1] == pytest.approx(np.mean(vals[100:]))

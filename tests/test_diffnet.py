@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quantrl import qsim
 from quantrl.a3c import Head
 from quantrl.diffnet import (
     AdamOptimizer,
@@ -26,7 +27,8 @@ from quantrl.diffnet import (
     unpack_arrays,
 )
 from quantrl.diffnet import _sigmoid
-from quantrl.qsim import VqcParams
+from quantrl.forecaster import ForecastModel
+from quantrl.qsim import VqcParams, run_vqc_batch
 
 
 def finite_difference(build_loss, params, h=1e-5):
@@ -95,26 +97,43 @@ def test_dense_shape_mismatch():
 
 
 def _apply_op(op, x):
-    """One feature-consuming op's output for the array x: the tape's dense
-    op, an LSTM sequence or a quantum actor-critic head."""
+    """The output of one entry that takes a batch, for the array x of
+    3-wide rows (2-step sequences of them for an LSTM and the forecaster):
+    the tape's dense op, an LSTM sequence, a quantum ("vqc") or classical
+    actor-critic head, the forecaster, or a qsim entry."""
     rng = np.random.default_rng(0)
+    params = VqcParams(3, 1, rng.uniform(-1, 1, (1, 3, 2)))
     if op == "dense":
         return Tape().dense(Dense(3, 2, rng), Node(x)).value
     if op == "lstm":
         return LstmCell(3, 2, rng).run(x)[0]
-    head = Head(3, 3, 2, 1, rng)
-    head.circuit = VqcParams(3, 1, head.encoder.value)
+    if op == "forecaster":
+        return ForecastModel(3, 2, 2).predict_batch(x)
+    if op == "run_vqc_batch":
+        return run_vqc_batch(x, params)
+    if op in ("vqc_gradients_batch", "parameter_shift_gradients_batch"):
+        return getattr(qsim, op)(x, params, np.ones(np.shape(x)))[1]
+    head = Head(3, 3, 2, None if op == "classical-head" else 1, rng)
+    if op == "vqc":
+        head.circuit = VqcParams(3, 1, head.encoder.value)
     return head.run(x)[0]
 
 
-@pytest.mark.parametrize("op", ["dense", "lstm", "vqc"])
+@pytest.mark.parametrize("op", [
+    "dense", "lstm", "vqc", "classical-head", "forecaster", "run_vqc_batch",
+    "vqc_gradients_batch", "parameter_shift_gradients_batch"])
 def test_ops_take_batches_only(op):
     x = np.array([0.1, -0.2, 0.3])
-    # an LSTM takes a batch of sequences: [batch, steps, features]
-    batch = x[None, None, :] if op == "lstm" else x[None, :]
+    # an LSTM and the forecaster take a batch of sequences:
+    # [batch, steps, features]
+    batch = np.stack([x, -x])[None] if op in ("lstm", "forecaster") else x[None, :]
     assert _apply_op(op, batch).shape[0] == 1
-    with pytest.raises(ValueError):
-        _apply_op(op, batch[0])
+    # one message form for every entry: its name, the shape it takes and
+    # the shape it got
+    form = r"^[\w-]+ expects a \[batch, (\w+, )*3\] input, got shape \([\d, ]*\)$"
+    for bad in (batch[0], batch[..., :2], batch[None]):
+        with pytest.raises(ValueError, match=form):
+            _apply_op(op, bad)
 
 
 def test_softmax_symmetry():

@@ -83,22 +83,32 @@ def test_lookback_equal_to_length_rejected():
         build_windows(normalized_series([100.0, 110.0]), lookback=2)
 
 
+def input_rows(series, window):
+    """The series row of each step of a window, found by value."""
+    return [int(np.flatnonzero((series.normalized == step).all(axis=1))[0])
+            for step in window]
+
+
 def test_windows_are_causal():
-    ds = build_windows(normalized_series(list(100.0 + np.arange(20.0))), lookback=4)
-    for end, target in zip(ds.end_dates, ds.target_dates):
-        assert end < target  # inputs strictly precede the target row
+    series = normalized_series(list(100.0 + np.arange(20.0)))
+    ds = build_windows(series, lookback=4)
+    close = series.close
+    for k, (window, target) in enumerate(zip(ds.inputs, ds.targets)):
+        rows = input_rows(series, window)
+        assert rows == list(range(k, k + 4))
+        # the target is the return into the row right after the inputs
+        after = rows[-1] + 1
+        assert target == 100.0 * (close[after] / close[after - 1] - 1.0)
 
 
 def test_validation_follows_training():
-    ds = build_windows(
-        normalized_series(list(100.0 + np.arange(20.0))), lookback=4,
-        train_fraction=0.5,
-    )
-    train_last = ds.target_dates[ds.train_count - 1]
-    for td in ds.target_dates[ds.train_count:]:
-        assert td > train_last
-
-
+    series = normalized_series(list(100.0 + np.arange(20.0)))
+    ds = build_windows(series, lookback=4, train_fraction=0.5)
+    (train, _), (validation, _) = ds.train, ds.validation
+    assert len(train) and len(validation)
+    train_last = max(input_rows(series, w)[-1] for w in train)
+    for window in validation:
+        assert input_rows(series, window)[-1] > train_last
 def test_window_contents_match_rows():
     series = normalized_series(list(100.0 + np.arange(10.0)))
     ds = build_windows(series, lookback=3)

@@ -1,5 +1,6 @@
 """Metric battery vs the independent brute-force oracle."""
 
+import dataclasses
 import datetime as dt
 import math
 
@@ -169,6 +170,38 @@ def test_monotone_curve_zero_drawdown_flags():
     assert math.isnan(report.recovery_factor)
     assert math.isnan(report.serenity_index)
     assert report.time_in_market == 100.0
+
+
+def nan_fields(report):
+    return {f.name for f in dataclasses.fields(report)
+            if isinstance(getattr(report, f.name), float)
+            and math.isnan(getattr(report, f.name))}
+
+
+DEGENERATE_CURVES = {
+    "flat": [100.0] * 10,
+    "two-points": [100.0, 101.0],
+    "one-calendar-month": [100.0, 103.0, 101.0, 104.0],  # Jan 7 to Jan 28
+    "rising-only": list(100.0 + np.arange(30.0)),
+}
+
+
+@pytest.mark.parametrize("values", DEGENERATE_CURVES.values(), ids=DEGENERATE_CURVES)
+def test_every_nan_has_a_note_and_every_note_a_nan(values):
+    report = summary_metrics(weekly_curve(values), [], [1] * len(values))
+    assert nan_fields(report), "a degenerate curve leaves some metric undefined"
+    assert set(report.notes) == nan_fields(report)
+    assert all(report.notes.values())
+
+
+def test_random_runs_note_exactly_their_nans():
+    noted = 0
+    for seed in range(60):
+        curve, trades, flags = random_run(seed, n=3 + seed % 15)
+        report = summary_metrics(curve, trades, flags)
+        assert set(report.notes) == nan_fields(report), f"seed {seed}"
+        noted += bool(report.notes)
+    assert 0 < noted < 60  # some runs have undefined metrics, some none
 
 
 def test_full_report_matches_oracle_on_100_seeded_curves():

@@ -199,7 +199,7 @@ def test_forecast_column_ingested(tmp_path):
         header=HEADER + ",forecast",
     )
     series = load_market_csv(path)
-    assert series.has_forecast
+    assert series.forecast is not None
     assert list(series.forecast) == [0.5, 0.0]
 
 
