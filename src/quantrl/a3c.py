@@ -10,16 +10,16 @@ forward's saved intermediates. The encoder is either a variational
 quantum circuit on ``latent_dim`` qubits or a same-width dense layer, so
 the two modes are drop-in replacements for each other. An
 ``ActorCriticNet`` keeps both heads' parameters and their grads in one
-``diffnet.FlatStore``, so the flat vectors a worker pushes and pulls are
-one numpy call each way.
+``diffnet.FlatStore``, its ``store``, so the flat vectors a worker pushes
+and pulls are one numpy call each way.
 
 Neither a decision nor a trajectory update builds a tape or a node. A
 decision (``policy_probs``) runs the policy head on its one row and
 normalises the logits with ``diffnet.softmax_row``. An update
 (``compute_loss_and_grads``) runs both heads once on the trajectory,
-takes the loss from a log-softmax of the logits and hands each head the
-loss's closed-form gradient for its outputs. A trajectory's states take
-no gradient.
+takes the loss from ``diffnet.log_softmax`` of the logits, whose p has
+``softmax_row``'s bits, and hands each head the loss's closed-form
+gradient for its outputs. A trajectory's states take no gradient.
 
 Workers own a private environment and network copy. Every ``update_every``
 steps (or at episode end) a worker computes n-step returns, pushes
@@ -170,7 +170,7 @@ class ActorCriticNet:
         depth = vqc_depth if head_kind == "quantum" else None
         self.policy = Head(obs_dim, latent_dim, N_ACTIONS, depth, rng)
         self.critic = Head(obs_dim, latent_dim, 1, depth, rng)
-        self._store = diffnet.FlatStore(self.parameters())
+        self.store = diffnet.FlatStore(self.parameters())
         # one circuit per quantum encoder, built once on the store's view of
         # its angles, so set_flat and checkpoint loads reach it
         for head in (self.policy, self.critic) if depth else ():
@@ -191,7 +191,7 @@ class ActorCriticNet:
 
     def policy_probs(self, obs: np.ndarray) -> np.ndarray:
         """Action distribution for one observation: the logits of a batch of
-        one, then ``softmax_row``, the bits of ``softmax``. No tape."""
+        one, then ``softmax_row``, the bits of the update's p. No tape."""
         logits, _ = self.policy.run(obs[None, :])
         return diffnet.softmax_row(logits[0])
 
@@ -199,18 +199,11 @@ class ActorCriticNet:
         value, _ = self.critic.run(obs[None, :])
         return float(value[0, 0])
 
-    # flat parameter plumbing: each is one numpy call on the store
     def get_flat(self) -> np.ndarray:
-        return self._store.get()
+        return self.store.values.copy()
 
     def set_flat(self, theta: np.ndarray) -> None:
-        self._store.set(theta)
-
-    def flat_grads(self) -> np.ndarray:
-        return self._store.get_grads()
-
-    def zero_grads(self) -> None:
-        self._store.zero_grads()
+        self.store.set(theta)
 
 
 def n_step_returns(rewards, bootstrap: float, gamma: float) -> np.ndarray:
@@ -241,9 +234,9 @@ def compute_loss_and_grads(
     with the advantage detached in the policy term; an optional entropy
     bonus -entropy_coeff * H(pi) is added when configured.
 
-    Each head runs once, without a tape. The log-probabilities are a
-    log-softmax of the logits z, log p = z - logsumexp(z), which stays
-    finite when one logit dwarfs the rest. The loss's gradient is taken in
+    Each head runs once, without a tape. ``diffnet.log_softmax`` of the
+    logits z gives p and log p = z - logsumexp(z), which stays finite when
+    one logit dwarfs the rest. The loss's gradient is taken in
     closed form per row and handed to each head's backward: for the logits
     adv (p - onehot(a)) + c (p log p - p sum_j p_j log p_j), with adv the
     detached advantage and c ``entropy_coeff``; for the value V - R.
@@ -254,19 +247,13 @@ def compute_loss_and_grads(
     if not (states.shape[0] == actions.size == returns.size):
         raise ValueError("states, actions and returns must have equal length")
 
-    net.zero_grads()
+    net.store.zero_grads()
     logits, policy_saved = net.policy.run(states)
     values, critic_saved = net.critic.run(states)
     value_err = values[:, 0] - returns
     advantage = -value_err                         # detached
 
-    # log-softmax: log p = z - logsumexp(z), finite however far one logit
-    # leads the others; p is the bits of ``softmax``
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    p = e / total
-    logp = shifted - np.log(total)
+    p, logp = diffnet.log_softmax(logits)
     rows = np.arange(actions.size)
 
     loss = 0.5 * (value_err @ value_err) - logp[rows, actions] @ advantage
@@ -279,7 +266,7 @@ def compute_loss_and_grads(
         g_logits += entropy_coeff * (plogp - p * negative_entropy)
     net.policy.backward(policy_saved, g_logits)
     net.critic.backward(critic_saved, value_err[:, None])
-    return float(loss), net.flat_grads()
+    return float(loss), net.store.grads.copy()
 
 
 class GlobalParams:
@@ -439,9 +426,10 @@ class EvaluationRun:
     @staticmethod
     def from_csv(path) -> "EvaluationRun":
         """Rebuild a run from its four columns; the inverse of ``to_csv``.
-        An unreadable file, a missing column or a row that does not parse,
-        holds a non-finite number or has a date that does not follow the
-        row before it is an IngestionError naming the file (and its line).
+        An unreadable file, a missing column, no data rows or a row that
+        does not parse, holds a non-finite number or has a date that does
+        not follow the row before it is an IngestionError naming the file
+        (and its line).
         Date and number cells are read by ingest's rules, ``parse_date``
         and ``parse_float``."""
         dates, actions, prices, assets = [], [], [], []
@@ -459,6 +447,8 @@ class EvaluationRun:
             actions.append(_NAME_TO_ACTION[record["action"]])
             for column, values in (("price", prices), ("asset_value", assets)):
                 values.append(parse_float(record[column] or "", column, where))
+        if not dates:
+            raise IngestionError(f"{path}: no data rows")
         return EvaluationRun(dates, actions, prices, assets)
 
 

@@ -15,6 +15,7 @@ import dataclasses
 import logging
 import os
 import sys
+import typing
 
 from . import experiment
 from .errors import ConfigError, QuantrlError
@@ -23,6 +24,7 @@ from .forecaster import ForecastConfig
 from .synthetic import KINDS, SyntheticSpec
 
 _SYNTHETIC_LENGTH = 120  # --synthetic-kind rows without a [synthetic] section
+_SPEC_FIELDS = typing.get_type_hints(SyntheticSpec)  # generate's flags, in order
 
 
 def _add_common(parser):
@@ -53,17 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a synthetic market CSV")
-    p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="CSV path to write")
-    p.add_argument("--base", type=float)
-    p.add_argument("--period", type=int)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--slope", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--phi", type=float)
+    for name, kind in _SPEC_FIELDS.items():  # kind and length have no default
+        p.add_argument(f"--{name}", type=kind, required=name in ("kind", "length"),
+                       choices=KINDS if name == "kind" else None)
 
     p = sub.add_parser("forecast", help="train the forecaster, export the "
                                         "forecast column and its metrics")
@@ -126,8 +121,7 @@ def _experiment_config(args, default_out: str) -> ExperimentConfig:
 
 
 def cmd_generate(args) -> None:
-    spec = SyntheticSpec(args.kind, args.length, **_given(
-        args, "seed", "base", "period", "amplitude", "slope", "sigma", "mu", "phi"))
+    spec = SyntheticSpec(**_given(args, *_SPEC_FIELDS))
     experiment.generate(spec, args.out)
     print(f"wrote {args.out} ({spec.kind}, {spec.length} rows, seed {spec.seed})")
 

@@ -1,11 +1,13 @@
 """Minimal reverse-mode building blocks shared by the agent heads and the
-forecaster: dense layers, activations, categorical sampling, an LSTM cell
-with a hand-written backward through time, a Wengert-list gradient tape,
-optimizers and the model-file container. No production model builds a
-tape: each runs a forward on plain arrays, ``run(x) -> (out, saved)``, and
-a hand-written ``backward(saved, g)``. The tape serves the gradient checks
-and demo 02; every op enters it one way, through ``Tape.record``, and
-every node owns a grad.
+forecaster: dense layers, the softmax (``log_softmax`` for a batch of rows,
+``softmax_row`` for one decision, with the same bits), categorical
+sampling, an LSTM cell with a hand-written backward through time, a
+Wengert-list gradient tape, optimizers, the flat parameter store and the
+model-file container. No production model builds a tape: each runs a
+forward on plain arrays, ``run(x) -> (out, saved)``, and a hand-written
+``backward(saved, g)``. The tape serves the gradient checks and demo 02;
+every op enters it one way, through ``Tape.record``, and every node owns
+a grad.
 
 Every op that consumes features takes a [batch, features] matrix, and
 an LSTM a [batch, steps, features] sequence, and ``errors.check_batch``
@@ -161,19 +163,23 @@ def _sigmoid(v):
     return np.exp(np.fmin(v, 0.0)) / (1.0 + np.exp(-np.abs(v)))
 
 
-def softmax(v) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
+def log_softmax(v) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``(p, log p)`` of the logits ``v``, from their shift by the
+    row max s = v - max: p = exp(s) / sum(exp(s)) and log p = s -
+    log(sum(exp(s))), which stays finite however far one logit leads."""
     v = np.asarray(v, dtype=np.float64)
     shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, shifted - np.log(total)
 
 
 def softmax_row(v: np.ndarray) -> np.ndarray:
-    """``softmax`` of one 1-D row of fewer than 8 entries, bit for bit, in
-    fewer numpy calls. The shift and the sum are the same IEEE operations
-    on Python floats: numpy sums a row that short left to right. The exp
-    is one numpy call, and the division one in-place divide by the sum."""
+    """``log_softmax``'s p of one 1-D row of fewer than 8 entries, bit for
+    bit, in fewer numpy calls. The shift and the sum are the same IEEE
+    operations on Python floats: numpy sums a row that short left to right.
+    The exp is one numpy call, and the division one in-place divide by the
+    sum."""
     row = v.tolist()
     top = max(row)
     e = np.exp([x - top for x in row])
@@ -315,7 +321,8 @@ class FlatStore:
     """One flat value array and one flat grad array for ``params``, in list
     order: the one place where a model, the agent's ``ActorCriticNet`` or
     the ``ForecastModel``, holds its parameters. Every parameter's value
-    and grad become views of them, so reading, writing, zeroing or
+    and grad become views of them, so reading (a copy of ``values`` or
+    ``grads``), writing (``set``), zeroing (``zero_grads``) or
     optimizer-stepping the whole vector is one numpy call. The values are
     kept and the grads start at zero.
 
@@ -334,9 +341,6 @@ class FlatStore:
             p.grad = self.grads[offset:end].reshape(p.value.shape)
             offset = end
 
-    def get(self) -> np.ndarray:
-        return self.values.copy()
-
     def set(self, theta: np.ndarray) -> None:
         """Write every parameter; a vector of the wrong size raises
         ValueError before anything is written."""
@@ -344,9 +348,6 @@ class FlatStore:
             raise ValueError(f"flat vector has shape {np.shape(theta)}, "
                              f"params need {self.values.shape}")
         self.values[...] = theta
-
-    def get_grads(self) -> np.ndarray:
-        return self.grads.copy()
 
     def zero_grads(self) -> None:
         self.grads.fill(0.0)

@@ -32,6 +32,9 @@ noted; r = periodic returns v_i / v_{i-1} - 1):
 Undefined metrics (zero denominators and the like) are reported as NaN
 with a named reason in ``MetricsReport.notes``, never as silent infinity;
 ``_undefined`` is the one place that sets such a NaN, always with its note.
+Equity values must be finite and positive: ``EquityCurve`` and
+``periodic_returns`` (which also takes the month-end returns) raise
+DataError otherwise, through the one check ``_check_equity``.
 Return- and drawdown-valued fields are fractions; the renderer multiplies
 by 100 for the (%) rows. All functions are pure.
 """
@@ -65,6 +68,13 @@ class Trade:
     profit: float
 
 
+def _check_equity(v: np.ndarray) -> None:
+    """DataError unless every equity value is finite and positive; a NaN
+    fails both comparisons."""
+    if not np.all((v > 0) & (v < math.inf)):
+        raise DataError("equity values must be finite and positive")
+
+
 @dataclass
 class EquityCurve:
     dates: tuple
@@ -76,8 +86,7 @@ class EquityCurve:
             raise ValueError("dates and values must have matching length")
         if self.values.size == 0:
             raise ValueError("equity curve cannot be empty")
-        if np.any(self.values <= 0):
-            raise DataError("equity curve values must be positive")
+        _check_equity(self.values)
 
 
 @dataclass
@@ -106,12 +115,11 @@ class MetricsReport:
 
 
 def periodic_returns(values) -> np.ndarray:
-    """r_i = v_i / v_{i-1} - 1 for a positive equity curve."""
+    """r_i = v_i / v_{i-1} - 1 for a finite, positive equity curve."""
     v = np.asarray(values, dtype=np.float64)
     if v.size < 2:
         raise ValueError("need at least two equity values for returns")
-    if np.any(v <= 0):
-        raise DataError("equity values must be positive")
+    _check_equity(v)
     return v[1:] / v[:-1] - 1.0
 
 
@@ -278,8 +286,7 @@ def summary_metrics(
         else:
             month_ends.append((key, value))
     if len(month_ends) >= 2:
-        month_values = np.array([m for _, m in month_ends])
-        month_returns = month_values[1:] / month_values[:-1] - 1.0
+        month_returns = periodic_returns([m for _, m in month_ends])
         values["win_month_pct"] = 100.0 * float(np.mean(month_returns > 0))
     else:
         _undefined(values, notes, "fewer than two calendar months", "win_month_pct")

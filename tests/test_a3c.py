@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,7 @@ from quantrl.a3c import (
     save_checkpoint,
     train,
 )
-from quantrl.diffnet import SgdOptimizer, softmax
+from quantrl.diffnet import SgdOptimizer, log_softmax
 from quantrl.errors import ConfigError, GradientRejected, IngestionError, TrainingError
 from quantrl.qsim import BLOCK_MAX_QUBITS, MAX_QUBITS
 from quantrl.tradeenv import BUY, HOLD, SELL, EnvConfig, MarketSeries, TradingEnv, zscore
@@ -153,7 +154,8 @@ def test_policy_probs_is_softmax_of_logits_bit_for_bit(head_kind):
     net = ActorCriticNet(obs_dim=6, head_kind=head_kind, latent_dim=4, seed=2)
     for obs in np.random.default_rng(3).normal(scale=3.0, size=(100, 6)):
         logits, _ = net.policy.run(obs[None, :])
-        assert np.array_equal(net.policy_probs(obs), softmax(logits)[0])
+        p, _ = log_softmax(logits)  # the update's p
+        assert np.array_equal(net.policy_probs(obs), p[0])
 
 
 @pytest.mark.parametrize("head_kind", ["classical", "quantum"])
@@ -184,9 +186,9 @@ def test_parameters_are_views_of_one_flat_store(head_kind):
                                       rng.normal(size=4))
     assert np.any(grads != 0.0) and np.array_equal(grads, flat("grad"))
     grads[...] = 0.0  # a copy too
-    assert np.array_equal(net.flat_grads(), flat("grad"))
-    assert np.any(net.flat_grads() != 0.0)
-    net.zero_grads()
+    assert np.array_equal(net.store.grads, flat("grad"))
+    assert np.any(net.store.grads != 0.0)
+    net.store.zero_grads()
     assert all(np.all(p.grad == 0.0) for p in params)
 
 
@@ -205,7 +207,7 @@ def test_batched_forward_matches_single():
     net = ActorCriticNet(obs_dim=4, head_kind="quantum", latent_dim=3, seed=0)
     rng = np.random.default_rng(1)
     states = rng.normal(size=(5, 4))
-    probs = softmax(net.policy.run(states)[0])
+    probs = scipy.special.softmax(net.policy.run(states)[0], axis=1)
     values, _ = net.critic.run(states)
     for i in range(5):
         assert np.allclose(probs[i], net.policy_probs(states[i]), atol=1e-14)

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from metric_oracle import oracle_summary
@@ -19,7 +20,7 @@ from test_a3c import random_reward_history
 from test_diffnet import finite_difference, lstm_gradient
 from test_qsim import dense_oracle_expectations, random_instance
 
-from quantrl import diffnet, forecaster, qsim
+from quantrl import forecaster, qsim
 from quantrl.a3c import (
     ActorCriticNet,
     Head,
@@ -193,7 +194,7 @@ def test_c03_differentiable_layers():
 
         def loss_at(probe):
             net.set_flat(probe)
-            logp = np.log(diffnet.softmax(net.policy.run(states)[0]))
+            logp = np.log(scipy.special.softmax(net.policy.run(states)[0], axis=1))
             err = net.critic.run(states)[0][:, 0] - returns
             return (0.5 * (err @ err) - logp[np.arange(3), actions] @ advantage
                     + 0.01 * np.sum(np.exp(logp) * logp))

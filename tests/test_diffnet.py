@@ -2,6 +2,7 @@
 central finite differences computed through the forward pass alone."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from quantrl.diffnet import (
     Tape,
     categorical_sample,
     clip_global_norm,
+    log_softmax,
     pack_arrays,
-    softmax,
     softmax_row,
     unpack_arrays,
 )
@@ -137,7 +138,9 @@ def test_ops_take_batches_only(op):
 
 
 def test_softmax_symmetry():
-    assert np.allclose(softmax(np.zeros(3)), [1 / 3] * 3, atol=1e-15)
+    p, logp = log_softmax(np.zeros(3))
+    assert np.allclose(p, [1 / 3] * 3, atol=1e-15)
+    assert np.allclose(logp, [-math.log(3)] * 3, atol=1e-15)
 
 
 def test_tanh_zero():
@@ -145,25 +148,28 @@ def test_tanh_zero():
 
 
 def test_softmax_large_logits_no_overflow():
-    out = softmax(np.array([1000.0, 0.0, 0.0]))
+    out, logp = log_softmax(np.array([1000.0, 0.0, 0.0]))
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(1.0)
+    # log p stays finite where log(p) of the underflowed entries is -inf
+    assert out[1] == 0.0 and logp[1] == -1000.0
 
 
 def test_softmax_sums_to_one_and_shift_invariant():
     rng = np.random.default_rng(3)
     for _ in range(20):
         v = rng.normal(scale=5, size=4)
-        s = softmax(v)
+        s, logp = log_softmax(v)
         assert abs(s.sum() - 1.0) < 1e-12
-        shifted = softmax(v + 123.456)
+        assert np.allclose(logp, np.log(s), rtol=0.0, atol=1e-12)
+        shifted, _ = log_softmax(v + 123.456)
         assert np.max(np.abs(s - shifted)) < 1e-12
         assert np.argmax(s) == np.argmax(shifted)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8))
 def test_softmax_simplex_property(logits):
-    s = softmax(np.array(logits))
+    s, _ = log_softmax(np.array(logits))
     assert abs(s.sum() - 1.0) < 1e-12
     assert np.all(s >= 0)
 
@@ -177,10 +183,10 @@ def test_softmax_row_matches_softmax_bit_for_bit(width):
              np.array([1.0, 1.0, -3.0, 0.5, 1.0, 0.0, 1.0])[:width]]
     if width > 1:  # one probability underflows to 0
         underflow = np.append(rng.normal(size=width - 1), -800.0)
-        assert softmax(underflow)[-1] == 0.0
+        assert log_softmax(underflow)[0][-1] == 0.0
         rows.append(underflow)
     for row in rows:
-        assert np.array_equal(softmax_row(row), softmax(row[None, :])[0])
+        assert np.array_equal(softmax_row(row), log_softmax(row[None, :])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -577,19 +583,19 @@ def test_flat_roundtrip():
     params = layer.parameters() + cell.parameters()
     before = [p.value.copy() for p in params]
     store = FlatStore(params)
-    theta = store.get()
+    theta = store.values.copy()
     assert np.array_equal(theta, np.concatenate([b.ravel() for b in before]))
     store.set(theta * 2.0)
     assert all(np.array_equal(p.value, 2.0 * b) for p, b in zip(params, before))
     for p in params:
         p.grad += 1.0
-    assert np.all(store.get_grads() == 1.0)
+    assert np.all(store.grads == 1.0)
     store.zero_grads()
     assert all(np.all(p.grad == 0.0) for p in params)
     for wrong in (theta[:-3], np.append(theta, [1.0, 2.0, 3.0])):
         with pytest.raises(ValueError, match="flat vector"):
             store.set(wrong)
-        assert np.array_equal(store.get(), theta * 2.0)  # nothing written
+        assert np.array_equal(store.values, theta * 2.0)  # nothing written
 
 
 # ---------------------------------------------------------------------------

@@ -652,6 +652,15 @@ def test_cli_generate_and_train_random(tmp_path, capsys):
     assert "run complete" in out
 
 
+def test_cli_generate_help_lists_every_spec_field(capsys):
+    with pytest.raises(SystemExit):
+        main(["generate", "--help"])
+    out = capsys.readouterr().out
+    assert "--out" in out
+    for field in dataclasses.fields(SyntheticSpec):
+        assert f"--{field.name}" in out
+
+
 def test_cli_generate_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["generate", "--kind", "ar1", "--length", "30", "--seed", "7",
@@ -712,11 +721,12 @@ _EVALUATION = ("date,action,price,asset_value\n"
     ("# stamp\n" + _EVALUATION.replace("2022-01-14", "# note\n2022-01-14"),
      "row 4: unknown action None"),
     ("", "empty file, expected a header row"),
+    ("# stamp\ndate,action,price,asset_value\n", "no data rows"),
     (None, "No such file"),
     (b"date,action\n\x89PNG\n", "not a text file"),
 ], ids=["unknown-action", "missing-column", "bad-date", "bad-number", "nan-price",
         "inf-asset", "repeated-date", "earlier-date", "comment-after-header", "empty",
-        "missing-file", "binary"])
+        "header-only", "missing-file", "binary"])
 def test_cli_report_malformed_evaluation_exit_code(tmp_path, capsys, text, detail):
     path = tmp_path / "evaluation.csv"
     if text is not None:

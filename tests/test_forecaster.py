@@ -145,7 +145,7 @@ def test_forecaster_parameters_are_views_of_one_flat_store():
     assert np.array_equal(store.values, flat("value"))
     assert all(p.value.base is store.values and p.grad.base is store.grads
                for p in params)
-    store.set(store.get() + 1.0)  # one write reaches every parameter
+    store.set(store.values + 1.0)  # one write reaches every parameter
     assert np.array_equal(flat("value"), store.values)
 
     loss_and_grads(model, np.random.default_rng(6).normal(size=(2, 5, 3)), np.zeros(2))

@@ -72,6 +72,15 @@ def test_periodic_returns_nonpositive_rejected():
         EquityCurve((START,), np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_equity_rejected_by_curve_and_returns(bad):
+    values = [100.0, 101.0, 99.0, bad, 102.0, 103.0]  # six weeks, week 3 bad
+    with pytest.raises(DataError, match="finite and positive"):
+        weekly_curve(values)
+    with pytest.raises(DataError, match="finite and positive"):
+        periodic_returns(values)
+
+
 def test_max_drawdown_depth_worked_example():
     depth, _ = max_drawdown(weekly_curve([100.0, 110.0, 99.0, 120.0]))
     assert depth == pytest.approx(-0.10)
