@@ -14,12 +14,23 @@ the two modes are drop-in replacements for each other. An
 and pulls are one numpy call each way.
 
 Neither a decision nor a trajectory update builds a tape or a node. A
-decision (``policy_probs``) runs the policy head on its one row and
-normalises the logits with ``diffnet.softmax_row``. An update
+decision, sampled in training or greedy in evaluation, reads its logits
+from a ``PolicyTable``: one policy forward over the next ``TABLE_ROWS``
+observations that the env returns while the agent holds, which serves
+each of them in turn until the agent trades or the parameters change.
+The decision normalises its row with ``diffnet.softmax_row``. An update
 (``compute_loss_and_grads``) runs both heads once on the trajectory,
 takes the loss from ``diffnet.log_softmax`` of the logits, whose p has
 ``softmax_row``'s bits, and hands each head the loss's closed-form
 gradient for its outputs. A trajectory's states take no gradient.
+
+A forward's logits can differ in the last bits between a batch of one row
+and a batch of more, since BLAS takes another kernel for one row. With
+the OpenBLAS 0.3.31 that the tests run on, a batch of 2 or more rows gave
+each row the bits of the update's 20-row batch, and a batch of one did
+not: so a decision read from a table of 2 or more rows sees the logits
+that its update computes, and one from a 1-row table (the series end, or
+the last step before a push) may not.
 
 Workers own a private environment and network copy. Every ``update_every``
 steps (or at episode end) a worker computes n-step returns, pushes
@@ -191,7 +202,9 @@ class ActorCriticNet:
 
     def policy_probs(self, obs: np.ndarray) -> np.ndarray:
         """Action distribution for one observation: the logits of a batch of
-        one, then ``softmax_row``, the bits of the update's p. No tape."""
+        one, then ``softmax_row``. No tape. Decisions read ``PolicyTable``
+        rows instead; this stays the one-row probe of the policy, which
+        ``perfbench/run.py`` wraps by name."""
         logits, _ = self.policy.run(obs[None, :])
         return diffnet.softmax_row(logits[0])
 
@@ -323,11 +336,52 @@ def moving_average(values) -> list[float]:
     return out
 
 
+# the most decisions that one policy forward serves, chosen by timing 4, 8
+# and 16 on c06's sawtooth (CHANGES.md)
+TABLE_ROWS = 8
+
+
+class PolicyTable:
+    """The policy logits of the observations that ``env`` returns while the
+    agent holds, from one ``Head.run`` over ``env.held_observations``, so
+    that a run of holds costs one forward. A decision reads the next row,
+    and only if the observation it was given is byte-equal to that row:
+    any other observation (after a trade, a reset or the series end)
+    refills the table from the env. The rows are the logits of the
+    parameters at the fill, so ``drop`` the table whenever they change."""
+
+    def __init__(self, net, env):
+        self._policy, self._env = net.policy, env
+        self.drop()
+
+    def drop(self) -> None:
+        self._rows, self._logits, self._next = b"", None, 0
+
+    def probs(self, obs: np.ndarray, limit: int = TABLE_ROWS) -> np.ndarray:
+        """``softmax_row`` of the logits row of ``obs``; a refill reads at
+        most ``limit`` rows."""
+        # the rows as one bytes object: a decision compares a slice of it
+        key, i = obs.tobytes(), self._next
+        size = len(key)
+        if key != self._rows[i * size:(i + 1) * size]:
+            rows = self._env.held_observations(limit)
+            self._rows, i = rows.tobytes(), 0
+            if key != self._rows[:size]:
+                raise ValueError("the env's held observations do not start at "
+                                 "the observation it returned")
+            self._logits, _ = self._policy.run(rows)
+        self._next = i + 1
+        return diffnet.softmax_row(self._logits[i])
+
+
 def _worker_loop(worker_id, config, global_params, episodes, reward_log, env, net):
     """One worker's episodes, claimed from the shared ``episodes`` and
-    logged to ``reward_log``; yields after every push-and-pull."""
+    logged to ``reward_log``; yields after every push-and-pull. A policy
+    table serves the decisions up to the next push, which changes the
+    parameters."""
     rng = np.random.default_rng([config.seed, worker_id])
     net.set_flat(global_params.pull())
+    table = PolicyTable(net, env)
     k = config.update_every
     states, actions, rewards = [], [], []  # since the last push
 
@@ -336,7 +390,7 @@ def _worker_loop(worker_id, config, global_params, episodes, reward_log, env, ne
         episode_reward = 0.0
         done = False
         while not done:
-            probs = net.policy_probs(obs)
+            probs = table.probs(obs, min(TABLE_ROWS, k - len(actions)))
             action = categorical_sample(probs, rng)
             next_obs, reward, done, _ = env.step(action)
             states.append(obs)
@@ -357,6 +411,7 @@ def _worker_loop(worker_id, config, global_params, episodes, reward_log, env, ne
                 except GradientRejected:
                     theta = global_params.pull()  # resync, drop the bad update
                 net.set_flat(theta)
+                table.drop()
                 states, actions, rewards = [], [], []
                 yield True
             obs = next_obs
@@ -427,9 +482,10 @@ class EvaluationRun:
     def from_csv(path) -> "EvaluationRun":
         """Rebuild a run from its four columns; the inverse of ``to_csv``.
         An unreadable file, a missing column, no data rows or a row that
-        does not parse, holds a non-finite number or has a date that does
-        not follow the row before it is an IngestionError naming the file
-        (and its line).
+        does not parse, holds a non-finite number, a price or asset value
+        <= 0 (which no equity curve takes, as ingest takes no close <= 0)
+        or a date that does not follow the row before it is an
+        IngestionError naming the file (and its line).
         Date and number cells are read by ingest's rules, ``parse_date``
         and ``parse_float``."""
         dates, actions, prices, assets = [], [], [], []
@@ -447,6 +503,9 @@ class EvaluationRun:
             actions.append(_NAME_TO_ACTION[record["action"]])
             for column, values in (("price", prices), ("asset_value", assets)):
                 values.append(parse_float(record[column] or "", column, where))
+                if values[-1] <= 0:
+                    raise IngestionError(
+                        f"{where}: {column}={record[column]!r} is not positive")
         if not dates:
             raise IngestionError(f"{path}: no data rows")
         return EvaluationRun(dates, actions, prices, assets)
@@ -511,8 +570,10 @@ def _rollout(env: TradingEnv, pick_action) -> EvaluationRun:
 
 
 def evaluate_policy(net, env: TradingEnv) -> EvaluationRun:
-    """One deterministic greedy episode of the trained policy."""
-    return _rollout(env, lambda obs: greedy_action(net.policy_probs(obs)))
+    """One deterministic greedy episode of the trained policy, each decision
+    read from a ``PolicyTable``."""
+    table = PolicyTable(net, env)
+    return _rollout(env, lambda obs: greedy_action(table.probs(obs)))
 
 
 def evaluate_random(env: TradingEnv, seed: int = 0) -> EvaluationRun:

@@ -28,7 +28,7 @@ def check_fields(rules: dict, values: dict) -> None:
 def check_batch(op: str, x, *dims):
     """``x`` if its shape is [batch, *dims], else a ValueError naming ``op``.
     A dim given as a name, such as "steps", takes any length."""
-    # the exact compare first: a head checks every decision
+    # the exact compare first: a head checks every policy table and update
     if x.shape[1:] != dims and (x.ndim != len(dims) + 1 or any(
             d != s for d, s in zip(dims, x.shape[1:]) if isinstance(d, int))):
         raise ValueError(f"{op} expects a [batch, {', '.join(map(str, dims))}] "

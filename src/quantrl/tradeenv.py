@@ -296,7 +296,7 @@ class TradingEnv:
         self.series = series
         self.config = config or EnvConfig()
         # one observation row per week; the [position, pnl] tail is zero
-        # (flat) here and written by _observe while long
+        # (flat) here and written by held_observations while long
         cols = [series.normalized]
         if series.normalized_forecast is not None:
             cols.append(series.normalized_forecast[:, None])
@@ -321,18 +321,26 @@ class TradingEnv:
     def state(self) -> EnvState:
         return self._state
 
-    def _observe(self, t: int) -> np.ndarray:
+    def held_observations(self, limit: int) -> np.ndarray:
+        """The observation that ``reset`` or the last ``step`` returned and
+        the ones that each next ``step`` returns while the agent holds, up to
+        ``limit`` rows (fewer at the series end), as one fresh [rows,
+        observation_dim] array. This is the one observation rule: ``reset``
+        and ``step`` return its first row."""
         # a fresh array: a worker keeps the observations it is given
-        obs = self._obs_rows[t].copy()
         s = self._state
+        rows = self._obs_rows[s.t:s.t + limit].copy()
         if s.position == LONG and self._with_tail:
-            obs[-2] = 1.0
-            obs[-1] = (self._close[t] - s.buy_price) / s.buy_price
-        return obs
+            rows[:, -2] = 1.0
+            # on Python floats, the same IEEE arithmetic as numpy's and
+            # cheaper for the one row that reset and step ask for
+            rows[:, -1] = [(c - s.buy_price) / s.buy_price
+                           for c in self._close[s.t:s.t + limit]]
+        return rows
 
     def reset(self) -> np.ndarray:
         self._state = EnvState(initial_cash=self.config.initial_cash)
-        return self._observe(0)
+        return self.held_observations(1)[0]
 
     def _close_position(self, price: float) -> float:
         """Sell the open position at ``price``; returns its realized pnl,
@@ -382,4 +390,4 @@ class TradingEnv:
         }
         s.done = done
         s.t = min(t + 1, self._last)
-        return self._observe(s.t), reward, done, info
+        return self.held_observations(1)[0], reward, done, info

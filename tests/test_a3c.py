@@ -491,6 +491,9 @@ def test_workers_take_turns_one_push_each():
             self.t = 0
             return np.zeros(4)
 
+        def held_observations(self, limit):
+            return np.zeros((min(limit, 6 - self.t), 4))
+
         def step(self, action):
             steps.append(self.worker_id)
             self.t += 1
@@ -705,14 +708,22 @@ def test_greedy_rejects_an_empty_vector():
         greedy_action(np.zeros(0))
 
 
+class ScriptedNet:
+    """A net whose policy head gives each observation row one-hot logits
+    for the action ``pick(row)``."""
+
+    def __init__(self, pick):
+        self.pick = pick
+        self.policy = self
+
+    def run(self, rows):
+        return np.eye(N_ACTIONS)[[self.pick(row) for row in rows]], None
+
+
 def test_hand_built_buy_sell_net_logs_one_trade():
     # scripted policy: buy when flat, sell when long (via the position flag)
-    class ScriptedNet:
-        def policy_probs(self, obs):
-            return np.array([0.0, 1.0, 0.0]) if obs[-2] == 0.0 else np.array([0.0, 0.0, 1.0])
-
     env = make_env([100.0, 110.0], trade_cost_rate=0.001)
-    run = evaluate_policy(ScriptedNet(), env)
+    run = evaluate_policy(ScriptedNet(lambda obs: BUY if obs[-2] == 0.0 else SELL), env)
     assert run.actions == [BUY, SELL]
     assert len(run.trades) == 1
     trade = run.trades[0]
@@ -732,14 +743,10 @@ def test_evaluation_accounting_identity():
 
 
 def test_buy_on_final_row_trade_carries_the_fee():
-    class BuyAtEnd:
-        def policy_probs(self, obs):
-            # flat until the final row's observation, then buy
-            return (np.array([0.0, 1.0, 0.0]) if obs[0] > 1.0
-                    else np.array([1.0, 0.0, 0.0]))
-
+    # flat until the final row's observation, then buy
+    buy_at_end = ScriptedNet(lambda obs: BUY if obs[0] > 1.0 else HOLD)
     env = make_env([100.0, 101.0, 110.0], trade_cost_rate=0.01)
-    run = evaluate_policy(BuyAtEnd(), env)
+    run = evaluate_policy(buy_at_end, env)
     assert run.actions[-1] == BUY
     assert len(run.trades) == 1
     assert run.trades[0].buy_date == run.trades[0].sell_date
@@ -750,12 +757,8 @@ def test_buy_on_final_row_trade_carries_the_fee():
 
 
 def test_forced_liquidation_closes_open_trade():
-    class AlwaysBuy:
-        def policy_probs(self, obs):
-            return np.array([0.0, 1.0, 0.0])
-
     env = make_env([100.0, 105.0, 112.0])
-    run = evaluate_policy(AlwaysBuy(), env)
+    run = evaluate_policy(ScriptedNet(lambda obs: BUY), env)
     assert len(run.trades) == 1
     assert run.trades[0].sell_date == run.dates[-1]
     assert run.position_flags == [1, 1, 1]  # liquidation is not an agent action
@@ -834,6 +837,134 @@ def test_random_baseline_reward_history_flat():
     residuals = y - np.polyval(np.polyfit(x, y, 1), x)
     se = np.sqrt(np.sum(residuals ** 2) / (300 - 2) / np.sum((x - x.mean()) ** 2))
     assert abs(slope) < 2 * se
+
+
+# ---------------------------------------------------------------------------
+# policy tables
+# ---------------------------------------------------------------------------
+
+def record_decisions(monkeypatch, net, env, decide_name):
+    """The events of decisions on ``net`` in ``env``, in order: ("obs", o)
+    for each observation the env returns, ("run", rows, logits) for each
+    policy forward and ("probs", p) for each decision, read where
+    ``a3c.<decide_name>`` is handed the probabilities."""
+    events = []
+
+    def recorded(method, record):
+        def call(*args, **kwargs):
+            out = method(*args, **kwargs)
+            events.append(record(args, out))
+            return out
+        return call
+
+    env.reset = recorded(env.reset, lambda args, obs: ("obs", obs.copy()))
+    env.step = recorded(env.step, lambda args, out: ("obs", out[0].copy()))
+    net.policy.run = recorded(net.policy.run,
+                              lambda args, out: ("run", args[0].copy(), out[0].copy()))
+    monkeypatch.setattr(a3c, decide_name, recorded(
+        getattr(a3c, decide_name), lambda args, out: ("probs", args[0].copy())))
+    return events
+
+
+def table_rows_of_decisions(events):
+    """(obs, i, table row i, its logits, p) of each decision: the row is the
+    latest policy forward's, counted from its first row by the decisions
+    since."""
+    out, obs, run, i = [], None, None, 0
+    for kind, *data in events:
+        if kind == "obs":
+            obs = data[0]
+        elif kind == "run":
+            run, i = data, 0
+        else:
+            rows, logits = run
+            out.append((obs, i, rows[i], logits[i], data[0]))
+            i += 1
+    return out
+
+
+@pytest.mark.parametrize("head_kind", ["classical", "quantum"])
+@pytest.mark.parametrize("decide_name", ["categorical_sample", "greedy_action"])
+def test_every_decision_is_the_softmax_row_of_its_table_row(head_kind, decide_name,
+                                                            monkeypatch):
+    config = TrainConfig(max_episodes=3, update_every=7, seed=4, head_kind=head_kind,
+                         latent_dim=4, vqc_depth=1)
+    env = sawtooth_env(n=40)
+    net = config.build_net(env.observation_dim)
+    events = record_decisions(monkeypatch, net, env, decide_name)
+    if decide_name == "categorical_sample":
+        train(config, lambda: env, lambda: net)
+    else:
+        net.set_flat(train(config, lambda: sawtooth_env(n=40)).final_theta)
+        evaluate_policy(net, env)
+    decisions = table_rows_of_decisions(events)
+    episodes = config.max_episodes if decide_name == "categorical_sample" else 1
+    assert len(decisions) == 40 * episodes
+    for obs, _, row, logits, p in decisions:
+        assert obs.tobytes() == row.tobytes()
+        assert p.tobytes() == diffnet.softmax_row(logits).tobytes()
+    assert max(i for _, i, *_ in decisions) >= 2  # tables served runs of holds
+
+
+def count_policy_forwards(net, log):
+    """Append each policy forward's row count to ``log``."""
+    run = net.policy.run
+    net.policy.run = lambda rows: log.append(len(rows)) or run(rows)
+
+
+def test_a_buy_a_sell_a_reset_and_a_drop_refill_the_table():
+    env = make_env(np.linspace(100.0, 120.0, 24))  # no two weeks observed alike
+    net = ActorCriticNet(env.observation_dim, seed=0)
+    fills = []
+    count_policy_forwards(net, fills)
+    table = a3c.PolicyTable(net, env)
+    table.probs(env.reset())
+    for action, refills in ((HOLD, False), (BUY, True), (HOLD, False), (HOLD, False),
+                            (SELL, True), (HOLD, False), (SELL, False)):
+        before = len(fills)
+        table.probs(env.step(action)[0])
+        assert len(fills) - before == refills, action
+    obs = env.reset()
+    table.probs(obs)
+    table.drop()  # as after new parameters: the same observation refills
+    table.probs(obs)
+    assert fills == [a3c.TABLE_ROWS] * 5
+
+
+def test_held_observations_that_miss_the_observation_are_refused():
+    env = sawtooth_env(n=16)
+    obs = env.reset()
+    held = env.held_observations
+    env.held_observations = lambda limit: held(limit) + 1.0
+    table = a3c.PolicyTable(ActorCriticNet(env.observation_dim, seed=0), env)
+    with pytest.raises(ValueError, match="held observations do not start"):
+        table.probs(obs)
+
+
+def test_a_push_ends_the_table(monkeypatch):
+    # a policy that always holds and an update that runs no head: only the
+    # pushes, every third step and at the series end, end a table
+    monkeypatch.setattr(a3c, "categorical_sample", lambda probs, rng: HOLD)
+    monkeypatch.setattr(a3c, "compute_loss_and_grads", lambda net, *args, **kwargs: (
+        0.0, np.zeros(net.store.values.size)))
+    env = sawtooth_env(n=16)
+    net = ActorCriticNet(env.observation_dim, seed=0)
+    events = []
+    count_policy_forwards(net, events)
+    set_flat = net.set_flat
+    net.set_flat = lambda theta: events.append("pull") or set_flat(theta)
+    train(TrainConfig(max_episodes=1, update_every=3), lambda: env, lambda: net)
+    assert events == ["pull"] + [3, "pull"] * 5 + [1, "pull"]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 20])
+def test_a_greedy_rollout_that_never_trades_runs_one_forward_per_table(n):
+    net = ScriptedNet(lambda obs: SELL)  # a sell while flat executes as a hold
+    runs = []
+    count_policy_forwards(net, runs)
+    assert evaluate_policy(net, make_env(np.linspace(100.0, 120.0, n))).actions == [HOLD] * n
+    assert len(runs) == math.ceil(n / a3c.TABLE_ROWS)
+    assert sum(runs) == n
 
 
 # ---------------------------------------------------------------------------

@@ -714,6 +714,8 @@ _EVALUATION = ("date,action,price,asset_value\n"
     (_EVALUATION.replace("101,", "1o1,"), "row 3: "),
     (_EVALUATION.replace("101,", "nan,"), "row 3: price='nan' is not finite"),
     (_EVALUATION.replace("1010", "inf"), "row 3: asset_value='inf' is not finite"),
+    (_EVALUATION.replace("1010", "-5"), "row 3: asset_value='-5' is not positive"),
+    (_EVALUATION.replace("100,", "0,"), "row 2: price='0' is not positive"),
     (_EVALUATION.replace("2022-01-14", "2022-01-07"),
      "row 3: date 2022-01-07 does not follow 2022-01-07"),
     (_EVALUATION.replace("2022-01-14", "2021-12-31"),
@@ -725,7 +727,7 @@ _EVALUATION = ("date,action,price,asset_value\n"
     (None, "No such file"),
     (b"date,action\n\x89PNG\n", "not a text file"),
 ], ids=["unknown-action", "missing-column", "bad-date", "bad-number", "nan-price",
-        "inf-asset", "repeated-date", "earlier-date", "comment-after-header", "empty",
+        "inf-asset", "nonpositive-asset", "nonpositive-price", "repeated-date", "earlier-date", "comment-after-header", "empty",
         "header-only", "missing-file", "binary"])
 def test_cli_report_malformed_evaluation_exit_code(tmp_path, capsys, text, detail):
     path = tmp_path / "evaluation.csv"

@@ -313,6 +313,28 @@ def test_observation_without_position_is_feature_row(with_forecast):
     assert np.array_equal(np.array(observed), rows)
 
 
+@pytest.mark.parametrize("with_tail", [True, False])
+def test_steps_return_the_held_observations_bit_for_bit(with_tail):
+    closes = list(100.0 + 10.0 * np.sin(np.arange(30) * 0.7))
+    env = make_env(closes, include_position_in_state=with_tail)
+    rng = np.random.default_rng(11)
+    checked = {0: 0, 1: 0}  # the rows checked past the first, by position
+    for _ in range(20):
+        obs, done = env.reset(), False
+        while not done:
+            held = env.held_observations(6)
+            assert len(held) == min(6, len(closes) - env.state.t)
+            for i, row in enumerate(held):
+                assert obs.tobytes() == row.tobytes()
+                if i:
+                    checked[info["position"]] += 1
+                action = rng.choice([HOLD, BUY, SELL], p=[0.6, 0.2, 0.2]) if i == 0 else HOLD
+                obs, _, done, info = env.step(int(action))
+                if info["executed_action"] != HOLD or done:
+                    break
+    assert min(checked.values()) > 50  # flat and long rows both predicted
+
+
 def test_sell_reward_worked_example():
     env = make_env([4500.0, 4800.0, 4900.0], trade_cost_rate=0.001)
     env.reset()
