@@ -14,15 +14,15 @@ the two modes are drop-in replacements for each other. An
 and pulls are one numpy call each way.
 
 Neither a decision nor a trajectory update builds a tape or a node. A
-decision, sampled in training or greedy in evaluation, reads its logits
-from a ``PolicyTable``: one policy forward over the next ``TABLE_ROWS``
-observations that the env returns while the agent holds, which serves
-each of them in turn until the agent trades or the parameters change.
-The decision normalises its row with ``diffnet.softmax_row``. An update
+decision, sampled in training or greedy in evaluation, reads its p from a
+``PolicyTable``: one policy forward over the next ``TABLE_ROWS``
+observations that the env returns while the agent holds, and one
+``diffnet.log_softmax`` of its logits, which serve each of them in turn
+until the agent trades or the parameters change. An update
 (``compute_loss_and_grads``) runs both heads once on the trajectory,
-takes the loss from ``diffnet.log_softmax`` of the logits, whose p has
-``softmax_row``'s bits, and hands each head the loss's closed-form
-gradient for its outputs. A trajectory's states take no gradient.
+takes the loss from ``diffnet.log_softmax`` of the logits, and hands each
+head the loss's closed-form gradient for its outputs. A trajectory's
+states take no gradient.
 
 A forward's logits can differ in the last bits between a batch of one row
 and a batch of more, since BLAS takes another kernel for one row. With
@@ -200,14 +200,6 @@ class ActorCriticNet:
     def parameters(self) -> list[Param]:
         return self.policy.parameters() + self.critic.parameters()
 
-    def policy_probs(self, obs: np.ndarray) -> np.ndarray:
-        """Action distribution for one observation: the logits of a batch of
-        one, then ``softmax_row``. No tape. Decisions read ``PolicyTable``
-        rows instead; this stays the one-row probe of the policy, which
-        ``perfbench/run.py`` wraps by name."""
-        logits, _ = self.policy.run(obs[None, :])
-        return diffnet.softmax_row(logits[0])
-
     def value(self, obs: np.ndarray) -> float:
         value, _ = self.critic.run(obs[None, :])
         return float(value[0, 0])
@@ -342,24 +334,25 @@ TABLE_ROWS = 8
 
 
 class PolicyTable:
-    """The policy logits of the observations that ``env`` returns while the
-    agent holds, from one ``Head.run`` over ``env.held_observations``, so
+    """The action probabilities of the observations that ``env`` returns
+    while the agent holds, from one ``Head.run`` over
+    ``env.held_observations`` and one ``log_softmax`` of its logits, so
     that a run of holds costs one forward. A decision reads the next row,
     and only if the observation it was given is byte-equal to that row:
     any other observation (after a trade, a reset or the series end)
-    refills the table from the env. The rows are the logits of the
-    parameters at the fill, so ``drop`` the table whenever they change."""
+    refills the table from the env. The rows are the p of the parameters
+    at the fill, so ``drop`` the table whenever they change."""
 
     def __init__(self, net, env):
         self._policy, self._env = net.policy, env
         self.drop()
 
     def drop(self) -> None:
-        self._rows, self._logits, self._next = b"", None, 0
+        self._rows, self._probs, self._next = b"", None, 0
 
     def probs(self, obs: np.ndarray, limit: int = TABLE_ROWS) -> np.ndarray:
-        """``softmax_row`` of the logits row of ``obs``; a refill reads at
-        most ``limit`` rows."""
+        """The read-only p row of ``obs``; a refill reads at most ``limit``
+        rows."""
         # the rows as one bytes object: a decision compares a slice of it
         key, i = obs.tobytes(), self._next
         size = len(key)
@@ -369,9 +362,13 @@ class PolicyTable:
             if key != self._rows[:size]:
                 raise ValueError("the env's held observations do not start at "
                                  "the observation it returned")
-            self._logits, _ = self._policy.run(rows)
+            logits, _ = self._policy.run(rows)
+            # log_softmax gives each row the bits of that row alone, so a
+            # decision's p is the update's p of the same logits
+            self._probs, _ = diffnet.log_softmax(logits)
+            self._probs.setflags(write=False)
         self._next = i + 1
-        return diffnet.softmax_row(self._logits[i])
+        return self._probs[i]
 
 
 def _worker_loop(worker_id, config, global_params, episodes, reward_log, env, net):

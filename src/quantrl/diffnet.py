@@ -1,6 +1,5 @@
 """Minimal reverse-mode building blocks shared by the agent heads and the
-forecaster: dense layers, the softmax (``log_softmax`` for a batch of rows,
-``softmax_row`` for one decision, with the same bits), categorical
+forecaster: dense layers, the softmax (``log_softmax``), categorical
 sampling, an LSTM cell with a hand-written backward through time, a
 Wengert-list gradient tape, optimizers, the flat parameter store and the
 model-file container. No production model builds a tape: each runs a
@@ -167,28 +166,16 @@ def _sigmoid(v):
 def log_softmax(v) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise ``(p, log p)`` of the logits ``v``, from their shift by the
     row max s = v - max: p = exp(s) / sum(exp(s)) and log p = s -
-    log(sum(exp(s))), which stays finite however far one logit leads."""
+    log(sum(exp(s))), which stays finite however far one logit leads.
+    The package's one softmax: the update (``a3c.compute_loss_and_grads``)
+    takes its loss from it, and a policy table (``a3c.PolicyTable``) its
+    decisions' p at each fill. Each row's bits are those of that row
+    alone."""
     v = np.asarray(v, dtype=np.float64)
     shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
     return e / total, shifted - np.log(total)
-
-
-def softmax_row(v: np.ndarray) -> np.ndarray:
-    """``log_softmax``'s p of one 1-D row of fewer than 8 entries, bit for
-    bit, in fewer numpy calls. The shift and the sum are the same IEEE
-    operations on Python floats: numpy sums a row that short left to right.
-    The exp is one numpy call, and the division one in-place divide by the
-    sum."""
-    row = v.tolist()
-    top = max(row)
-    e = np.exp([x - top for x in row])
-    total = 0.0
-    for x in e.tolist():
-        total += x
-    e /= total
-    return e
 
 
 class Dense:

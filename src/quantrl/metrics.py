@@ -238,7 +238,7 @@ def summary_metrics(
         raise ValueError("position flags must align with the equity curve")
 
     v = curve.values
-    r = periodic_returns(v)
+    r = periodic_returns(v) if v.size >= 2 else np.empty(0)
     if r.size >= 2:
         values, notes = ratio_metrics(r)
     else:
@@ -271,7 +271,8 @@ def summary_metrics(
         values["recovery_factor"] = cumulative / abs(dd_depth)
 
     worst_count = max(1, math.ceil(0.05 * r.size))
-    pitfall = abs(float(np.sort(r)[:worst_count].mean()))
+    # a one-point curve has no returns, and its ulcer index is 0
+    pitfall = abs(float(np.sort(r)[:worst_count].mean())) if r.size else 0.0
     if ulcer == 0.0 or pitfall == 0.0:
         _undefined(values, notes, "zero drawdown" if ulcer == 0.0 else "zero pitfall",
                    "serenity_index")

@@ -68,8 +68,7 @@ class SvgCanvas:
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
+    """About ``n`` round values in [lo, hi], a range that ``_Frame`` widened."""
     span = hi - lo
     raw = span / max(n - 1, 1)
     magnitude = 10.0 ** math.floor(math.log10(raw))
@@ -91,12 +90,8 @@ class _Frame:
 
     def __init__(self, canvas, x_range, y_range, title, x_label, y_label):
         self.canvas = canvas
-        self.x_lo, self.x_hi = x_range
-        self.y_lo, self.y_hi = y_range
-        if self.x_hi <= self.x_lo:
-            self.x_hi = self.x_lo + 1.0
-        if self.y_hi <= self.y_lo:
-            self.y_hi = self.y_lo + 1.0
+        self.x_lo, self.x_hi = self._widened(*x_range)
+        self.y_lo, self.y_hi = self._widened(*y_range)
         self.left = MARGIN_LEFT
         self.right = WIDTH - MARGIN_RIGHT
         self.top = MARGIN_TOP
@@ -118,6 +113,15 @@ class _Frame:
             canvas.line(x, self.bottom, x, self.bottom + 4)
             canvas.text(x, self.bottom + 18, f"{tick:g}", size=11,
                         anchor="middle")
+
+    @staticmethod
+    def _widened(lo, hi):
+        """[lo, hi] if it is wider than 2**-40 of its magnitude, else [lo,
+        lo + w] with w the larger of 1.0 and that width: past 2**53 a 1.0
+        is rounded away, and a tick step below the float spacing at a tick
+        would never move the tick loop."""
+        least = 2.0 ** -40 * max(abs(lo), abs(hi))
+        return (lo, hi) if hi - lo > least else (lo, lo + max(1.0, least))
 
     def x_pixel(self, value):
         frac = (value - self.x_lo) / (self.x_hi - self.x_lo)

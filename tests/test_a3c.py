@@ -5,6 +5,7 @@ import datetime as dt
 import hashlib
 import math
 import re
+import types
 import warnings
 
 import numpy as np
@@ -122,11 +123,22 @@ def test_returns_empty_rejected():
 # network heads
 # ---------------------------------------------------------------------------
 
+def policy_p(net, obs):
+    """The policy's p for one observation: its logits as a batch of one."""
+    return log_softmax(net.policy.run(obs[None, :])[0])[0][0]
+
+
+def table_probs(net, rows):
+    """Each row's p as decisions read it: from one table fill over ``rows``."""
+    table = a3c.PolicyTable(net, types.SimpleNamespace(held_observations=lambda limit: rows))
+    return np.array([table.probs(row, len(rows)) for row in rows])
+
+
 def test_zero_logit_layer_gives_uniform_policy():
     net = ActorCriticNet(obs_dim=5, seed=3)
     net.policy.dense_out.w.value[...] = 0.0
     net.policy.dense_out.b.value[...] = 0.0
-    probs = net.policy_probs(np.random.default_rng(0).normal(size=5))
+    probs = policy_p(net, np.random.default_rng(0).normal(size=5))
     assert np.allclose(probs, [1 / 3] * 3, atol=1e-15)
 
 
@@ -134,7 +146,7 @@ def test_zero_logit_layer_gives_uniform_policy():
 def test_mode_parity_shapes(head_kind):
     net = ActorCriticNet(obs_dim=6, head_kind=head_kind, latent_dim=4, seed=1)
     obs = np.random.default_rng(2).normal(size=6)
-    probs = net.policy_probs(obs)
+    probs = policy_p(net, obs)
     assert probs.shape == (3,)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert np.all(probs > 0)
@@ -145,17 +157,22 @@ def test_policy_simplex_on_random_nets():
     rng = np.random.default_rng(5)
     for seed in range(5):
         net = ActorCriticNet(obs_dim=4, seed=seed)
-        probs = net.policy_probs(rng.normal(size=4))
+        probs = policy_p(net, rng.normal(size=4))
         assert abs(probs.sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("head_kind", ["classical", "quantum"])
 def test_policy_probs_is_softmax_of_logits_bit_for_bit(head_kind):
+    # a table's p rows are log_softmax of its fill's logits, as the update's
+    # p is of its own, and each row has the bits of that row alone
     net = ActorCriticNet(obs_dim=6, head_kind=head_kind, latent_dim=4, seed=2)
-    for obs in np.random.default_rng(3).normal(scale=3.0, size=(100, 6)):
-        logits, _ = net.policy.run(obs[None, :])
-        p, _ = log_softmax(logits)  # the update's p
-        assert np.array_equal(net.policy_probs(obs), p[0])
+    observations = np.random.default_rng(3).normal(scale=3.0, size=(100, 6))
+    for rows in np.split(observations, [1, 3, 8, 16, 36]):
+        logits, _ = net.policy.run(rows)
+        p = table_probs(net, rows)
+        assert np.array_equal(p, log_softmax(logits)[0])
+        for i in range(len(rows)):
+            assert np.array_equal(p[i], log_softmax(logits[i:i + 1])[0][0])
 
 
 @pytest.mark.parametrize("head_kind", ["classical", "quantum"])
@@ -210,7 +227,7 @@ def test_batched_forward_matches_single():
     probs = scipy.special.softmax(net.policy.run(states)[0], axis=1)
     values, _ = net.critic.run(states)
     for i in range(5):
-        assert np.allclose(probs[i], net.policy_probs(states[i]), atol=1e-14)
+        assert np.allclose(probs[i], policy_p(net, states[i]), atol=1e-14)
         assert values[i, 0] == pytest.approx(net.value(states[i]), abs=1e-14)
 
 
@@ -218,7 +235,7 @@ def test_batched_forward_matches_single():
 def test_a_decision_builds_no_tape_and_no_node(head_kind, monkeypatch):
     net = ActorCriticNet(obs_dim=6, head_kind=head_kind, latent_dim=4, seed=7)
     observations = np.random.default_rng(8).normal(size=(20, 6))
-    before = [(net.policy_probs(obs), net.value(obs)) for obs in observations]
+    before = table_probs(net, observations), [net.value(obs) for obs in observations]
     update = (observations, np.arange(20) % N_ACTIONS, np.linspace(-1.0, 1.0, 20))
     loss, grads = compute_loss_and_grads(net, *update, entropy_coeff=0.01)
 
@@ -227,9 +244,8 @@ def test_a_decision_builds_no_tape_and_no_node(head_kind, monkeypatch):
 
     monkeypatch.setattr(diffnet.Tape, "__init__", refuse)
     monkeypatch.setattr(diffnet.Node, "__init__", refuse)
-    for obs, (probs, value) in zip(observations, before):
-        assert np.array_equal(net.policy_probs(obs), probs)
-        assert net.value(obs) == value
+    assert np.array_equal(table_probs(net, observations), before[0])
+    assert [net.value(obs) for obs in observations] == before[1]
     again = compute_loss_and_grads(net, *update, entropy_coeff=0.01)
     assert again[0] == loss and np.array_equal(again[1], grads)
 
@@ -237,7 +253,7 @@ def test_a_decision_builds_no_tape_and_no_node(head_kind, monkeypatch):
 @pytest.mark.parametrize("head_kind", ["classical", "quantum"])
 def test_an_observation_of_the_wrong_width_names_the_expected_one(head_kind):
     net = ActorCriticNet(obs_dim=6, head_kind=head_kind, latent_dim=4, seed=7)
-    for decide in (net.policy_probs, net.value):
+    for decide in (lambda obs: policy_p(net, obs), net.value):
         with pytest.raises(ValueError, match=r"\[batch, 6\] input, got shape \(1, 5\)"):
             decide(np.zeros(5))
     with pytest.raises(ValueError, match=r"\[batch, 6\] input"):
@@ -298,7 +314,7 @@ def test_loss_gradients_match_finite_differences(head_kind, entropy):
         total = 0.0
         for s, a, ret, adv in zip(states, actions, returns, frozen_adv):
             value = net.value(s)
-            probs = net.policy_probs(s)
+            probs = policy_p(net, s)
             total += 0.5 * (ret - value) ** 2 - np.log(probs[a]) * adv
             total += entropy * np.sum(probs * np.log(probs))
         return total
@@ -371,7 +387,7 @@ def test_a_dominant_logit_gives_a_finite_loss_and_gradient(head_kind, entropy):
     net = ActorCriticNet(obs_dim=4, head_kind=head_kind, latent_dim=3, seed=1)
     net.policy.dense_out.b.value[...] = [800.0, 0.0, 0.0]
     states = np.random.default_rng(2).normal(size=(6, 4))
-    assert net.policy_probs(states[0])[1] == 0.0
+    assert policy_p(net, states[0])[1] == 0.0
     loss, grads = compute_loss_and_grads(net, states, np.zeros(6, dtype=int),
                                          np.linspace(-1.0, 1.0, 6),
                                          entropy_coeff=entropy)
@@ -384,13 +400,13 @@ def test_policy_gradient_sign():
     net = ActorCriticNet(obs_dim=3, seed=11)
     obs = np.array([0.2, -0.4, 0.9])
     action = 1
-    before = np.log(net.policy_probs(obs)[action])
+    before = np.log(policy_p(net, obs)[action])
     value = net.value(obs)
     returns = np.array([value + 1.0])  # strictly positive advantage
     _, grads = compute_loss_and_grads(net, obs[None, :], [action], returns)
     theta = net.get_flat() - 0.01 * grads
     net.set_flat(theta)
-    assert np.log(net.policy_probs(obs)[action]) > before
+    assert np.log(policy_p(net, obs)[action]) > before
 
 
 def test_length_mismatch_rejected():
@@ -867,9 +883,9 @@ def record_decisions(monkeypatch, net, env, decide_name):
 
 
 def table_rows_of_decisions(events):
-    """(obs, i, table row i, its logits, p) of each decision: the row is the
-    latest policy forward's, counted from its first row by the decisions
-    since."""
+    """(obs, i, table row i, the table's logits, p) of each decision: the
+    table is the latest policy forward's, its row counted from the first by
+    the decisions since."""
     out, obs, run, i = [], None, None, 0
     for kind, *data in events:
         if kind == "obs":
@@ -878,7 +894,7 @@ def table_rows_of_decisions(events):
             run, i = data, 0
         else:
             rows, logits = run
-            out.append((obs, i, rows[i], logits[i], data[0]))
+            out.append((obs, i, rows[i], logits, data[0]))
             i += 1
     return out
 
@@ -900,35 +916,52 @@ def test_every_decision_is_the_softmax_row_of_its_table_row(head_kind, decide_na
     decisions = table_rows_of_decisions(events)
     episodes = config.max_episodes if decide_name == "categorical_sample" else 1
     assert len(decisions) == 40 * episodes
-    for obs, _, row, logits, p in decisions:
+    for obs, i, row, logits, p in decisions:
         assert obs.tobytes() == row.tobytes()
-        assert p.tobytes() == diffnet.softmax_row(logits).tobytes()
+        assert p.tobytes() == log_softmax(logits)[0][i].tobytes()
     assert max(i for _, i, *_ in decisions) >= 2  # tables served runs of holds
 
 
-def count_policy_forwards(net, log):
-    """Append each policy forward's row count to ``log``."""
+def count_policy_forwards(monkeypatch, net, log):
+    """Append each policy forward's row count to ``log``, and "p" for each
+    ``log_softmax`` call."""
     run = net.policy.run
     net.policy.run = lambda rows: log.append(len(rows)) or run(rows)
+    softmax = diffnet.log_softmax
+    monkeypatch.setattr(diffnet, "log_softmax", lambda v: log.append("p") or softmax(v))
 
 
-def test_a_buy_a_sell_a_reset_and_a_drop_refill_the_table():
+def fills_of(sizes):
+    """What ``count_policy_forwards`` logs for fills of these row counts:
+    one forward and one ``log_softmax`` each, and nothing per decision."""
+    return [entry for size in sizes for entry in (size, "p")]
+
+
+def test_a_buy_a_sell_a_reset_and_a_drop_refill_the_table(monkeypatch):
     env = make_env(np.linspace(100.0, 120.0, 24))  # no two weeks observed alike
     net = ActorCriticNet(env.observation_dim, seed=0)
     fills = []
-    count_policy_forwards(net, fills)
+    count_policy_forwards(monkeypatch, net, fills)
     table = a3c.PolicyTable(net, env)
     table.probs(env.reset())
     for action, refills in ((HOLD, False), (BUY, True), (HOLD, False), (HOLD, False),
                             (SELL, True), (HOLD, False), (SELL, False)):
         before = len(fills)
         table.probs(env.step(action)[0])
-        assert len(fills) - before == refills, action
+        assert fills[before:] == fills_of([a3c.TABLE_ROWS] * refills), action
     obs = env.reset()
     table.probs(obs)
     table.drop()  # as after new parameters: the same observation refills
     table.probs(obs)
-    assert fills == [a3c.TABLE_ROWS] * 5
+    assert fills == fills_of([a3c.TABLE_ROWS] * 5)
+
+
+def test_a_served_row_is_read_only():
+    env = sawtooth_env(n=16)
+    table = a3c.PolicyTable(ActorCriticNet(env.observation_dim, seed=0), env)
+    p = table.probs(env.reset())
+    with pytest.raises(ValueError, match="read-only"):
+        p[0] = 1.0
 
 
 def test_held_observations_that_miss_the_observation_are_refused():
@@ -950,21 +983,33 @@ def test_a_push_ends_the_table(monkeypatch):
     env = sawtooth_env(n=16)
     net = ActorCriticNet(env.observation_dim, seed=0)
     events = []
-    count_policy_forwards(net, events)
+    count_policy_forwards(monkeypatch, net, events)
     set_flat = net.set_flat
     net.set_flat = lambda theta: events.append("pull") or set_flat(theta)
     train(TrainConfig(max_episodes=1, update_every=3), lambda: env, lambda: net)
-    assert events == ["pull"] + [3, "pull"] * 5 + [1, "pull"]
+    assert events == ["pull"] + (fills_of([3]) + ["pull"]) * 5 + fills_of([1]) + ["pull"]
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 20])
-def test_a_greedy_rollout_that_never_trades_runs_one_forward_per_table(n):
+def test_a_greedy_rollout_that_never_trades_runs_one_forward_per_table(n, monkeypatch):
     net = ScriptedNet(lambda obs: SELL)  # a sell while flat executes as a hold
     runs = []
-    count_policy_forwards(net, runs)
+    count_policy_forwards(monkeypatch, net, runs)
     assert evaluate_policy(net, make_env(np.linspace(100.0, 120.0, n))).actions == [HOLD] * n
-    assert len(runs) == math.ceil(n / a3c.TABLE_ROWS)
-    assert sum(runs) == n
+    full, rest = divmod(n, a3c.TABLE_ROWS)
+    assert runs == fills_of([a3c.TABLE_ROWS] * full + [rest] * (rest > 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 20])
+def test_a_greedy_rollout_that_trades_at_every_step_refills_at_every_step(n, monkeypatch):
+    # buy when flat, sell when long: each observation after a trade differs
+    # from the held one that the table computed, so every decision refills
+    net = ScriptedNet(lambda obs: BUY if obs[-2] == 0.0 else SELL)
+    runs = []
+    count_policy_forwards(monkeypatch, net, runs)
+    run = evaluate_policy(net, make_env(np.linspace(100.0, 120.0, n)))
+    assert run.actions == [BUY, SELL] * (n // 2) + [BUY] * (n % 2)
+    assert runs == fills_of(min(a3c.TABLE_ROWS, n - t) for t in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +1026,7 @@ def test_checkpoint_roundtrip(tmp_path, head_kind):
     assert back.head_kind == head_kind
     assert np.array_equal(back.get_flat(), net.get_flat())
     obs = np.random.default_rng(0).normal(size=5)
-    assert np.array_equal(back.policy_probs(obs), net.policy_probs(obs))
+    assert np.array_equal(policy_p(back, obs), policy_p(net, obs))
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

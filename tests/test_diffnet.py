@@ -24,7 +24,6 @@ from quantrl.diffnet import (
     clip_global_norm,
     log_softmax,
     pack_arrays,
-    softmax_row,
     unpack_arrays,
 )
 from quantrl.diffnet import _sigmoid
@@ -176,6 +175,8 @@ def test_softmax_simplex_property(logits):
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 7])
 def test_softmax_row_matches_softmax_bit_for_bit(width):
+    # row i of log_softmax over a batch has the bits of log_softmax of that
+    # row alone: a decision reads its p from a policy table's batch
     rng = np.random.default_rng(width)
     rows = [rng.normal(scale=scale, size=width)
             for scale in (1e-6, 1.0, 10.0, 300.0) for _ in range(400)]
@@ -185,8 +186,14 @@ def test_softmax_row_matches_softmax_bit_for_bit(width):
         underflow = np.append(rng.normal(size=width - 1), -800.0)
         assert log_softmax(underflow)[0][-1] == 0.0
         rows.append(underflow)
-    for row in rows:
-        assert np.array_equal(softmax_row(row), log_softmax(row[None, :])[0][0])
+    batch = np.array(rows)
+    for rows_per_batch in (2, 3, 8, len(batch)):
+        for start in range(0, len(batch), rows_per_batch):
+            p, logp = log_softmax(batch[start:start + rows_per_batch])
+            for i, row in enumerate(batch[start:start + rows_per_batch]):
+                alone_p, alone_logp = log_softmax(row[None, :])
+                assert p[i].tobytes() == alone_p[0].tobytes()
+                assert logp[i].tobytes() == alone_logp[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

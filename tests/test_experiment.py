@@ -607,6 +607,27 @@ def test_reward_curve_handles_long_history():
     ET.fromstring(svg)
 
 
+def test_charts_past_2_to_the_53_draw_their_ticks():
+    # a flat range widened by 1.0 stays flat there, and a tick step below
+    # the float spacing never moves the tick loop: run in a subprocess, so
+    # that a hang fails on its timeout
+    code = ("from quantrl.svgplot import action_timeline_svg, equity_curve_svg\n"
+            "print(action_timeline_svg([1e16, 1e16 + 2, 1e16 + 4], ['hold'] * 3))\n"
+            "print(equity_curve_svg([1e17, 1e17 + 16, 1e17]))\n"
+            "print(equity_curve_svg([1e18] * 120))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    charts = result.stdout.split("</svg>")[:-1]
+    assert len(charts) == 3
+    for svg in charts:
+        ET.fromstring(svg.strip() + "</svg>")
+        assert 2 <= svg.count('stroke="#eee"') <= 10  # the y ticks' grid lines
+
+
 def test_equity_curve_svg_smoke():
     svg = equity_curve_svg([10_000.0, 10_100.0, 10_050.0])
     ET.fromstring(svg)
@@ -779,6 +800,20 @@ def test_cli_report_and_evaluate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Sharpe Ratio" in out
     assert (tmp_path / "rep" / "metrics.csv").exists()
+
+
+def test_cli_train_and_report_on_a_one_row_series(tmp_path, capsys):
+    data = tmp_path / "m.csv"
+    data.write_text("date,close,vix,fedfunds,dgs2,dgs10,hy_spread\n"
+                    "2022-01-07,100,20,4.5,4,3.8,3.5\n")
+    run_dir = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--strategy", "classical",
+                 "--episodes", "2", "--out", str(run_dir), "--seed", "0"]) == 0
+    assert (run_dir / "metrics.txt").exists()
+    assert main(["report", "--evaluation", str(run_dir / "evaluation.csv"),
+                 "--out", str(tmp_path / "rep")]) == 0
+    assert "Sharpe Ratio                 n/a (needs at least two returns)" in (
+        capsys.readouterr().out)
 
 
 def test_cli_matrix_subcommand(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from metric_oracle import oracle_ratio_metrics, oracle_summary
 from quantrl.errors import DataError
 from quantrl.metrics import (
+    RATIO_METRIC_NAMES,
     EquityCurve,
     Trade,
     max_drawdown,
@@ -189,6 +190,7 @@ def nan_fields(report):
 
 DEGENERATE_CURVES = {
     "flat": [100.0] * 10,
+    "one-point": [100.0],
     "two-points": [100.0, 101.0],
     "one-calendar-month": [100.0, 103.0, 101.0, 104.0],  # Jan 7 to Jan 28
     "rising-only": list(100.0 + np.arange(30.0)),
@@ -201,6 +203,15 @@ def test_every_nan_has_a_note_and_every_note_a_nan(values):
     assert nan_fields(report), "a degenerate curve leaves some metric undefined"
     assert set(report.notes) == nan_fields(report)
     assert all(report.notes.values())
+
+
+@pytest.mark.parametrize("values", [[100.0], [100.0, 101.0]], ids=["one-point", "two-points"])
+def test_a_curve_of_under_three_points_notes_its_ratios_undefined(values):
+    report = summary_metrics(weekly_curve(values), [], [0] * len(values))
+    for name in RATIO_METRIC_NAMES:
+        assert math.isnan(getattr(report, name))
+        assert report.notes[name] == "needs at least two returns"
+    assert report.cumulative_return == values[-1] / values[0] - 1.0
 
 
 def test_random_runs_note_exactly_their_nans():

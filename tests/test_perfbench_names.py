@@ -102,3 +102,37 @@ def test_perfbench_config_keywords_are_fields():
     assert {"TrainConfig.clip_norm", "ForecastConfig.lookback"} <= checked
     assert set(CONFIGS) == {name.split(".")[0] for name in checked}
     assert not unknown, f"perfbench/run.py passes unknown config fields: {sorted(unknown)}"
+
+
+def wrap_targets(tree):
+    """``"Owner.attr"`` for each quantrl function or method that perfbench
+    hands ``tracer.wrap`` or its ``fn`` helper by string, the strings of a
+    ``for attr in (...)`` loop included, and whether quantrl has it."""
+    roots = quantrl_roots(tree)
+    loops = {node.target.id: [elt.value for elt in node.iter.elts]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+             and isinstance(node.iter, ast.Tuple)
+             and all(isinstance(elt, ast.Constant) for elt in node.iter.elts)}
+    targets = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and len(node.args) >= 2
+                and dotted(node.func) in (["tracer", "wrap"], ["fn"])):
+            continue
+        owner, attr = dotted(node.args[0]), node.args[1]
+        path = roots[owner[0]] + owner[1:]
+        for name in [attr.value] if isinstance(attr, ast.Constant) else loops[attr.id]:
+            targets[f"{path[-1]}.{name}"] = getattr(resolve(path), name, None) is not None
+    return targets
+
+
+def test_perfbench_wrap_targets_that_quantrl_lacks_are_the_known_ones():
+    """A wrap target that quantrl lacks is only noted in the run record, and
+    its per-layer metrics read 0. The known ones wait for the benchmark to
+    drop them: ``Tape.lstm`` (no model builds a tape) and
+    ``ActorCriticNet.policy_probs`` (decisions read ``a3c.PolicyTable``).
+    A rename that drops another fails here."""
+    targets = wrap_targets(ast.parse(RUN.read_text(), filename=str(RUN)))
+    assert {"qsim.run_vqc_batch", "Tape.backward", "svgplot.equity_curve_svg"} <= set(targets)
+    missing = {name for name, found in targets.items() if not found}
+    assert missing == {"Tape.lstm", "ActorCriticNet.policy_probs"}

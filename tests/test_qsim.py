@@ -346,7 +346,7 @@ def test_non_finite_angles_raise(n):
     qsim._compiled.cache_clear()
     for _ in range(2):  # a failed compile is not cached
         with pytest.raises(ValueError, match="finite"):
-            net.policy_probs(np.zeros(5))
+            net.policy.run(np.zeros((1, 5)))
         with pytest.raises(ValueError, match="finite"):
             vqc_gradients_batch(np.zeros((1, n)), net.policy.circuit, np.ones((1, n)))
     assert qsim._compiled.cache_info().currsize == 0
