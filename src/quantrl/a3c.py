@@ -15,10 +15,15 @@ and pulls are one numpy call each way.
 
 Neither a decision nor a trajectory update builds a tape or a node. A
 decision, sampled in training or greedy in evaluation, reads its p from a
-``PolicyTable``: one policy forward over the next ``TABLE_ROWS``
-observations that the env returns while the agent holds, and one
-``diffnet.log_softmax`` of its logits, which serve each of them in turn
-until the agent trades or the parameters change. An update
+``PolicyTable``: one policy forward over observations that the env can
+return in the next ``TABLE_ROWS`` steps, and one ``diffnet.log_softmax``
+of its logits, which serve those steps' decisions until the parameters
+change. After a table of holds a fill takes each step's held row, the
+observation it returns while the agent holds, so a policy that never
+trades runs one row a decision; the first trade then misses the table and
+refills it. After a table in which the agent traded, a fill takes every
+row that some actions reach, n (n + 1) / 2 rows for n steps, and a
+decision reads its step's held row or the row after its trades. An update
 (``compute_loss_and_grads``) runs both heads once on the trajectory,
 takes the loss from ``diffnet.log_softmax`` of the logits, and hands each
 head the loss's closed-form gradient for its outputs. A trajectory's
@@ -29,8 +34,10 @@ and a batch of more, since BLAS takes another kernel for one row. With
 the OpenBLAS 0.3.31 that the tests run on, a batch of 2 or more rows gave
 each row the bits of the update's 20-row batch, and a batch of one did
 not: so a decision read from a table of 2 or more rows sees the logits
-that its update computes, and one from a 1-row table (the series end, or
-the last step before a push) may not.
+that its update computes, and one from a 1-row table may not. A table
+covers no step past the next push or the series end, so a fill at the
+last step before a push or on the last row is a 1-row table, after holds
+and after trades alike.
 
 Workers own a private environment and network copy. Every ``update_every``
 steps (or at episode end) a worker computes n-step returns, pushes
@@ -328,37 +335,49 @@ def moving_average(values) -> list[float]:
     return out
 
 
-# the most decisions that one policy forward serves, chosen by timing 4, 8
-# and 16 on c06's sawtooth (CHANGES.md)
+# the most steps that one policy table covers: 8 rows after holds and 36
+# after a trade, chosen by timing 4, 8 and 16 steps on c06's sawtooth
+# (CHANGES.md)
 TABLE_ROWS = 8
 
 
 class PolicyTable:
-    """The action probabilities of the observations that ``env`` returns
-    while the agent holds, from one ``Head.run`` over
-    ``env.held_observations`` and one ``log_softmax`` of its logits, so
-    that a run of holds costs one forward. A decision reads the next row,
-    and only if the observation it was given is byte-equal to that row:
-    any other observation (after a trade, a reset or the series end)
-    refills the table from the env. The rows are the p of the parameters
-    at the fill, so ``drop`` the table whenever they change."""
+    """The action probabilities of observations that ``env`` can return in
+    the next steps, from one ``Head.run`` over ``env.reachable_observations``
+    and one ``log_softmax`` of its logits. After a table of holds a fill
+    takes the held rows alone, so a run of holds costs one forward of one
+    row a step; after a table during which the agent traded (a decision's
+    observation was not its step's held row) it takes every row that some
+    actions reach, so a trade reads a row of the table it falls in. The
+    decision at a table's step k reads the row of step k's group that is
+    byte-equal to the observation it was given, the held row compared
+    first; an observation that none is (a trade after holds, a step past
+    the table, a reset) refills the table from the env. The rows are the
+    p of the parameters at the fill, so ``drop`` the table whenever they
+    change."""
 
     def __init__(self, net, env):
         self._policy, self._env = net.policy, env
+        self._traded = False
         self.drop()
 
     def drop(self) -> None:
-        self._rows, self._probs, self._next = b"", None, 0
+        self._rows, self._groups, self._probs, self._next = b"", (), None, 0
 
     def probs(self, obs: np.ndarray, limit: int = TABLE_ROWS) -> np.ndarray:
-        """The read-only p row of ``obs``; a refill reads at most ``limit``
-        rows."""
-        # the rows as one bytes object: a decision compares a slice of it
-        key, i = obs.tobytes(), self._next
+        """The read-only p row of ``obs``; a refill covers at most ``limit``
+        steps."""
+        # the rows as one bytes object: a decision compares slices of it
+        key, k = obs.tobytes(), self._next
         size = len(key)
-        if key != self._rows[i * size:(i + 1) * size]:
-            rows = self._env.held_observations(limit)
-            self._rows, i = rows.tobytes(), 0
+        i = k
+        if k >= len(self._groups):
+            i = None
+        elif key != self._rows[k * size:(k + 1) * size]:
+            i = self._traded_row(key, k)
+        if i is None:
+            rows, self._groups = self._env.reachable_observations(limit, self._traded)
+            self._rows, self._traded, k = rows.tobytes(), False, 0
             if key != self._rows[:size]:
                 raise ValueError("the env's held observations do not start at "
                                  "the observation it returned")
@@ -367,8 +386,20 @@ class PolicyTable:
             # decision's p is the update's p of the same logits
             self._probs, _ = diffnet.log_softmax(logits)
             self._probs.setflags(write=False)
-        self._next = i + 1
+            i = 0
+        self._next = k + 1
         return self._probs[i]
+
+    def _traded_row(self, key: bytes, k: int) -> int | None:
+        """The row of step k's group past its held one that is byte-equal
+        to ``key``, or None. Called for an observation that is not step k's
+        held row, it marks the table as traded in."""
+        self._traded = True
+        rows, size, group = self._rows, len(key), self._groups[k]
+        at, end = group.start * size, group.stop * size
+        while (at := rows.find(key, at, end)) >= 0 and at % size:
+            at += 1  # a match across two rows
+        return at // size if at >= 0 else None
 
 
 def _worker_loop(worker_id, config, global_params, episodes, reward_log, env, net):

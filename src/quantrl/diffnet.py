@@ -12,8 +12,9 @@ Every op that consumes features takes a [batch, features] matrix, and
 an LSTM a [batch, steps, features] sequence, and ``errors.check_batch``
 raises ValueError on any other shape: a trajectory update or a BPTT
 epoch is a batch of many rows, and the agent's decisions read their rows
-from a batch of the observations ahead of them (``a3c.PolicyTable``),
-which holds one row at the least. All math is float64.
+from a batch of the observations that the steps ahead of them can return
+(``a3c.PolicyTable``), which holds one row at the least. All math is
+float64.
 
 Model files (``save_model``/``load_model``) are the one container of the
 agent checkpoint (magic b"QNET") and the forecaster (magic b"QLSTM"): the

@@ -85,6 +85,17 @@ def _nice_ticks(lo: float, hi: float, n: int = 5):
     return ticks
 
 
+def _tick_labels(ticks):
+    """(tick, label) pairs, each label the tick in ``g`` format with the
+    fewest significant digits, from ``g``'s 6 up to the 17 that tell any
+    two floats apart, that keep the labels distinct."""
+    for digits in range(6, 18):
+        labels = [f"{tick:.{digits}g}" for tick in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return zip(ticks, labels)
+
+
 class _Frame:
     """Maps data coordinates into the plot rectangle and draws axes."""
 
@@ -103,15 +114,15 @@ class _Frame:
                     rotate=-90)
         canvas.line(self.left, self.bottom, self.right, self.bottom)
         canvas.line(self.left, self.top, self.left, self.bottom)
-        for tick in _nice_ticks(self.y_lo, self.y_hi):
+        for tick, label in _tick_labels(_nice_ticks(self.y_lo, self.y_hi)):
             y = self.y_pixel(tick)
             canvas.line(self.left - 4, y, self.left, y)
             canvas.line(self.left, y, self.right, y, color="#eee")
-            canvas.text(self.left - 8, y + 4, f"{tick:g}", size=11, anchor="end")
-        for tick in _nice_ticks(self.x_lo, self.x_hi):
+            canvas.text(self.left - 8, y + 4, label, size=11, anchor="end")
+        for tick, label in _tick_labels(_nice_ticks(self.x_lo, self.x_hi)):
             x = self.x_pixel(tick)
             canvas.line(x, self.bottom, x, self.bottom + 4)
-            canvas.text(x, self.bottom + 18, f"{tick:g}", size=11,
+            canvas.text(x, self.bottom + 18, label, size=11,
                         anchor="middle")
 
     @staticmethod

@@ -30,6 +30,7 @@ import datetime as dt
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -280,6 +281,30 @@ class EnvState:
         return self.initial_cash + self.realized_pnl
 
 
+@lru_cache(maxsize=64)
+def _trade_rows(steps: int, long: bool) -> tuple:
+    """The rows after a trade over ``steps`` steps from a long or a flat
+    position, as ``TradingEnv.reachable_observations`` lays them out: each
+    row's step, buy step and position flag, and each step's range of rows,
+    counted after the held ones. A flat row takes its own step as its buy
+    step, so its P&L reads (c - c) / c = 0. From long the first trade is a
+    sell, so the earliest buy is a step later."""
+    paths = []  # (step, buy step)
+    groups = []
+    for k in range(steps):
+        first = steps + len(paths)
+        if long and k:
+            paths.append((k, k))  # flat after a sell
+        paths += [(k, j) for j in range(long, k)]
+        groups.append(range(first, steps + len(paths)))
+    step = np.array([k for k, _ in paths], dtype=np.intp)
+    buy_step = np.array([j for _, j in paths], dtype=np.intp)
+    flag = (buy_step < step).astype(np.float64)
+    for a in (step, buy_step, flag):
+        a.setflags(write=False)  # shared by every env
+    return step, buy_step, flag, tuple(groups)
+
+
 class TradingEnv:
     """Gym-style episodic MDP over an immutable, z-scored MarketSeries.
 
@@ -326,7 +351,8 @@ class TradingEnv:
         the ones that each next ``step`` returns while the agent holds, up to
         ``limit`` rows (fewer at the series end), as one fresh [rows,
         observation_dim] array. This is the one observation rule: ``reset``
-        and ``step`` return its first row."""
+        and ``step`` return its first row, and it is the no-trade case of
+        ``reachable_observations``."""
         # a fresh array: a worker keeps the observations it is given
         s = self._state
         rows = self._obs_rows[s.t:s.t + limit].copy()
@@ -337,6 +363,31 @@ class TradingEnv:
             rows[:, -1] = [(c - s.buy_price) / s.buy_price
                            for c in self._close[s.t:s.t + limit]]
         return rows
+
+    def reachable_observations(self, limit: int,
+                               trades: bool = True) -> tuple[np.ndarray, tuple]:
+        """Every observation that the decisions of the next ``limit`` steps
+        (fewer at the series end) can be given whatever the actions, as one
+        fresh array, and ``groups``. Row k is step k's held row (the rows begin with
+        ``held_observations(limit)``); ``groups[k]`` ranges over step k's
+        rows after a trade: the flat row after a sell if the agent is long
+        now, and the long row after a buy at each earlier step where the
+        agent can buy. n steps take n (n + 1) / 2 rows from either position.
+        With ``trades`` false, or without the position tail, the rows are
+        the held ones alone."""
+        rows = self.held_observations(limit)
+        steps = len(rows)
+        if not (trades and self._with_tail):
+            return rows, (range(steps, steps),) * steps
+        s = self._state
+        step, buy_step, flag, groups = _trade_rows(steps, s.position == LONG)
+        traded = self._obs_rows[s.t:].take(step, axis=0)
+        close = self.series.close[s.t:]
+        buy = close[buy_step]
+        traded[:, -2] = flag
+        # the IEEE operations of held_observations' tail, on the same floats
+        traded[:, -1] = (close[step] - buy) / buy
+        return np.concatenate((rows, traded)), groups
 
     def reset(self) -> np.ndarray:
         self._state = EnvState(initial_cash=self.config.initial_cash)

@@ -130,7 +130,9 @@ def policy_p(net, obs):
 
 def table_probs(net, rows):
     """Each row's p as decisions read it: from one table fill over ``rows``."""
-    table = a3c.PolicyTable(net, types.SimpleNamespace(held_observations=lambda limit: rows))
+    env = types.SimpleNamespace(
+        reachable_observations=lambda limit, trades: (rows, (range(len(rows), len(rows)),) * len(rows)))
+    table = a3c.PolicyTable(net, env)
     return np.array([table.probs(row, len(rows)) for row in rows])
 
 
@@ -507,8 +509,9 @@ def test_workers_take_turns_one_push_each():
             self.t = 0
             return np.zeros(4)
 
-        def held_observations(self, limit):
-            return np.zeros((min(limit, 6 - self.t), 4))
+        def reachable_observations(self, limit, trades):
+            steps = min(limit, 6 - self.t)
+            return np.zeros((steps, 4)), (range(steps, steps),) * steps
 
         def step(self, action):
             steps.append(self.worker_id)
@@ -861,8 +864,9 @@ def test_random_baseline_reward_history_flat():
 
 def record_decisions(monkeypatch, net, env, decide_name):
     """The events of decisions on ``net`` in ``env``, in order: ("obs", o)
-    for each observation the env returns, ("run", rows, logits) for each
-    policy forward and ("probs", p) for each decision, read where
+    for each observation the env returns, ("groups", g) for the step groups
+    of each table fill's ``reachable_observations``, ("run", rows, logits)
+    for each policy forward and ("probs", p) for each decision, read where
     ``a3c.<decide_name>`` is handed the probabilities."""
     events = []
 
@@ -875,6 +879,8 @@ def record_decisions(monkeypatch, net, env, decide_name):
 
     env.reset = recorded(env.reset, lambda args, obs: ("obs", obs.copy()))
     env.step = recorded(env.step, lambda args, out: ("obs", out[0].copy()))
+    env.reachable_observations = recorded(env.reachable_observations,
+                                          lambda args, out: ("groups", out[1]))
     net.policy.run = recorded(net.policy.run,
                               lambda args, out: ("run", args[0].copy(), out[0].copy()))
     monkeypatch.setattr(a3c, decide_name, recorded(
@@ -883,19 +889,23 @@ def record_decisions(monkeypatch, net, env, decide_name):
 
 
 def table_rows_of_decisions(events):
-    """(obs, i, table row i, the table's logits, p) of each decision: the
-    table is the latest policy forward's, its row counted from the first by
-    the decisions since."""
-    out, obs, run, i = [], None, None, 0
+    """(obs, k, i, table row i, the table's logits, p) of each decision:
+    the table is the latest policy forward's, k counts the decisions since
+    it, and i is the row of step k's group (row k, then ``groups[k]``) that
+    is byte-equal to obs, or row k if none is."""
+    out, obs, groups, run, k = [], None, None, None, 0
     for kind, *data in events:
         if kind == "obs":
             obs = data[0]
+        elif kind == "groups":
+            groups = data[0]
         elif kind == "run":
-            run, i = data, 0
+            run, k = data, 0
         else:
             rows, logits = run
-            out.append((obs, i, rows[i], logits, data[0]))
-            i += 1
+            i = next((r for r in (k, *groups[k]) if rows[r].tobytes() == obs.tobytes()), k)
+            out.append((obs, k, i, rows[i], logits, data[0]))
+            k += 1
     return out
 
 
@@ -916,10 +926,12 @@ def test_every_decision_is_the_softmax_row_of_its_table_row(head_kind, decide_na
     decisions = table_rows_of_decisions(events)
     episodes = config.max_episodes if decide_name == "categorical_sample" else 1
     assert len(decisions) == 40 * episodes
-    for obs, i, row, logits, p in decisions:
+    for obs, _, i, row, logits, p in decisions:
         assert obs.tobytes() == row.tobytes()
         assert p.tobytes() == log_softmax(logits)[0][i].tobytes()
-    assert max(i for _, i, *_ in decisions) >= 2  # tables served runs of holds
+    assert max(k for _, k, *_ in decisions) >= 2  # tables served runs of steps
+    # sampled decisions trade within tables, and read rows after a trade
+    assert decide_name == "greedy_action" or any(i != k for _, k, i, *_ in decisions)
 
 
 def count_policy_forwards(monkeypatch, net, log):
@@ -943,17 +955,21 @@ def test_a_buy_a_sell_a_reset_and_a_drop_refill_the_table(monkeypatch):
     fills = []
     count_policy_forwards(monkeypatch, net, fills)
     table = a3c.PolicyTable(net, env)
-    table.probs(env.reset())
-    for action, refills in ((HOLD, False), (BUY, True), (HOLD, False), (HOLD, False),
-                            (SELL, True), (HOLD, False), (SELL, False)):
+    held, reached = a3c.TABLE_ROWS, a3c.TABLE_ROWS * (a3c.TABLE_ROWS + 1) // 2
+    table.probs(env.reset())  # a new table fills the held rows
+    # a buy misses the held rows and refills every reachable row; a table
+    # of holds past it fills held rows again, where a sell misses
+    for action, fill in ([(HOLD, []), (BUY, [reached])] + [(HOLD, [])] * 7
+                         + [(HOLD, [held]), (SELL, [reached])]
+                         + [(BUY, []), (SELL, []), (HOLD, [])]):  # within that table
         before = len(fills)
         table.probs(env.step(action)[0])
-        assert fills[before:] == fills_of([a3c.TABLE_ROWS] * refills), action
+        assert fills[before:] == fills_of(fill), action
     obs = env.reset()
-    table.probs(obs)
+    table.probs(obs)  # not a row of its step: refills, as after a trade
     table.drop()  # as after new parameters: the same observation refills
-    table.probs(obs)
-    assert fills == fills_of([a3c.TABLE_ROWS] * 5)
+    table.probs(obs)  # held rows: the table before read its held row alone
+    assert fills == fills_of([held, reached, held, reached, reached, held])
 
 
 def test_a_served_row_is_read_only():
@@ -1002,14 +1018,16 @@ def test_a_greedy_rollout_that_never_trades_runs_one_forward_per_table(n, monkey
 
 @pytest.mark.parametrize("n", [1, 2, 9, 20])
 def test_a_greedy_rollout_that_trades_at_every_step_refills_at_every_step(n, monkeypatch):
-    # buy when flat, sell when long: each observation after a trade differs
-    # from the held one that the table computed, so every decision refills
+    # buy when flat, sell when long: the observation after the first trade
+    # misses the held rows of the first fill, and every later fill holds
+    # the rows of every path through its steps, s (s + 1) / 2 for s steps
     net = ScriptedNet(lambda obs: BUY if obs[-2] == 0.0 else SELL)
     runs = []
     count_policy_forwards(monkeypatch, net, runs)
     run = evaluate_policy(net, make_env(np.linspace(100.0, 120.0, n)))
     assert run.actions == [BUY, SELL] * (n // 2) + [BUY] * (n % 2)
-    assert runs == fills_of(min(a3c.TABLE_ROWS, n - t) for t in range(n))
+    steps = [min(a3c.TABLE_ROWS, n - t) for t in range(1, n, a3c.TABLE_ROWS)]
+    assert runs == fills_of([min(a3c.TABLE_ROWS, n)] + [s * (s + 1) // 2 for s in steps])
 
 
 # ---------------------------------------------------------------------------

@@ -628,6 +628,23 @@ def test_charts_past_2_to_the_53_draw_their_ticks():
         assert 2 <= svg.count('stroke="#eee"') <= 10  # the y ticks' grid lines
 
 
+def y_tick_labels(svg):
+    return re.findall(r'font-size="11" fill="#222" font-family="sans-serif" '
+                      r'text-anchor="end">([^<]*)<', svg)
+
+
+def test_tick_labels_take_the_digits_that_tell_them_apart():
+    # six significant digits read 1e+06 for every tick of a $1,000,000
+    # account that moves a few dollars
+    assert y_tick_labels(equity_curve_svg([1e6, 1e6 + 3, 1e6 + 1.5, 1e6 + 4])) == [
+        "1000000", "1000001", "1000002", "1000003", "1000004"]
+    labels = y_tick_labels(equity_curve_svg([1e17, 1e17 + 16, 1e17]))
+    assert len(set(labels)) == len(labels) >= 2
+    # ordinary charts keep six
+    assert y_tick_labels(equity_curve_svg([10_000.0, 10_100.0, 10_050.0])) == [
+        "10000", "10020", "10040", "10060", "10080", "10100"]
+
+
 def test_equity_curve_svg_smoke():
     svg = equity_curve_svg([10_000.0, 10_100.0, 10_050.0])
     ET.fromstring(svg)

@@ -287,6 +287,18 @@ def test_block_gather_has_the_bits_of_the_product(n):
         assert np.array_equal(circuit.block, product.view(np.float64))
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, qsim.BLOCK_MAX_QUBITS + 1, 10])
+def test_encoding_has_the_bits_of_a_reduce_over_the_gathered_factors(n):
+    rng = np.random.default_rng(310 + n)
+    for batch in (1, 8, 36):
+        x = rng.uniform(-1, 1, (batch, n))
+        offset = rng.uniform(-np.pi, np.pi, n)
+        half = x * (0.5 * qsim.ENCODING_SCALE) + offset
+        pairs = np.concatenate((np.cos(half), np.sin(half)), axis=1)
+        reduced = np.multiply.reduce(pairs.take(qsim._pair_index(n), axis=1), axis=1)
+        assert qsim._folded_encoding(x, n, offset).tobytes() == reduced.tobytes()
+
+
 @pytest.mark.parametrize("n", [4, qsim.BLOCK_MAX_QUBITS + 1])
 def test_forward_and_gradient_compile_one_entry(n):
     rng = np.random.default_rng(47)

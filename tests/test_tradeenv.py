@@ -3,6 +3,7 @@ the accounting identity."""
 
 import ast
 import datetime as dt
+import itertools
 import re
 import statistics
 from pathlib import Path
@@ -333,6 +334,36 @@ def test_steps_return_the_held_observations_bit_for_bit(with_tail):
                 if info["executed_action"] != HOLD or done:
                     break
     assert min(checked.values()) > 50  # flat and long rows both predicted
+
+
+@pytest.mark.parametrize("with_tail", [True, False])
+@pytest.mark.parametrize("prefix", [(HOLD, HOLD), (BUY, HOLD)], ids=["flat", "long"])
+def test_every_path_observes_a_row_of_its_step_and_reaches_every_row(prefix, with_tail):
+    closes = [100.0, 103.0, 98.0, 105.0, 101.0, 107.0, 99.0]  # 5 steps after the prefix
+    env = make_env(closes, include_position_in_state=with_tail)
+
+    def start():  # the observation after the prefix: step 0's
+        env.reset()
+        return [env.step(action)[0] for action in prefix][-1]
+
+    for limit in range(1, 7):  # up to 3**4 action sequences
+        start()
+        rows, groups = env.reachable_observations(limit)
+        steps = min(limit, 5)
+        assert len(groups) == steps
+        assert len(rows) == (steps * (steps + 1) // 2 if with_tail else steps)
+        assert rows[:steps].tobytes() == env.held_observations(limit).tobytes()
+        reached = set()
+        for path in itertools.product((HOLD, BUY, SELL), repeat=steps - 1):
+            obs = start()
+            for k, action in enumerate((*path, None)):
+                group = (k, *groups[k])
+                found = {i for i in group if rows[i].tobytes() == obs.tobytes()}
+                assert found, (path, k)
+                reached |= found
+                if action is not None:
+                    obs = env.step(action)[0]
+        assert reached == set(range(len(rows)))
 
 
 def test_sell_reward_worked_example():
